@@ -1,9 +1,12 @@
 """Command-line front end: one subcommand per reasoning task.
 
 Exit codes: 0 entailed/consistent/in-closure/none-found (or plain success),
-1 the negative verdict, 2 usage or input errors.  --format records emits one
-JSON object per line with keys {mode, query, verdict} in stable order, so
-repeated runs are byte-identical.
+1 the negative verdict, 2 usage or input errors, 3 an internal error (a
+one-line "internal error:" message on stderr and no verdict).  --format
+records emits one JSON object per line with keys {mode, query, verdict} in
+stable order, so repeated runs are byte-identical.  --dump-program writes
+the program the library builds for the command, as query_program and
+closure_program return it.
 """
 
 from __future__ import annotations
@@ -23,24 +26,19 @@ from .kb import (
     TypicalInstanceOf,
 )
 from .materialize import (
-    build_program,
     check_consistency,
     check_instance,
     check_subsumption,
-    subsumption_program,
-    translate,
+    query_program,
 )
 from .model import BoundOverflow, refute, render_model
-from .normalize import TypSubsGoal, normalize
+from .normalize import normalize
 from .parser import parse_concept, parse_kb, parse_query, print_kb, query_text
 from .rc import (
-    InconsistentKBError,
-    NotSimpleError,
-    build_rc_program,
+    closure_program,
     compute_ranks,
     rc_consistent,
     rc_entails,
-    t_occurrence_count,
 )
 
 
@@ -65,9 +63,7 @@ def _emit(args, verdict: str, query: Query | None) -> None:
         print(verdict)
 
 
-def _dump(path: str | None, program: DatalogProgram) -> None:
-    if path is None:
-        return
+def _dump(path: str, program: DatalogProgram) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dump_program(program))
 
@@ -80,67 +76,62 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_translate(args) -> int:
-    kb = _load_kb(args.kb)
-    nkb, _ = normalize(kb, (), mode="general")
-    program = build_program(translate(nkb))
-    text = dump_program(program)
-    sys.stdout.write(text)
-    _dump(args.dump_program, program)
+    program, _ = query_program(_load_kb(args.kb))
+    sys.stdout.write(dump_program(program))
+    if args.dump_program:
+        _dump(args.dump_program, program)
     return 0
 
 
-def _cmd_check(args) -> int:
+# accepted query kinds per query command, and the usage message for others;
+# consistent and rc-consistent take no query
+_QUERY_KINDS = {
+    "check": (
+        (InstanceOf, TypicalInstanceOf, RoleHolds),
+        "check takes C(a), T(C)(a) or r(a, b); use subsumes for inclusions",
+    ),
+    "subsumes": (
+        (Subsumes, TypSubsumes),
+        "subsumes takes C <= D or T(C) <= D; use check for assertions",
+    ),
+    "rc-check": ((TypSubsumes,), "rc-check takes a T(C) <= D query"),
+}
+
+_ENTAILED = ("entailed", "not-entailed")
+_CONSISTENT = ("consistent", "inconsistent")
+
+
+def _cmd_query(args) -> int:
     kb = _load_kb(args.kb)
-    q = parse_query(args.query, kb)
-    if not isinstance(q, (InstanceOf, TypicalInstanceOf, RoleHolds)):
-        raise UsageError("check takes C(a), T(C)(a) or r(a, b); use subsumes for inclusions")
+    q = None
+    if args.command in _QUERY_KINDS:
+        kinds, usage = _QUERY_KINDS[args.command]
+        q = parse_query(args.query, kb)
+        if not isinstance(q, kinds):
+            raise UsageError(usage)
     if args.dump_program:
-        nkb, _ = normalize(kb, (q,), mode="general")
-        _dump(args.dump_program, build_program(translate(nkb)))
-    verdict = check_instance(kb, q)
-    _emit(args, "entailed" if verdict.entailed else "not-entailed", q)
-    return 0 if verdict.entailed else 1
-
-
-def _cmd_subsumes(args) -> int:
-    kb = _load_kb(args.kb)
-    q = parse_query(args.query, kb)
-    if not isinstance(q, (Subsumes, TypSubsumes)):
-        raise UsageError("subsumes takes C <= D or T(C) <= D; use check for assertions")
-    if args.dump_program:
-        nkb, _ = normalize(kb, (q,), mode="general")
-        _dump(
-            args.dump_program,
-            subsumption_program(translate(nkb), typ_seed=isinstance(q, TypSubsumes)),
-        )
-    verdict = check_subsumption(kb, q)
-    _emit(args, "entailed" if verdict.entailed else "not-entailed", q)
-    return 0 if verdict.entailed else 1
-
-
-def _cmd_consistent(args) -> int:
-    kb = _load_kb(args.kb)
-    if args.dump_program:
-        nkb, _ = normalize(kb, (), mode="general")
-        _dump(args.dump_program, build_program(translate(nkb)))
-    ok = check_consistency(kb)
-    _emit(args, "consistent" if ok else "inconsistent", None)
-    return 0 if ok else 1
-
-
-def _parse_concepts(args, kb: KnowledgeBase):
-    return tuple(parse_concept(text, kb) for text in (args.concept or ()))
+        builder = closure_program if args.command.startswith("rc-") else query_program
+        _dump(args.dump_program, builder(kb, q)[0])
+    match args.command:
+        case "check":
+            holds, verdicts = check_instance(kb, q).entailed, _ENTAILED
+        case "subsumes":
+            holds, verdicts = check_subsumption(kb, q).entailed, _ENTAILED
+        case "consistent":
+            holds, verdicts = check_consistency(kb), _CONSISTENT
+        case "rc-check":
+            holds, verdicts = rc_entails(kb, q).in_closure, ("in-closure", "not-in-closure")
+        case _:  # rc-consistent
+            holds, verdicts = rc_consistent(kb), _CONSISTENT
+    _emit(args, verdicts[0] if holds else verdicts[1], q)
+    return 0 if holds else 1
 
 
 def _cmd_rc_ranks(args) -> int:
     kb = _load_kb(args.kb)
-    extra = _parse_concepts(args, kb)
+    extra = tuple(parse_concept(text, kb) for text in (args.concept or ()))
     if args.dump_program:
-        nkb, _ = normalize(kb, (), mode="simple", extra_ranked=extra)
-        _dump(
-            args.dump_program,
-            build_rc_program(nkb, t_occurrences=t_occurrence_count(kb)).program(),
-        )
+        _dump(args.dump_program, closure_program(kb, concepts=extra)[0])
     ra = compute_ranks(kb, query_concepts=extra)
     if args.format == "records":
         for name, rank in ra.rows():
@@ -149,42 +140,6 @@ def _cmd_rc_ranks(args) -> int:
         for name, rank in ra.rows():
             print(f"{name} {rank}")
     return 0
-
-
-def _cmd_rc_check(args) -> int:
-    kb = _load_kb(args.kb)
-    q = parse_query(args.query, kb)
-    if not isinstance(q, TypSubsumes):
-        raise UsageError("rc-check takes a T(C) <= D query")
-    if args.dump_program:
-        nkb, goals = normalize(kb, (q,), mode="simple")
-        goal = goals[0]
-        assert isinstance(goal, TypSubsGoal)
-        _dump(
-            args.dump_program,
-            build_rc_program(
-                nkb,
-                extra_t_concepts=(goal.lhs,),
-                def_subs_pairs=((goal.lhs, goal.rhs),),
-                t_occurrences=t_occurrence_count(kb),
-            ).program(),
-        )
-    verdict = rc_entails(kb, q)
-    _emit(args, "in-closure" if verdict.in_closure else "not-in-closure", q)
-    return 0 if verdict.in_closure else 1
-
-
-def _cmd_rc_consistent(args) -> int:
-    kb = _load_kb(args.kb)
-    if args.dump_program:
-        nkb, _ = normalize(kb, (), mode="simple")
-        _dump(
-            args.dump_program,
-            build_rc_program(nkb, t_occurrences=t_occurrence_count(kb)).program(),
-        )
-    ok = rc_consistent(kb)
-    _emit(args, "consistent" if ok else "inconsistent", None)
-    return 0 if ok else 1
 
 
 def _cmd_refute(args) -> int:
@@ -235,17 +190,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dump-program", metavar="PATH", default=None)
     sp.set_defaults(fn=_cmd_translate, format="human")
 
-    sp = sub.add_parser("check", help="rational entailment of an assertion")
-    _add_common(sp, query=True)
-    sp.set_defaults(fn=_cmd_check)
-
-    sp = sub.add_parser("subsumes", help="rational entailment of an inclusion")
-    _add_common(sp, query=True)
-    sp.set_defaults(fn=_cmd_subsumes)
-
-    sp = sub.add_parser("consistent", help="classical consistency")
-    _add_common(sp, query=False)
-    sp.set_defaults(fn=_cmd_consistent)
+    for command, help_text in (
+        ("check", "rational entailment of an assertion"),
+        ("subsumes", "rational entailment of an inclusion"),
+        ("consistent", "classical consistency"),
+        ("rc-check", "membership of T(C) <= D in the rational closure"),
+        ("rc-consistent", "consistency of the rational closure"),
+    ):
+        sp = sub.add_parser(command, help=help_text)
+        _add_common(sp, query=command in _QUERY_KINDS)
+        sp.set_defaults(fn=_cmd_query)
 
     sp = sub.add_parser("rc-ranks", help="rational-closure concept ranks")
     _add_common(sp, query=False)
@@ -254,14 +208,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         help="extra concept to rank (repeatable)",
     )
     sp.set_defaults(fn=_cmd_rc_ranks)
-
-    sp = sub.add_parser("rc-check", help="membership of T(C) <= D in the rational closure")
-    _add_common(sp, query=True)
-    sp.set_defaults(fn=_cmd_rc_check)
-
-    sp = sub.add_parser("rc-consistent", help="consistency of the rational closure")
-    _add_common(sp, query=False)
-    sp.set_defaults(fn=_cmd_rc_consistent)
 
     sp = sub.add_parser("refute", help="bounded counter-model search for a query")
     _add_common(sp, query=True, dump=False)
@@ -279,6 +225,15 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, DatalogError, BoundOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        # a crash is not a verdict: exit 1 is kept for the negative one.  The
+        # innermost frame stands in for the traceback on the one line.
+        tb = e.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        where = f"{tb.tb_frame.f_code.co_filename}:{tb.tb_lineno}"
+        print(f"internal error: {e!r} at {where}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -351,54 +351,6 @@ class FactStore:
 _UNBOUND = object()
 
 
-def _resolve(t: Term, subst: dict[Var, Const]):
-    if isinstance(t, Var):
-        return subst.get(t, _UNBOUND)
-    if isinstance(t, Minus):
-        v = subst.get(t.var, _UNBOUND)
-        if v is _UNBOUND:
-            return _UNBOUND
-        if not isinstance(v, int):
-            return None  # decrement of a symbol never matches anything
-        return v - t.amount
-    return t
-
-
-def _match_args(
-    pattern: tuple[Term, ...],
-    fact: tuple[Const, ...],
-    subst: dict[Var, Const],
-    trail: list[Var],
-) -> bool:
-    """Extend subst in place to match fact; record new bindings on trail."""
-    for t, v in zip(pattern, fact):
-        if isinstance(t, Var):
-            bound = subst.get(t, _UNBOUND)
-            if bound is _UNBOUND:
-                subst[t] = v
-                trail.append(t)
-            elif bound != v:
-                return False
-        elif isinstance(t, Minus):
-            bound = subst.get(t.var, _UNBOUND)
-            if bound is _UNBOUND:
-                if not isinstance(v, int):
-                    return False
-                subst[t.var] = v + t.amount
-                trail.append(t.var)
-            else:
-                if not isinstance(bound, int) or bound - t.amount != v:
-                    return False
-        elif t != v:
-            return False
-    return True
-
-
-def _undo(subst: dict[Var, Const], trail: list[Var], mark: int) -> None:
-    while len(trail) > mark:
-        del subst[trail.pop()]
-
-
 # Rules are compiled to variable slots (plain list indices) so the join loop
 # never hashes Var objects.  A term op is (kind, payload, amount):
 #   _OP_CONST: payload is the constant
@@ -909,22 +861,28 @@ def naive_evaluate(program: DatalogProgram) -> FactStore:
 
 def query(store: FactStore, pattern: Atom) -> list[dict[Var, Const]]:
     """All substitutions grounding pattern to a stored fact, sorted stably."""
-    results: list[dict[Var, Const]] = []
-    subst: dict[Var, Const] = {}
-    trail: list[Var] = []
-    first = _resolve(pattern.args[0], subst) if pattern.args else _UNBOUND
+    args = pattern.args
+    positions = tuple(i for i, t in enumerate(args) if not isinstance(t, (Var, Minus)))
     candidates = (
-        store.match(pattern.pred, (0,), (first,))
-        if first not in (_UNBOUND, None)
+        store.match(pattern.pred, positions, tuple(args[i] for i in positions))
+        if positions
         else store.facts(pattern.pred)
     )
+    results: list[dict[Var, Const]] = []
     for fact in candidates:
-        if len(fact) != len(pattern.args):
+        if len(fact) != len(args):
             continue
-        mark = len(trail)
-        if _match_args(pattern.args, fact, subst, trail):
-            results.append(dict(subst))
-        _undo(subst, trail, mark)
+        subst: dict[Var, Const] = {}
+        for t, v in zip(args, fact):
+            if isinstance(t, Minus):
+                if not isinstance(v, int):
+                    break
+                t, v = t.var, v + t.amount
+            # a repeated variable must meet the same value again
+            if isinstance(t, Var) and subst.setdefault(t, v) != v:
+                break
+        else:
+            results.append(subst)
     results.sort(key=lambda s: sorted((v.name, repr(c)) for v, c in s.items()))
     return results
 

@@ -435,15 +435,7 @@ def is_simple(kb: KnowledgeBase) -> bool:
     No typicality in the RBox or ABox, none on any right-hand side.  Simple
     KBs are the ones the rational-closure construction accepts.
     """
-    for ax in kb.rbox:
-        match ax:
-            case ProductToRole(left, right, _) | RoleToProduct(_, left, right):
-                if contains_typicality(left) or contains_typicality(right):
-                    return False
-    for ax in kb.abox:
-        if isinstance(ax, ConceptAssertion) and contains_typicality(ax.concept):
-            return False
-    return all(_t_only_inside_lhs(ax) for ax in kb.tbox)
+    return first_non_simple_axiom(kb) is None
 
 
 def first_non_simple_axiom(kb: KnowledgeBase):

@@ -6,6 +6,9 @@ triple(a, R, b)) and classical consistency.  Subsumption uses a variant
 where the six derived predicates carry one extra trailing parameter (the
 hypothesis class) plus a seed rule placing a hypothetical witness in every
 class, so one evaluation answers all class pairs at once.
+
+query_program builds the program each entry point evaluates and names
+its goal atom; the CLI dumps the same program.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .datalog import (
     load_program,
     transform_rules,
 )
-from .kb import KnowledgeBase, Query
+from .kb import KnowledgeBase, Query, Subsumes, TypSubsumes
 from .normalize import (
     AssertConcept,
     AssertRole,
@@ -267,35 +270,47 @@ def _goal_atom(goal: Goal) -> Atom:
     raise TypeError(f"not a goal: {goal!r}")
 
 
+def query_program(
+    kb: KnowledgeBase, query: Query | None = None
+) -> tuple[DatalogProgram, Atom | None]:
+    """The program an entry point evaluates, and the goal atom it reads.
+
+    No query asks for consistency: the base program and no goal.  An
+    inclusion gets the subsumption program, any other query the base one.
+    """
+    nkb, goals = normalize(kb, () if query is None else (query,), mode="general")
+    it = translate(nkb)
+    goal = _goal_atom(goals[0]) if goals else None
+    if isinstance(query, (Subsumes, TypSubsumes)):
+        return subsumption_program(it, typ_seed=isinstance(query, TypSubsumes)), goal
+    return build_program(it), goal
+
+
+def _entailment(store: FactStore, goal: Atom) -> EntailmentVerdict:
+    entailed = store.contains(goal.pred, goal.args)  # type: ignore[arg-type]
+    # triple does not flood under inconsistency, the way inst and typ do
+    if not entailed and goal.pred == "triple":
+        entailed = store_inconsistent(store)
+    return EntailmentVerdict(True, goal) if entailed else EntailmentVerdict(False, None)
+
+
 def check_instance(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
     """Rational entailment of C(a), T(C)(a) or R(a,b)."""
-    nkb, goals = normalize(kb, (query,), mode="general")
-    store = evaluate(build_program(translate(nkb)))
-    goal = _goal_atom(goals[0])
-    # triple does not flood under inconsistency, the way inst and typ do
-    if goal.pred == "triple" and store_inconsistent(store):
-        return EntailmentVerdict(True, goal)
-    if store.contains(goal.pred, goal.args):  # type: ignore[arg-type]
-        return EntailmentVerdict(True, goal)
-    return EntailmentVerdict(False, None)
+    if isinstance(query, (Subsumes, TypSubsumes)):
+        raise TypeError(f"not an assertion query: {query!r}")
+    program, goal = query_program(kb, query)
+    return _entailment(evaluate(program), goal)
 
 
 def check_consistency(kb: KnowledgeBase) -> bool:
-    nkb, _ = normalize(kb, (), mode="general")
-    store = evaluate(build_program(translate(nkb)))
-    return not store_inconsistent(store)
+    program, _ = query_program(kb)
+    return not store_inconsistent(evaluate(program))
 
 
 def check_subsumption(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
     """Rational entailment of C <= D or T(C) <= D via the parameterized
     calculus; the typicality form hypothesizes a typical witness."""
-    nkb, goals = normalize(kb, (query,), mode="general")
-    goal = goals[0]
-    if not isinstance(goal, (SubsGoal, TypSubsGoal)):
+    if not isinstance(query, (Subsumes, TypSubsumes)):
         raise TypeError(f"not a subsumption query: {query!r}")
-    it = translate(nkb)
-    store = evaluate(subsumption_program(it, typ_seed=isinstance(goal, TypSubsGoal)))
-    atom = _goal_atom(goal)
-    if store.contains(atom.pred, atom.args):  # type: ignore[arg-type]
-        return EntailmentVerdict(True, atom)
-    return EntailmentVerdict(False, None)
+    program, goal = query_program(kb, query)
+    return _entailment(evaluate(program), goal)

@@ -733,32 +733,6 @@ def _check_valid(kb: KnowledgeBase) -> None:
         raise ValueError("invalid knowledge base: " + "; ".join(str(v) for v in bad))
 
 
-def normalize_typicality(kb: KnowledgeBase, mode: str = "auto") -> KnowledgeBase:
-    """Name the T occurrences, leaving T only in atomic shapes."""
-    _check_valid(kb)
-    nz = _Normalizer(kb, _resolve_mode(kb, mode))
-    nz.run_t_pass()
-    sig = kb.signature
-    new_sig = Signature(
-        concept_names=frozenset(sig.concept_names | nz.new_concepts),
-        role_names=sig.role_names,
-        individual_names=sig.individual_names,
-        simple_roles=sig.simple_roles,
-    )
-    return KnowledgeBase(new_sig, tuple(nz.tbox), tuple(nz.rbox), tuple(nz.abox))
-
-
-def normalize_structural(kb: KnowledgeBase) -> NormalizedKB:
-    """Reduce a KB whose T occurrences are already atomic to normal shapes."""
-    _check_valid(kb)
-    nz = _Normalizer(kb, simple_mode=False)
-    nz.tbox = list(kb.tbox)
-    nz.rbox = list(kb.rbox)
-    nz.abox = list(kb.abox)
-    nz.run_structural_pass()
-    return nz.result()
-
-
 def normalize(
     kb: KnowledgeBase,
     queries: tuple[Query, ...] = (),

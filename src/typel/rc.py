@@ -12,6 +12,9 @@ the base calculus for the closure-consistency test.
 
 Only simple KBs qualify: typicality may appear in inclusion left sides
 only, so the defeasible part is a set of T(C) <= D axioms.
+
+closure_program builds the program each entry point evaluates and reads
+back; the CLI dumps the same program.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ H_RULES: tuple[Rule, ...] = transform_rules(
 )
 
 # staging, exceptionality, ranks, fixpoint, closure membership, and the two
-# rules injecting computed ranks into the base calculus; the range rule
-# possrank(0..N) <- upperbound(N) is expanded into facts at build time
+# rules injecting computed ranks into the base calculus; the stage range
+# possrank(0..N) comes as facts, N one past the T occurrence count
 _RC_TEXT: tuple[tuple[str, str], ...] = (
     ("C0", "t_cls(?C) :- auxc(?Aux, ?C)."),
     (
@@ -141,21 +144,6 @@ RC_RULES: tuple[Rule, ...] = tuple(rule for _, rule in RC_LABELED)
 
 
 @dataclass(frozen=True, slots=True)
-class RcProgram:
-    base: DatalogProgram
-    rc_rules: tuple[Rule, ...]
-    h_rules: tuple[Rule, ...]
-    upperbound_fact: Atom
-    extra_facts: tuple[Atom, ...]
-
-    def program(self) -> DatalogProgram:
-        return DatalogProgram(
-            facts=self.base.facts + (self.upperbound_fact,) + self.extra_facts,
-            rules=self.base.rules + self.h_rules + self.rc_rules,
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class RankAssignment:
     """Rank per tracked concept name; names missing from ranks are in
     infinite.  display maps tracked names back to user-facing concepts."""
@@ -203,7 +191,7 @@ def build_rc_program(
     extra_t_concepts: tuple[str, ...] = (),
     def_subs_pairs: tuple[tuple[str, str], ...] = (),
     t_occurrences: int | None = None,
-) -> RcProgram:
+) -> DatalogProgram:
     """Assemble the full closure program over a simple-mode normalization.
 
     extra_t_concepts are tracked names that must get a rank even without a
@@ -220,21 +208,37 @@ def build_rc_program(
     it = translate(nkb)
     if t_occurrences is None:
         t_occurrences = sum(1 for ax in nkb.axioms if isinstance(ax, TypicalIncl))
-    n = t_occurrences + 1
-    extra: list[Atom] = [Atom("possrank", (i,)) for i in range(n + 1)]
+    facts = list(it.facts)
+    facts += [Atom("possrank", (i,)) for i in range(t_occurrences + 2)]
     known = {f.args[1] for f in it.facts if f.pred == "auxc"}
     for name in extra_t_concepts:
         if name not in known:
-            extra.append(Atom("auxc", (f"aux${name}", name)))
+            facts.append(Atom("auxc", (f"aux${name}", name)))
     for c, d in def_subs_pairs:
-        extra.append(Atom("def_subs", (c, d)))
-    return RcProgram(
-        base=DatalogProgram(facts=it.facts, rules=RC_BASE_RULES),
-        rc_rules=RC_RULES,
-        h_rules=H_RULES,
-        upperbound_fact=Atom("upperbound", (n,)),
-        extra_facts=tuple(extra),
+        facts.append(Atom("def_subs", (c, d)))
+    return DatalogProgram(facts=tuple(facts), rules=RC_BASE_RULES + H_RULES + RC_RULES)
+
+
+def closure_program(
+    kb: KnowledgeBase, query: TypSubsumes | None = None, concepts: tuple[ConceptExpr, ...] = ()
+) -> tuple[DatalogProgram, NormalizedKB, Atom | None]:
+    """The closure program an entry point evaluates, the normalization its
+    ranks are read against, and the inrc goal of a T(C) <= D query.
+
+    concepts are extra concepts to rank.  A query's C gets a rank too, and
+    its pair is the only one the program may put in the closure.
+    """
+    queries = () if query is None else (query,)
+    nkb, goals = normalize(kb, queries, mode="simple", extra_ranked=concepts)
+    assert all(isinstance(goal, TypSubsGoal) for goal in goals)
+    pairs = tuple((goal.lhs, goal.rhs) for goal in goals)
+    program = build_rc_program(
+        nkb,
+        extra_t_concepts=tuple(c for c, _ in pairs),
+        def_subs_pairs=pairs,
+        t_occurrences=t_occurrence_count(kb),
     )
+    return program, nkb, Atom("inrc", pairs[0]) if pairs else None
 
 
 def _gate(kb: KnowledgeBase) -> None:
@@ -276,10 +280,8 @@ def compute_ranks(
 ) -> RankAssignment:
     """Rank every T-argument of the KB plus the given query concepts."""
     _gate(kb)
-    nkb, _ = normalize(kb, (), mode="simple", extra_ranked=query_concepts)
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(kb))
-    store = evaluate(rcp.program())
-    return _read_assignment(store, nkb)
+    program, nkb, _ = closure_program(kb, concepts=query_concepts)
+    return _read_assignment(evaluate(program), nkb)
 
 
 def rc_entails(kb: KnowledgeBase, q: TypSubsumes) -> RcVerdict:
@@ -287,17 +289,8 @@ def rc_entails(kb: KnowledgeBase, q: TypSubsumes) -> RcVerdict:
     if not isinstance(q, TypSubsumes):
         raise TypeError(f"rational closure membership needs a T(C) <= D query, got {q!r}")
     _gate(kb)
-    nkb, goals = normalize(kb, (q,), mode="simple")
-    goal = goals[0]
-    assert isinstance(goal, TypSubsGoal)
-    rcp = build_rc_program(
-        nkb,
-        extra_t_concepts=(goal.lhs,),
-        def_subs_pairs=((goal.lhs, goal.rhs),),
-        t_occurrences=t_occurrence_count(kb),
-    )
-    store = evaluate(rcp.program())
-    return RcVerdict(in_closure=store.contains("inrc", (goal.lhs, goal.rhs)))
+    program, _, goal = closure_program(kb, q)
+    return RcVerdict(in_closure=evaluate(program).contains(goal.pred, goal.args))
 
 
 def rc_consistent(kb: KnowledgeBase) -> bool:
@@ -308,7 +301,5 @@ def rc_consistent(kb: KnowledgeBase) -> bool:
     bottom class, no model matches the assignment.
     """
     _gate(kb)
-    nkb, _ = normalize(kb, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(kb))
-    store = evaluate(rcp.program())
-    return not store_inconsistent(store)
+    program, _, _ = closure_program(kb)
+    return not store_inconsistent(evaluate(program))

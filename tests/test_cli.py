@@ -8,8 +8,11 @@ import sys
 import pytest
 
 from typel.cli import main
-from typel.datalog import load_program
-from conftest import fixture_path
+from typel.datalog import evaluate, load_program
+from typel.materialize import query_program, store_inconsistent
+from typel.parser import parse_concept, parse_query
+from typel.rc import _read_assignment, closure_program
+from conftest import fixture_path, load_fixture
 
 EX1 = str(fixture_path("example1.kbt"))
 EX1_AF = str(fixture_path("example1-af.kbt"))
@@ -74,6 +77,49 @@ def test_translate_dump_round_trips(capsys, tmp_path):
     program = load_program(out)
     assert len(program.rules) == 42
     assert dump_file.read_text() == out
+
+
+@pytest.mark.parametrize(
+    "command, fixture, arg",
+    [
+        ("check", "example1.kbt", "MathHater(paul)"),
+        ("check", "example1.kbt", "T(Student)(mario)"),
+        ("check", "example1.kbt", "Nerd(paul)"),
+        ("subsumes", "example1.kbt", "T(Student and Nerd) <= MathLover"),
+        ("subsumes", "example4.kbt", "A <= B"),
+        ("consistent", "example4.kbt", None),
+        ("rc-ranks", "example4.kbt", "D"),
+        ("rc-check", "example1-af.kbt", "T(Young and Italian) <= some hasHair.{Black}"),
+        ("rc-check", "example1-af.kbt", "T(Student and Nerd) <= MathHater"),
+        ("rc-consistent", "example1-af.kbt", None),
+        ("rc-consistent", "rc_inconsistent.kbt", None),
+    ],
+)
+def test_dump_program_is_the_evaluated_program(capsys, tmp_path, command, fixture, arg):
+    dump_file = tmp_path / "program.dl"
+    extra = () if arg is None else ("--concept", arg) if command == "rc-ranks" else (arg,)
+    kb_path = str(fixture_path(fixture))
+    code, out, _ = run(capsys, command, kb_path, *extra, "--dump-program", str(dump_file))
+    assert code in (0, 1)
+    kb = load_fixture(fixture)
+    if command.startswith("rc-"):
+        concepts = (parse_concept(arg, kb),) if command == "rc-ranks" else ()
+        query = parse_query(arg, kb) if command == "rc-check" else None
+        program, nkb, goal = closure_program(kb, query, concepts)
+    else:
+        program, goal = query_program(kb, None if arg is None else parse_query(arg, kb))
+    dumped = load_program(dump_file.read_text())
+    assert dumped == program
+    store = evaluate(dumped)
+    if command == "rc-ranks":
+        verdict = "\n".join(f"{name} {rank}" for name, rank in _read_assignment(store, nkb).rows())
+    elif goal is None:
+        verdict = "inconsistent" if store_inconsistent(store) else "consistent"
+    elif store.contains(goal.pred, goal.args):
+        verdict = "in-closure" if command == "rc-check" else "entailed"
+    else:
+        verdict = "not-in-closure" if command == "rc-check" else "not-entailed"
+    assert out.strip() == verdict
 
 
 def test_rc_ranks_rows(capsys):
@@ -151,6 +197,18 @@ def test_parse_error_has_location(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(bad), "A(a)")
     assert code == 2
     assert f"{bad}:2:" in err
+
+
+def test_crash_is_internal_error_not_a_verdict(capsys, tmp_path):
+    # deep enough to exhaust the parser's recursion
+    deep = tmp_path / "deep.kbt"
+    nested = "some r.(" * 2000 + "A" + ")" * 2000
+    deep.write_text(f"class A. role r. individual a.\nA <= {nested}.\n")
+    code, out, err = run(capsys, "check", str(deep), "A(a)", "--format", "records")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_undeclared_query_name_is_usage_error(capsys):

@@ -301,6 +301,8 @@ def test_query_substitutions():
     assert [s[Y] for s in subs] == ["b", "c"]
     assert query(store, Atom("missing", (X,))) == []
     assert query(store, Atom("p", ("a", "b"))) == [{}]
+    store = evaluate(DatalogProgram(facts=(Atom("p", ("a", "a")), Atom("p", ("a", "b")))))
+    assert query(store, Atom("p", (X, X))) == [{X: "a"}]
 
 
 # --- dump / load -------------------------------------------------------------

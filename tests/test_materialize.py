@@ -251,6 +251,13 @@ def test_typ_subsumption_positive(example1):
     assert check_subsumption(example1, q).entailed
 
 
+def test_entry_points_reject_the_other_query_kind(example1):
+    with pytest.raises(TypeError):
+        check_instance(example1, parse_query("Student <= Young", example1))
+    with pytest.raises(TypeError):
+        check_subsumption(example1, parse_query("Young(mario)", example1))
+
+
 # --- store-level closure properties ---------------------------------------------------
 
 

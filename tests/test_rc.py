@@ -5,15 +5,14 @@ import pytest
 
 from typel.datalog import Atom, DatalogProgram, Neg, evaluate, stratify
 from typel.kb import Conj, Name
-from typel.materialize import BOT_CONST, store_inconsistent
-from typel.normalize import normalize
+from typel.materialize import BOT_CONST, store_inconsistent, translate
 from typel.parser import parse_concept, parse_kb, parse_query
 from typel.rc import (
     RC_BASE_RULES,
     RC_LABELED,
     InconsistentKBError,
     NotSimpleError,
-    build_rc_program,
+    closure_program,
     compute_ranks,
     rc_consistent,
     rc_entails,
@@ -170,11 +169,8 @@ def test_t_occurrence_count(example1_af, example1):
 
 
 def test_possrank_range_is_occurrences_plus_one(example1_af):
-    nkb, _ = normalize(example1_af, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(example1_af))
-    stages = sorted(
-        f.args[0] for f in rcp.extra_facts + (rcp.upperbound_fact,) if f.pred == "possrank"
-    )
+    program, _, _ = closure_program(example1_af)
+    stages = sorted(f.args[0] for f in program.facts if f.pred == "possrank")
     assert stages == [0, 1, 2, 3, 4, 5]
 
 
@@ -184,9 +180,8 @@ def test_fixpoint_stage_within_bound(example1_af):
 
 
 def test_stage_restriction_is_monotone(example1_af):
-    nkb, _ = normalize(example1_af, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(example1_af))
-    store = evaluate(rcp.program())
+    program, _, _ = closure_program(example1_af)
+    store = evaluate(program)
     by_stage: dict[int, set] = {}
     for c, d, i in store.facts("subTypAt"):
         by_stage.setdefault(i, set()).add((c, d))
@@ -196,9 +191,8 @@ def test_stage_restriction_is_monotone(example1_af):
 
 
 def test_fixpoint_persists(example1_af):
-    nkb, _ = normalize(example1_af, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(example1_af))
-    store = evaluate(rcp.program())
+    program, _, _ = closure_program(example1_af)
+    store = evaluate(program)
     stages = sorted(args[0] for args in store.facts("fixp"))
     assert stages == list(range(stages[0], 6))
 
@@ -209,16 +203,14 @@ def test_ranked_rule_partition_is_a_valid_stratification(example1_af):
     # the two rank-injection rules are the deliberate exception: they feed
     # computed ranks back into the base calculus and rely on the engine's
     # own finer stratification.
-    nkb, _ = normalize(example1_af, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(example1_af))
-    injection = {"SameRank_rc1", "LeqRank_rc2"}
-    rc_rules = [rule for label, rule in RC_LABELED if label not in injection]
+    program, _, _ = closure_program(example1_af)
+    injection = {rule for label, rule in RC_LABELED if label in ("SameRank_rc1", "LeqRank_rc2")}
     group = {"rank": 1, "newNonEx": 1, "fixp": 2, "inf_rank": 2, "inrc": 2}
 
     def g(pred):
         return group.get(pred, 0)
 
-    for rule in list(rcp.base.rules) + list(rcp.h_rules) + rc_rules:
+    for rule in [rule for rule in program.rules if rule not in injection]:
         for item in rule.body:
             if isinstance(item, Atom):
                 assert g(rule.head.pred) >= g(item.pred), rule
@@ -227,9 +219,8 @@ def test_ranked_rule_partition_is_a_valid_stratification(example1_af):
 
 
 def test_full_rc_program_still_machine_stratifiable(example1_af):
-    nkb, _ = normalize(example1_af, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(example1_af))
-    strata, level = stratify(rcp.program().rules)
+    program, _, _ = closure_program(example1_af)
+    strata, level = stratify(program.rules)
     assert level["fixp"] > level["newNonEx"]
     assert level["rank"] > level["exceptional"]
 
@@ -245,13 +236,12 @@ def test_exceptionality_matches_plain_reconstruction(example1_af):
     re-derived here with the plain calculus, one evaluation per concept
     and stage, and compared against the staged program's verdicts.
     """
-    nkb, _ = normalize(example1_af, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(example1_af))
-    store = evaluate(rcp.program())
+    program, nkb, _ = closure_program(example1_af)
+    store = evaluate(program)
 
     t_cls = sorted(args[0] for args in store.facts("t_cls"))
     stages = sorted(args[0] for args in store.facts("possrank"))
-    base_facts = [f for f in rcp.base.facts if f.pred != "subTyp"]
+    base_facts = [f for f in translate(nkb).facts if f.pred != "subTyp"]
 
     for stage in stages:
         staged_subtyp = [
@@ -274,9 +264,8 @@ def test_exceptionality_matches_plain_reconstruction(example1_af):
 
 
 def test_rank_is_first_non_exceptional_stage(example1_af):
-    nkb, _ = normalize(example1_af, (), mode="simple")
-    rcp = build_rc_program(nkb, t_occurrences=t_occurrence_count(example1_af))
-    store = evaluate(rcp.program())
+    program, _, _ = closure_program(example1_af)
+    store = evaluate(program)
     for concept, rank in ((args[0], args[1]) for args in store.facts("rank")):
         assert not store.contains("exceptional", (concept, rank))
         for earlier in range(rank):
