@@ -6,7 +6,7 @@ one-line "internal error:" message on stderr and no verdict).  --format
 records emits one JSON object per line with keys {mode, query, verdict} in
 stable order, so repeated runs are byte-identical.  --dump-program writes
 the program the library builds for the command, as query_program and
-closure_program return it.
+closure_program return it, once the entry point has accepted the KB.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ def _cmd_query(args) -> int:
         q = parse_query(args.query, kb)
         if not isinstance(q, kinds):
             raise UsageError(usage)
-    if args.dump_program:
-        builder = closure_program if args.command.startswith("rc-") else query_program
-        _dump(args.dump_program, builder(kb, q)[0])
     match args.command:
         case "check":
             holds, verdicts = check_instance(kb, q).entailed, _ENTAILED
@@ -123,6 +120,9 @@ def _cmd_query(args) -> int:
             holds, verdicts = rc_entails(kb, q).in_closure, ("in-closure", "not-in-closure")
         case _:  # rc-consistent
             holds, verdicts = rc_consistent(kb), _CONSISTENT
+    if args.dump_program:
+        builder = closure_program if args.command.startswith("rc-") else query_program
+        _dump(args.dump_program, builder(kb, q)[0])
     _emit(args, verdicts[0] if holds else verdicts[1], q)
     return 0 if holds else 1
 
@@ -130,9 +130,9 @@ def _cmd_query(args) -> int:
 def _cmd_rc_ranks(args) -> int:
     kb = _load_kb(args.kb)
     extra = tuple(parse_concept(text, kb) for text in (args.concept or ()))
+    ra = compute_ranks(kb, query_concepts=extra)
     if args.dump_program:
         _dump(args.dump_program, closure_program(kb, concepts=extra)[0])
-    ra = compute_ranks(kb, query_concepts=extra)
     if args.format == "records":
         for name, rank in ra.rows():
             print(json.dumps({"mode": "rc-ranks", "query": name, "verdict": rank}, sort_keys=True))

@@ -6,6 +6,13 @@ fully computed lower stratum, and each stratum is saturated bottom-up with
 semi-naive iteration.  A naive evaluator with the same semantics is kept as
 a differential-testing oracle.
 
+Each rule compiles once per process: the compiled joins are cached on the
+frozen Rule, so programs that share rules (every program built from the
+fixed rule tables) reuse them.  At the start of each stratum the
+semi-naive evaluator drops every rule with a positive body atom over a
+relation that is empty and that no rule of the stratum derives; such a
+relation stays empty, so the rule can never fire.
+
 Terms are Python strings (symbolic constants), ints, variables, or ?v - k
 decrements.  A decrement in a positive body atom unifies in both
 directions: with v bound it denotes the value v - k, with v unbound it
@@ -20,6 +27,7 @@ The textual program format round-trips through dump_program/load_program:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -691,6 +699,8 @@ class _CompiledRule:
     variants: tuple[_Variant, ...]
 
 
+# large enough to keep every built-in rule table (143 distinct rules) resident
+@functools.lru_cache(maxsize=256)
 def _compile_rule(rule: Rule) -> _CompiledRule:
     positives = [item for item in rule.body if isinstance(item, Atom)]
     base = _compile_order(rule, list(range(len(positives))), False)
@@ -755,7 +765,13 @@ def _derive(
 
 
 def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) -> None:
-    compiled = [_compile_rule(r) for r in rules]
+    # a relation this stratum does not derive is final; if it is empty, no
+    # rule joining it can fire
+    compiled = [
+        c
+        for c in map(_compile_rule, rules)
+        if all(p in idb or store.facts(p) for p in c.positive_preds)
+    ]
     delta: dict[str, set[tuple[Const, ...]]] = {}
     for c in compiled:
         produced: set[tuple[Const, ...]] = set()

@@ -165,6 +165,18 @@ def test_rc_commands_reject_non_simple_kb(capsys):
     assert "not a simple KB" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("rc-ranks", EX1), ("rc-check", EX1, "T(Student) <= Young"), ("rc-consistent", EX1)],
+)
+def test_dump_program_waits_for_the_gate(capsys, tmp_path, argv):
+    dump_file = tmp_path / "program.dl"
+    code, _, err = run(capsys, *argv, "--dump-program", str(dump_file))
+    assert code == 2
+    assert "not a simple KB" in err
+    assert not dump_file.exists()
+
+
 def test_refute_none_found(capsys):
     code, out, _ = run(capsys, "refute", EX1, "Young(mario)")
     assert (code, out.strip()) == (0, "none-found")

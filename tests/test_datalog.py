@@ -1,12 +1,14 @@
 """Engine behavior: stratification, evaluation, oracle agreement, round trips."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typel import datalog
 from typel.datalog import (
     Atom,
     Compare,
@@ -26,6 +28,8 @@ from typel.datalog import (
     transform_rules,
     validate_program,
 )
+from typel.materialize import BASE_RULES, subsumption_rules
+from typel.rc import H_RULES, RC_BASE_RULES, RC_RULES
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
@@ -97,6 +101,23 @@ def test_oracle_agreement_fixed_batch():
     for seed in range(60):
         program = random_stratified_program(random.Random(seed))
         assert store_dict(evaluate(program)) == store_dict(naive_evaluate(program)), seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_warm_rule_cache_keeps_results(seed):
+    # later programs reuse rules compiled for earlier ones, over other facts;
+    # dropping every fact of some predicates leaves relations empty in
+    # every stratum
+    rng = random.Random(seed)
+    pool = random_stratified_program(rng)
+    preds = sorted({f.pred for f in pool.facts})
+    for _ in range(5):
+        empty = set(rng.sample(preds, rng.randint(0, len(preds))))
+        facts = tuple(f for f in pool.facts if f.pred not in empty and rng.random() < 0.8)
+        rules = tuple(rng.sample(pool.rules, rng.randint(1, len(pool.rules))))
+        program = DatalogProgram(facts=facts, rules=rules)
+        assert store_dict(evaluate(program)) == store_dict(naive_evaluate(program))
 
 
 # --- stratification -----------------------------------------------------------
@@ -232,6 +253,111 @@ def test_positive_programs_monotone_in_facts(seed):
     large = store_dict(evaluate(bigger))
     for pred, facts in small.items():
         assert facts <= large.get(pred, frozenset())
+
+
+# --- compile once, skip rules over empty finished relations -------------------
+
+
+@pytest.fixture
+def fired(monkeypatch):
+    """Head predicates of the compiled rules the semi-naive evaluator runs."""
+    heads: list[str] = []
+    compile_rule = datalog._compile_rule
+
+    def recording(rule):
+        c = compile_rule(rule)
+
+        def record(v):
+            def fn(store, delta, out):
+                heads.append(v.head_pred)
+                v.fn(store, delta, out)
+
+            return dataclasses.replace(v, fn=fn)
+
+        return dataclasses.replace(
+            c, base=record(c.base), variants=tuple(map(record, c.variants))
+        )
+
+    monkeypatch.setattr(datalog, "_compile_rule", recording)
+    return heads
+
+
+def evaluate_like_oracle(program):
+    store = evaluate(program)
+    assert store_dict(store) == store_dict(naive_evaluate(program))
+    return store
+
+
+def test_relation_derived_in_the_stratum_fires_though_empty_at_its_start(fired):
+    program = DatalogProgram(
+        facts=(Atom("e", ("a", "b")), Atom("e", ("b", "c"))),
+        rules=(
+            Rule(Atom("s", (X, Z)), (Atom("t", (X, Y)), Atom("e", (Y, Z)))),
+            Rule(Atom("t", (X, Y)), (Atom("e", (X, Y)),)),
+        ),
+    )
+    assert evaluate_like_oracle(program).facts("s") == {("a", "c")}
+    assert "s" in fired
+
+
+def test_empty_relation_from_a_lower_stratum_disables_the_rule(fired):
+    program = DatalogProgram(
+        facts=(Atom("p", ("a",)),),
+        rules=(
+            Rule(Atom("low", (X,)), (Atom("p", (X,)), Neg(Atom("p", (X,))))),
+            Rule(Atom("q", (X,)), (Atom("p", (X,)), Neg(Atom("low", (X,))))),
+            Rule(Atom("high", (X,)), (Atom("q", (X,)), Atom("low", (X,)))),
+        ),
+    )
+    _, level = stratify(program.rules)
+    assert level["low"] < level["high"]
+    store = evaluate_like_oracle(program)
+    assert store.facts("q") == {("a",)} and not store.facts("high")
+    assert "q" in fired and "high" not in fired
+
+
+def test_negated_empty_relation_never_disables_the_rule(fired):
+    program = DatalogProgram(
+        facts=(Atom("p", ("a",)), Atom("n", (1,))),
+        rules=(
+            Rule(Atom("q", (X,)), (Atom("p", (X,)), Neg(Atom("r", (X,))))),
+            Rule(Atom("pos", (Var("I"),)), (Atom("n", (Var("I"),)), Compare(">", Var("I"), 0))),
+        ),
+    )
+    store = evaluate_like_oracle(program)
+    assert store.facts("q") == {("a",)} and store.facts("pos") == {(1,)}
+    assert {"q", "pos"} <= set(fired)
+
+
+BUILTIN_RULE_SETS = (
+    BASE_RULES,
+    subsumption_rules(True),
+    subsumption_rules(False),
+    RC_BASE_RULES + H_RULES + RC_RULES,
+)
+
+
+def test_second_evaluate_of_builtin_rules_generates_no_code(monkeypatch):
+    for rules in BUILTIN_RULE_SETS:
+        evaluate(DatalogProgram(rules=rules))
+    generated = []
+    gen_fn = datalog._gen_fn
+    monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
+    for rules in BUILTIN_RULE_SETS:
+        evaluate(DatalogProgram(rules=rules))
+    # subsumption_rules builds new Rule objects on each call; equal ones hit
+    evaluate(DatalogProgram(rules=subsumption_rules(True)))
+    assert generated == []
+
+
+def test_rule_cache_is_bounded_and_holds_every_builtin_rule():
+    builtin = set().union(*BUILTIN_RULE_SETS)
+    maxsize = datalog._compile_rule.cache_info().maxsize
+    assert maxsize is not None and maxsize >= len(builtin)
+    datalog._compile_rule.cache_clear()
+    for rules in BUILTIN_RULE_SETS:
+        evaluate(DatalogProgram(rules=rules))
+    assert datalog._compile_rule.cache_info().currsize == len(builtin)
 
 
 # --- safety -----------------------------------------------------------------
