@@ -53,6 +53,10 @@ KEYWORDS = frozenset({"class", "role", "individual", "top", "bot", "and", "some"
 
 _PUNCT = {"<=", "(", ")", "{", "}", ".", ",", "&"}
 
+# how many some-fillers, parentheses and T(...) a concept may sit inside;
+# the parser and the passes after it recurse once or more per level
+MAX_NESTING = 100
+
 
 class ParseError(ValueError):
     pass
@@ -126,6 +130,7 @@ class _Parser:
         self.concepts: set[str] = set()
         self.roles: set[str] = set()
         self.individuals: set[str] = set()
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -159,6 +164,15 @@ class _Parser:
             self.fail(t, f"expected {what}, found {shown!r}")
         return t
 
+    def nested(self, opener: Token, parse):
+        """parse() one nesting level below the construct opened at opener."""
+        if self.depth == MAX_NESTING:
+            self.fail(opener, f"concept nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        c = parse()
+        self.depth -= 1
+        return c
+
     # concept grammar
 
     def concept(self) -> ConceptExpr:
@@ -176,7 +190,7 @@ class _Parser:
             if role.text not in self.roles:
                 self.fail(role, f"undeclared role {role.text!r}")
             self.expect(".")
-            return Exists(role.text, self.concept_atom_or_some())
+            return Exists(role.text, self.nested(t, self.concept_atom_or_some))
         return self.concept_atom()
 
     def concept_atom(self) -> ConceptExpr:
@@ -195,7 +209,7 @@ class _Parser:
                 return SelfRestriction(role.text)
             if t.text == "T":
                 self.expect("(")
-                arg = self.concept()
+                arg = self.nested(t, self.concept)
                 self.expect(")")
                 try:
                     return Typicality(arg)
@@ -217,7 +231,7 @@ class _Parser:
             self.expect("}")
             return Nominal(ind.text)
         if t.kind == "(":
-            c = self.concept()
+            c = self.nested(t, self.concept)
             self.expect(")")
             return c
         shown = t.text if t.kind != "eof" else "end of input"

@@ -8,7 +8,10 @@ being exceptional; concepts exceptional at the fixpoint get rank infinity.
 Everything runs inside one stratified Datalog program: a staged hypothesis
 copy of the calculus answers the per-stage entailment checks, negation
 reads off ranks, and two injection rules feed the computed ranks back into
-the base calculus for the closure-consistency test.
+the base calculus for the closure-consistency test.  Exceptionality only
+shrinks from stage to stage, so a concept gets its stage-i copy only while
+it stays exceptional: stage(C, i) holds for i = 0 and when C was
+exceptional at i - 1, and guards every staged rule.
 
 Only simple KBs qualify: typicality may appear in inclusion left sides
 only, so the defeasible part is a set of T(C) <= D axioms.
@@ -72,8 +75,8 @@ RC_BASE_RULES: tuple[Rule, ...] = IR_RULES + tuple(
 )
 
 # hypothesis copies: the positive calculus re-derived under the assumption
-# that constant D is a typical-top instance of itself, at stage I; SubTyp is
-# excluded because the staged subTypRC below replaces it
+# that constant D is a typical-top instance of itself, at each stage I of D;
+# SubTyp is excluded because the staged subTypRC below replaces it
 _H_SOURCE: tuple[Rule, ...] = IR_RULES + tuple(
     rule for label, rule in RT_LABELED if label not in ("SupTyp", "SubTyp")
 )
@@ -84,7 +87,7 @@ H_RULES: tuple[Rule, ...] = transform_rules(
     targets=DERIVED_PREDS,
     extra=(Var("D"), Var("I")),
     rename=_H_RENAME,
-    guards=(Atom("t_cls", (Var("D"),)), Atom("possrank", (Var("I"),))),
+    guards=(Atom("stage", (Var("D"), Var("I"))),),
     guard_mode="always",
 )
 
@@ -93,17 +96,19 @@ H_RULES: tuple[Rule, ...] = transform_rules(
 # possrank(0..N) comes as facts, N one past the T occurrence count
 _RC_TEXT: tuple[tuple[str, str], ...] = (
     ("C0", "t_cls(?C) :- auxc(?Aux, ?C)."),
+    ("stage0", "stage(?C, 0) :- t_cls(?C)."),
+    ("stageI", "stage(?C, ?I) :- possrank(?I), exceptional(?C, ?I - 1)."),
     (
         "C2",
-        "exceptional(?C, ?I) :- t_cls(?C), possrank(?I), cls(?Z), inst_h(?C, ?Z, ?C, ?I), bot(?Z).",
+        "exceptional(?C, ?I) :- stage(?C, ?I), cls(?Z), inst_h(?C, ?Z, ?C, ?I), bot(?Z).",
     ),
     ("C3", "subTypAt(?C, ?D, 0) :- subTyp(?C, ?D)."),
     (
         "C4",
         "subTypAt(?C, ?D, ?I) :- possrank(?I), subTypAt(?C, ?D, ?I - 1), exceptional(?C, ?I - 1).",
     ),
-    ("C5", "typ_h(?C, top, ?C, ?I) :- t_cls(?C), possrank(?I)."),
-    ("C6", "inst_h(?C, ?C, ?C, ?I) :- t_cls(?C), possrank(?I)."),
+    ("C5", "typ_h(?C, top, ?C, ?I) :- stage(?C, ?I)."),
+    ("C6", "inst_h(?C, ?C, ?C, ?I) :- stage(?C, ?I)."),
     ("C7", "rank(?C, 0) :- t_cls(?C), not exceptional(?C, 0)."),
     (
         "C8",
@@ -115,7 +120,7 @@ _RC_TEXT: tuple[tuple[str, str], ...] = (
     ("C12", "inf_rank(?C) :- fixp(?I), exceptional(?C, ?I)."),
     (
         "subTypRC",
-        "inst_h(?X, ?C, ?D, ?I) :- t_cls(?D), possrank(?I), subTypAt(?A, ?C, ?I), typ_h(?X, ?A, ?D, ?I).",
+        "inst_h(?X, ?C, ?D, ?I) :- stage(?D, ?I), subTypAt(?A, ?C, ?I), typ_h(?X, ?A, ?D, ?I).",
     ),
     (
         "inrc1",

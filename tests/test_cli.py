@@ -2,15 +2,19 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import typel
 from typel.cli import main
 from typel.datalog import evaluate, load_program
 from typel.materialize import query_program, store_inconsistent
-from typel.parser import parse_concept, parse_query
+from typel.parser import MAX_NESTING, parse_concept, parse_query
 from typel.rc import _read_assignment, closure_program
 from conftest import fixture_path, load_fixture
 
@@ -211,16 +215,41 @@ def test_parse_error_has_location(capsys, tmp_path):
     assert f"{bad}:2:" in err
 
 
-def test_crash_is_internal_error_not_a_verdict(capsys, tmp_path):
-    # deep enough to exhaust the parser's recursion
-    deep = tmp_path / "deep.kbt"
-    nested = "some r.(" * 2000 + "A" + ")" * 2000
-    deep.write_text(f"class A. role r. individual a.\nA <= {nested}.\n")
-    code, out, err = run(capsys, "check", str(deep), "A(a)", "--format", "records")
+def test_crash_is_internal_error_not_a_verdict(capsys, monkeypatch):
+    def crash(kb, query):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("typel.cli.check_instance", crash)
+    code, out, err = run(capsys, "check", EX1, "Young(mario)", "--format", "records")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error:")
+    assert err.startswith("internal error: RuntimeError('boom')")
     assert len(err.strip().splitlines()) == 1
+
+
+def _nested_kb(tmp_path, concept: str):
+    path = tmp_path / "deep.kbt"
+    path.write_text(f"class A. role r. individual a.\nA(a).\nA <= {concept}.\n")
+    return str(path)
+
+
+def test_nesting_at_the_limit_gets_a_verdict(capsys, tmp_path):
+    deep = _nested_kb(tmp_path, "some r." * MAX_NESTING + "A")
+    code, out, _ = run(capsys, "check", deep, "(some r.top)(a)")
+    assert (code, out.strip()) == (0, "entailed")
+
+
+@pytest.mark.parametrize(
+    "concept",
+    ["some r." * (MAX_NESTING + 1) + "A", "some r.(" * 2000 + "A" + ")" * 2000],
+    ids=["limit+1", "2000-deep"],
+)
+def test_nesting_past_the_limit_is_a_located_error(capsys, tmp_path, concept):
+    deep = _nested_kb(tmp_path, concept)
+    code, out, err = run(capsys, "check", deep, "A(a)")
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(rf"error: {re.escape(deep)}:3:\d+: .*nested deeper than {MAX_NESTING} levels\n", err)
 
 
 def test_undeclared_query_name_is_usage_error(capsys):
@@ -230,10 +259,14 @@ def test_undeclared_query_name_is_usage_error(capsys):
 
 
 def test_installed_entry_point():
+    # the child imports typel from wherever this process did
+    src = str(Path(typel.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-m", "typel.cli", "check", EX1, "MathLover(tom)"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "entailed"

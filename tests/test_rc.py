@@ -2,14 +2,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from typel.datalog import Atom, DatalogProgram, Neg, evaluate, stratify
-from typel.kb import Conj, Name
-from typel.materialize import BOT_CONST, store_inconsistent, translate
+from typel._families import chain_kb
+from typel.datalog import Atom, DatalogProgram, Neg, Rule, evaluate, stratify
+from typel.kb import Conj, Name, is_simple
+from typel.materialize import BOT_CONST, check_consistency, store_inconsistent, translate
 from typel.parser import parse_concept, parse_kb, parse_query
 from typel.rc import (
+    H_RULES,
     RC_BASE_RULES,
     RC_LABELED,
+    RC_RULES,
     InconsistentKBError,
     NotSimpleError,
     closure_program,
@@ -18,7 +23,15 @@ from typel.rc import (
     rc_entails,
     t_occurrence_count,
 )
+import test_parser
 from conftest import load_fixture
+
+SIMPLE_FIXTURES = (
+    "example1-af.kbt",
+    "example4.kbt",
+    "rc_still_consistent.kbt",
+    "rc_inconsistent.kbt",
+)
 
 
 def ranks_by_display(assignment):
@@ -228,7 +241,8 @@ def test_full_rc_program_still_machine_stratifiable(example1_af):
 # --- independent reconstruction of the exceptionality iteration ----------------------
 
 
-def test_exceptionality_matches_plain_reconstruction(example1_af):
+@pytest.mark.parametrize("fixture", SIMPLE_FIXTURES)
+def test_exceptionality_matches_plain_reconstruction(fixture):
     """Stagewise cross-check of the staged construction.
 
     A concept is exceptional at stage i when assuming a typical-top
@@ -236,7 +250,7 @@ def test_exceptionality_matches_plain_reconstruction(example1_af):
     re-derived here with the plain calculus, one evaluation per concept
     and stage, and compared against the staged program's verdicts.
     """
-    program, nkb, _ = closure_program(example1_af)
+    program, nkb, _ = closure_program(load_fixture(fixture))
     store = evaluate(program)
 
     t_cls = sorted(args[0] for args in store.facts("t_cls"))
@@ -278,3 +292,93 @@ def test_closure_query_concepts_do_not_change_kb_ranks(example1_af):
     widened = ranks_by_display(compute_ranks(example1_af, extra))
     for concept, rank in plain.items():
         assert widened[concept] == rank
+
+
+# --- stages exist only while a concept stays exceptional -------------------------------
+
+
+STAGE_KBS = [pytest.param(load_fixture(name), id=name) for name in SIMPLE_FIXTURES] + [
+    pytest.param(chain_kb(10), id="chain_kb(10)"),
+    pytest.param(parse_kb("class A. class B.\nA <= bot.\nT(A) <= B.\n"), id="unsatisfiable-default"),
+]
+
+
+@pytest.mark.parametrize("kb", STAGE_KBS)
+def test_stage_holds_exactly_up_to_the_rank(kb):
+    program, _, _ = closure_program(kb)
+    store = evaluate(program)
+    stages = sorted(args[0] for args in store.facts("possrank"))
+    ranks = dict(store.facts("rank"))
+    infinite = {args[0] for args in store.facts("inf_rank")}
+    expected = set()
+    for (concept,) in store.facts("t_cls"):
+        top = stages[-1] if concept in infinite else ranks[concept]
+        expected |= {(concept, i) for i in stages if i <= top}
+    assert set(store.facts("stage")) == expected
+    # the hypothesis copy lives only on those stages
+    assert {(d, i) for _, _, d, i in store.facts("inst_h")} <= expected
+
+
+# --- staged against one-shot -------------------------------------------------------------
+
+
+def _one_shot(rule: Rule) -> Rule:
+    """The rule as it read before stages were gated on exceptionality:
+    every stage(D, I) guard becomes t_cls(D), possrank(I)."""
+    body = []
+    for item in rule.body:
+        if isinstance(item, Atom) and item.pred == "stage":
+            body += [Atom("t_cls", item.args[:1]), Atom("possrank", item.args[1:])]
+        else:
+            body.append(item)
+    return Rule(rule.head, tuple(body))
+
+
+ONE_SHOT_RULES = RC_BASE_RULES + tuple(
+    _one_shot(rule) for rule in H_RULES + RC_RULES if rule.head.pred != "stage"
+)
+
+
+def _ladder_text(n: int, repeat: int | None, bottom: bool, member: int | None) -> str:
+    """Rungs L0 ⊒ L1 ⊒ … ⊒ L{n-1}, each defaulting to P0 or P1, which are
+    disjoint.  Parities alternate, so rung i is exceptional below stage i,
+    except that rung repeat takes the parity of the rung above it and
+    breaks the climb.  bottom makes the last rung unsatisfiable (infinite
+    rank); member asserts an individual into rung member."""
+    parities = [(i + (repeat is not None and i >= repeat)) % 2 for i in range(n)]
+    lines = [f"class L{i}." for i in range(n)] + ["class P0. class P1. individual a."]
+    lines += [f"L{i} <= L{i - 1}." for i in range(1, n)]
+    lines += [f"T(L{i}) <= P{p}." for i, p in enumerate(parities)]
+    lines.append("P0 and P1 <= bot.")
+    if bottom:
+        lines.append(f"L{n - 1} <= bot.")
+    if member is not None:
+        lines.append(f"L{member}(a).")
+    return "\n".join(lines) + "\n"
+
+
+ladders = st.builds(
+    lambda *args: parse_kb(_ladder_text(*args)),
+    st.integers(3, 5),
+    st.one_of(st.none(), st.integers(1, 4)),
+    st.booleans(),
+    st.one_of(st.none(), st.integers(0, 2)),
+)
+consistent_simple_kbs = st.one_of(test_parser.kbs.filter(is_simple), ladders).filter(check_consistency)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(consistent_simple_kbs)
+def test_staged_closure_agrees_with_one_shot(kb):
+    """The stage guard only drops hypothesis copies no reader needs: the
+    ungated program derives the same ranks, exceptionality, closure
+    membership over every (t_cls, cls) pair, and closure consistency."""
+    program, _, _ = closure_program(kb)
+    t_cls = {f.args[1] for f in program.facts if f.pred == "auxc"}
+    cls = {f.args[0] for f in program.facts if f.pred == "cls"}
+    facts = program.facts + tuple(Atom("def_subs", (c, d)) for c in t_cls for d in cls)
+    staged = evaluate(DatalogProgram(facts=facts, rules=program.rules))
+    one_shot = evaluate(DatalogProgram(facts=facts, rules=ONE_SHOT_RULES))
+    for pred in ("rank", "inf_rank", "fixp", "exceptional", "inrc"):
+        assert set(staged.facts(pred)) == set(one_shot.facts(pred)), pred
+    assert store_inconsistent(staged) == store_inconsistent(one_shot)
