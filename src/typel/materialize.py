@@ -4,8 +4,10 @@ fixed rule set, read entailment off the least model.
 The base program answers instance checks (goal inst(a, C), typ(a, C) or
 triple(a, R, b)) and classical consistency.  Subsumption uses a variant
 where the six derived predicates carry one extra trailing parameter (the
-hypothesis class) plus a seed rule placing a hypothetical witness in every
-class, so one evaluation answers all class pairs at once.
+hypothesis class) plus a seed rule placing a hypothetical witness in each
+class ?B with a hyp(?B) fact.  A query adds the single fact hyp(lhs), and
+every derived fact stays under the hypothesis of its body's derived facts,
+so the evaluation saturates only the query's own hypothesis.
 
 query_program builds the program each entry point evaluates and names
 its goal atom; the CLI dumps the same program.
@@ -230,23 +232,26 @@ def build_program(it: InputTranslation) -> DatalogProgram:
 
 def subsumption_rules(typ_seed: bool) -> tuple[Rule, ...]:
     """The parameterized variant: every derived predicate carries the
-    hypothesis class; the seed places a witness of ?B in ?B itself (a
-    typical one for typicality subsumption)."""
+    hypothesis class; for each hyp(?B) the seed places a witness of ?B in
+    ?B itself (a typical one for typicality subsumption)."""
     widened = transform_rules(
         BASE_RULES,
         targets=DERIVED_PREDS,
         extra=(Var("q"),),
-        guards=(Atom("cls", (Var("q"),)),),
+        guards=(Atom("hyp", (Var("q"),)),),
         guard_mode="auto",
     )
     b = Var("B")
     seed_pred = "typ" if typ_seed else "inst"
-    seed = Rule(Atom(seed_pred, (b, b, b)), (Atom("cls", (b,)),))
+    seed = Rule(Atom(seed_pred, (b, b, b)), (Atom("hyp", (b,)),))
     return widened + (seed,)
 
 
-def subsumption_program(it: InputTranslation, typ_seed: bool) -> DatalogProgram:
-    return DatalogProgram(facts=it.facts, rules=subsumption_rules(typ_seed))
+def subsumption_program(it: InputTranslation, typ_seed: bool, lhs: str) -> DatalogProgram:
+    """The subsumption program saturating only the hypothesis of lhs."""
+    return DatalogProgram(
+        facts=it.facts + (Atom("hyp", (lhs,)),), rules=subsumption_rules(typ_seed)
+    )
 
 
 def store_inconsistent(store: FactStore) -> bool:
@@ -282,7 +287,7 @@ def query_program(
     it = translate(nkb)
     goal = _goal_atom(goals[0]) if goals else None
     if isinstance(query, (Subsumes, TypSubsumes)):
-        return subsumption_program(it, typ_seed=isinstance(query, TypSubsumes)), goal
+        return subsumption_program(it, isinstance(query, TypSubsumes), goals[0].lhs), goal
     return build_program(it), goal
 
 
@@ -309,7 +314,8 @@ def check_consistency(kb: KnowledgeBase) -> bool:
 
 def check_subsumption(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
     """Rational entailment of C <= D or T(C) <= D via the parameterized
-    calculus; the typicality form hypothesizes a typical witness."""
+    calculus: one hypothetical witness of C, a typical one for the
+    typicality form, and only the facts that follow from it."""
     if not isinstance(query, (Subsumes, TypSubsumes)):
         raise TypeError(f"not a subsumption query: {query!r}")
     program, goal = query_program(kb, query)

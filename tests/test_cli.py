@@ -1,6 +1,8 @@
 """Command line behavior: verdicts, exit codes, output formats."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,12 +11,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import test_parser
 import typel
 from typel.cli import main
 from typel.datalog import evaluate, load_program
 from typel.materialize import query_program, store_inconsistent
-from typel.parser import MAX_NESTING, parse_concept, parse_query
+from typel.parser import MAX_NESTING, parse_concept, parse_query, print_kb, query_text
 from typel.rc import _read_assignment, closure_program
 from conftest import fixture_path, load_fixture
 
@@ -270,3 +274,53 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "entailed"
+
+
+# every command that answers with a verdict, its verdicts for exit 0 and 1,
+# and whether it takes a query
+VERDICT_COMMANDS = {
+    "check": (("entailed", "not-entailed"), True),
+    "subsumes": (("entailed", "not-entailed"), True),
+    "consistent": (("consistent", "inconsistent"), False),
+    "rc-check": (("in-closure", "not-in-closure"), True),
+    "rc-consistent": (("consistent", "inconsistent"), False),
+    "refute": (("none-found", "counter-model"), True),
+}
+
+
+@pytest.fixture(scope="module")
+def kb_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    test_parser.kbs,
+    test_parser.queries,
+    st.sampled_from(sorted(VERDICT_COMMANDS)),
+    st.sampled_from(("human", "records")),
+)
+def test_cli_prints_one_verdict_or_one_error(kb_dir, kb, query, command, fmt):
+    """Exit 0 or 1 prints exactly the command's verdict for that code; exit 2
+    prints nothing on stdout and an error on stderr; nothing crashes."""
+    kb_path = kb_dir / "kb.kbt"
+    kb_path.write_text(print_kb(kb))
+    verdicts, takes_query = VERDICT_COMMANDS[command]
+    argv = [command, str(kb_path), "--format", fmt]
+    if takes_query:
+        argv.insert(2, query_text(query))
+    if command == "refute":
+        argv += ["--max-domain", "2", "--max-rank", "1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert out == "" and err.startswith("error:")
+    elif fmt == "records":
+        assert out.count("\n") == 1 and json.loads(out)["verdict"] == verdicts[code]
+    elif command == "refute" and code == 1:
+        assert out.startswith("counter-model:\n")
+    else:
+        assert out == verdicts[code] + "\n"
