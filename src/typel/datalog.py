@@ -7,11 +7,17 @@ semi-naive iteration.  A naive evaluator with the same semantics is kept as
 a differential-testing oracle.
 
 Each rule compiles once per process: the compiled joins are cached on the
-frozen Rule, so programs that share rules (every program built from the
-fixed rule tables) reuse them.  At the start of each stratum the
-semi-naive evaluator drops every rule with a positive body atom over a
-relation that is empty and that no rule of the stratum derives; such a
-relation stays empty, so the rule can never fire.
+frozen Rule and the set of its body predicates that its stratum derives,
+so programs that share rules (every program built from the fixed rule
+tables) reuse them.  A delta variant joins its remaining atoms greedily by
+(all arguments bound, some argument bound and the relation not derived,
+bound minus arity, bound): a finished input relation is probed before a
+derived one that grows with the fixpoint.  The key is fixed by the
+program's rules and stratification, never by its facts, so one compiled
+order serves every store.  At the start of each stratum the semi-naive
+evaluator drops every rule with a positive body atom over a relation that
+is empty and that no rule of the stratum derives; such a relation stays
+empty, so the rule can never fire.
 
 Terms are Python strings (symbolic constants), ints, variables, or ?v - k
 decrements.  A decrement in a positive body atom unifies in both
@@ -664,14 +670,24 @@ def _gen_fn(cv: _Variant):
     return ns["_drv"]
 
 
-def _greedy_order(positives: list[Atom], first: int) -> list[int]:
-    """Join order starting at first, then most-ground atoms eagerly."""
+def _greedy_order(positives: list[Atom], first: int, derived: frozenset[str]) -> list[int]:
+    """Join order starting at first, then the best-scored atom eagerly.
+
+    derived names the body predicates the rule's stratum derives.  Each
+    next atom maximizes (all arguments bound, some argument bound and the
+    relation not derived, bound minus arity, bound, -position): a pure
+    filter first, then a probe of a finished input relation, which stays
+    small, before a partially bound derived relation, which grows with the
+    fixpoint; otherwise the most-ground atom.  The score reads only the
+    rule and its stratum, never the facts, so the compiled order is a
+    property of the program and the compile cache stays valid across data.
+    """
     order = [first]
     bound = set(atom_vars(positives[first]))
     remaining = [i for i in range(len(positives)) if i != first]
     while remaining:
 
-        def groundness(i: int) -> tuple[int, int, int]:
+        def score(i: int) -> tuple[bool, bool, int, int, int]:
             a = positives[i]
             nb = 0
             for t in a.args:
@@ -681,9 +697,10 @@ def _greedy_order(positives: list[Atom], first: int) -> list[int]:
                     nb += t.var in bound
                 else:
                     nb += 1
-            return (nb - len(a.args), nb, -i)
+            n = len(a.args)
+            return (nb == n, nb > 0 and a.pred not in derived, nb - n, nb, -i)
 
-        best = max(remaining, key=groundness)
+        best = max(remaining, key=score)
         remaining.remove(best)
         order.append(best)
         bound |= atom_vars(positives[best])
@@ -699,15 +716,26 @@ class _CompiledRule:
     variants: tuple[_Variant, ...]
 
 
-# large enough to keep every built-in rule table (143 distinct rules) resident
+# large enough to keep every built-in rule table (145 distinct keys of a rule
+# and the body predicates its stratum derives) resident
 @functools.lru_cache(maxsize=256)
-def _compile_rule(rule: Rule) -> _CompiledRule:
+def _compile_rule(rule: Rule, derived: frozenset[str]) -> _CompiledRule:
     positives = [item for item in rule.body if isinstance(item, Atom)]
     base = _compile_order(rule, list(range(len(positives))), False)
     variants = tuple(
-        _compile_order(rule, _greedy_order(positives, k), True) for k in range(len(positives))
+        _compile_order(rule, _greedy_order(positives, k, derived), True)
+        for k in range(len(positives))
     )
     return _CompiledRule(rule.head.pred, tuple(a.pred for a in positives), base, variants)
+
+
+def _compile_stratum(rules: list[Rule], idb: set[str]) -> list[_CompiledRule]:
+    return [
+        _compile_rule(
+            r, frozenset(a.pred for a in r.body if isinstance(a, Atom) and a.pred in idb)
+        )
+        for r in rules
+    ]
 
 
 def _derive(
@@ -769,7 +797,7 @@ def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) 
     # rule joining it can fire
     compiled = [
         c
-        for c in map(_compile_rule, rules)
+        for c in _compile_stratum(rules, idb)
         if all(p in idb or store.facts(p) for p in c.positive_preds)
     ]
     delta: dict[str, set[tuple[Const, ...]]] = {}
@@ -795,10 +823,11 @@ def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) 
         delta = new_delta
 
 
-def _eval_stratum_naive(store: FactStore, rules: list[Rule]) -> None:
-    # full re-derivation through the slot interpreter; this is the slow
-    # reference path the semi-naive generated code is checked against
-    compiled = [_compile_rule(r) for r in rules]
+def _eval_stratum_naive(store: FactStore, rules: list[Rule], idb: set[str]) -> None:
+    # full re-derivation, in the written body order, through the slot
+    # interpreter; this is the slow reference path the semi-naive generated
+    # code is checked against
+    compiled = _compile_stratum(rules, idb)
     changed = True
     while changed:
         changed = False
@@ -869,8 +898,8 @@ def naive_evaluate(program: DatalogProgram) -> FactStore:
     store = FactStore()
     for f in program.facts:
         store.add(f.pred, f.args)  # type: ignore[arg-type]
-    for rules, _ in _strata_with_idb(program):
-        _eval_stratum_naive(store, rules)
+    for rules, idb in _strata_with_idb(program):
+        _eval_stratum_naive(store, rules, idb)
         _check_bound(store, bound)
     return store
 

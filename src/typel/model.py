@@ -424,21 +424,19 @@ def _solve(
     nvars: int,
     clauses: list[tuple[int, ...]],
     budget: list[int],
-    block: list[tuple[int, ...]] | None = None,
 ) -> list[int] | None:
     """Satisfying assignment (index = var, value +1/-1) or None.
 
     budget is a single-cell decision counter shared across calls; exhausting
     it raises BoundOverflow.
     """
-    all_clauses = clauses + (block or [])
     occ_when_false: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
 
     def slot(lit: int) -> int:
         # literal -> index of the list of clauses to revisit when it turns false
         return lit if lit > 0 else nvars - lit
 
-    for ci, cl in enumerate(all_clauses):
+    for ci, cl in enumerate(clauses):
         for lit in cl:
             occ_when_false[slot(lit)].append(ci)
 
@@ -455,7 +453,7 @@ def _solve(
             head += 1
             falsified = v if assign[v] < 0 else -v
             for ci in occ_when_false[slot(falsified)]:
-                cl = all_clauses[ci]
+                cl = clauses[ci]
                 unit = 0
                 unassigned = 0
                 sat = False
@@ -503,7 +501,7 @@ def _solve(
             undo(mark)
         return False
 
-    for cl in all_clauses:
+    for cl in clauses:
         if len(cl) == 1:
             lit = cl[0]
             a = assign[abs(lit)]
@@ -571,41 +569,3 @@ def refute(
             return m
     return None
 
-
-def iter_models(
-    kb: KnowledgeBase,
-    max_domain: int = 3,
-    max_rank: int = 2,
-    limit: int = 10_000,
-    budget: int = _DEFAULT_BUDGET,
-):
-    """Yield models of kb within bounds, one per satisfying assignment.
-
-    Ranks are canonical (non-decreasing, contiguous); elements of equal rank
-    may still appear in permuted variants.  Raises BoundOverflow if limit
-    models were yielded with assignments still unexplored.
-    """
-    cell = [budget]
-    produced = 0
-    for n in range(1, max_domain + 1):
-        for ranks in _rank_profiles(n, max_rank):
-            enc = _Encoder(kb, n, ranks)
-            enc.encode_kb()
-            block: list[tuple[int, ...]] = []
-            while True:
-                sol = _solve(enc.nvars, enc.clauses, cell, block)
-                if sol is None:
-                    break
-                m = enc.decode(sol)
-                if not is_model(m, kb):
-                    raise AssertionError(
-                        "decoded model failed direct evaluation; "
-                        "grounding and evaluator disagree"
-                    )
-                if produced >= limit:
-                    raise BoundOverflow(f"more than {limit} models within bounds")
-                produced += 1
-                yield m
-                block.append(
-                    tuple(-v if sol[v] > 0 else v for v in range(1, enc.nvars + 1))
-                )

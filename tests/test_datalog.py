@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from typel.datalog import (
     transform_rules,
     validate_program,
 )
-from typel.materialize import BASE_RULES, subsumption_rules
+from typel.materialize import BASE_RULES, IR_LABELED, subsumption_rules
 from typel.rc import H_RULES, RC_BASE_RULES, RC_RULES
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -264,8 +265,8 @@ def fired(monkeypatch):
     heads: list[str] = []
     compile_rule = datalog._compile_rule
 
-    def recording(rule):
-        c = compile_rule(rule)
+    def recording(rule, derived):
+        c = compile_rule(rule, derived)
 
         def record(v):
             def fn(store, delta, out):
@@ -350,14 +351,90 @@ def test_second_evaluate_of_builtin_rules_generates_no_code(monkeypatch):
     assert generated == []
 
 
+def derived_in_stratum(rules):
+    """(rule, body predicates its stratum derives) for every rule."""
+    out = []
+    for stratum in stratify(rules)[0]:
+        heads = {r.head.pred for r in stratum}
+        for rule in stratum:
+            body = {a.pred for a in rule.body if isinstance(a, Atom)}
+            out.append((rule, frozenset(body & heads)))
+    return out
+
+
 def test_rule_cache_is_bounded_and_holds_every_builtin_rule():
-    builtin = set().union(*BUILTIN_RULE_SETS)
+    # the cache key is the rule and the body predicates its stratum derives
+    builtin = {key for rules in BUILTIN_RULE_SETS for key in derived_in_stratum(rules)}
     maxsize = datalog._compile_rule.cache_info().maxsize
     assert maxsize is not None and maxsize >= len(builtin)
     datalog._compile_rule.cache_clear()
     for rules in BUILTIN_RULE_SETS:
         evaluate(DatalogProgram(rules=rules))
     assert datalog._compile_rule.cache_info().currsize == len(builtin)
+
+
+# --- join order from the stratum ----------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_join_order_never_changes_results(seed):
+    # compile every rule as if its stratum derived what it really derives,
+    # every body predicate, or none: each order must reach the oracle's store
+    program = random_stratified_program(random.Random(seed))
+    expected = store_dict(naive_evaluate(program))
+    compile_rule = datalog._compile_rule
+    markings = (
+        lambda rule, derived: derived,
+        lambda rule, derived: frozenset(a.pred for a in rule.body if isinstance(a, Atom)),
+        lambda rule, derived: frozenset(),
+    )
+    for mark in markings:
+        with mock.patch.object(
+            datalog, "_compile_rule", lambda rule, derived: compile_rule(rule, mark(rule, derived))
+        ):
+            assert store_dict(evaluate(program)) == expected
+
+
+CLOSURE_RULES = RC_BASE_RULES + H_RULES + RC_RULES
+# H_RULES starts with the hypothesis copies of the structural rules, in order
+HYP_COPY = dict(zip((label for label, _ in IR_LABELED), H_RULES))
+
+
+def delta_variants(rules, rule):
+    """The compiled delta variants semi-naive evaluation runs for rule."""
+    derived = dict(derived_in_stratum(rules))[rule]
+    c = datalog._compile_rule(rule, derived)
+    return derived, [v for v, p in zip(c.variants, c.positive_preds) if p in derived]
+
+
+def test_rule_21_hypothesis_copy_probes_subprod_before_the_second_inst_h():
+    derived, variants = delta_variants(CLOSURE_RULES, HYP_COPY["21"])
+    assert {"stage", "inst_h"} <= derived and "subProd" not in derived
+    assert len(variants) == 3
+    for v in variants:
+        second_inst_h = max(i for i, p in enumerate(v.preds) if p == "inst_h")
+        assert v.preds.index("subProd") < second_inst_h, v.preds
+
+
+@pytest.mark.parametrize("label", ["4", "27", "29"])
+def test_no_zero_bound_scan_ahead_of_a_bound_derived_atom(label):
+    # pinned on the rules as written, which check and consistent evaluate;
+    # in a hypothesis copy every atom is bound on the stage (?D, ?I) once
+    # any atom is joined, so there a scan of the few nominals may rightly
+    # come first
+    derived, variants = delta_variants(BASE_RULES, dict(IR_LABELED)[label])
+    assert variants
+    for v in variants:
+        for i in range(1, len(v.preds)):
+            if v.preds[i] not in ("cls", "nom") or v.keys[i]:
+                continue
+            bound = {slot for ops in v.ops[:i] for kind, slot, _ in ops if kind != datalog._OP_CONST}
+            for j in range(i + 1, len(v.preds)):
+                assert not (
+                    v.preds[j] in derived
+                    and any(kind == datalog._OP_CONST or slot in bound for kind, slot, _ in v.ops[j])
+                ), v.preds
 
 
 # --- safety -----------------------------------------------------------------

@@ -26,7 +26,6 @@ from typel.model import (
     RankedInterpretation,
     extension,
     is_model,
-    iter_models,
     refute,
     render_model,
     satisfies,
@@ -163,32 +162,3 @@ def test_budget_overflow_raises():
     kb = KnowledgeBase(signature=sig({"A", "B"}), tbox=(GCI(Name("A"), Name("B")),))
     with pytest.raises(BoundOverflow):
         refute(kb, Subsumes(Name("A"), Name("B")), max_domain=4, max_rank=3, budget=3)
-
-
-# --- bounded enumeration --------------------------------------------------------
-
-
-def test_iter_models_all_satisfy_kb():
-    kb = KnowledgeBase(
-        signature=sig({"A", "B"}, (), {"a"}),
-        tbox=(GCI(Typicality(Name("A")), Name("B")),),
-        abox=(ConceptAssertion(Name("A"), "a"),),
-    )
-    count = 0
-    for m in iter_models(kb, max_domain=2, max_rank=1, limit=100_000):
-        count += 1
-        assert is_model(m, kb)
-        for c in ("A", "B"):
-            typical = extension(m, Typicality(Name(c)))
-            plain = extension(m, Name(c))
-            assert typical <= plain
-            if plain:
-                assert typical
-    assert count > 0
-
-
-def test_iter_models_limit_overflow():
-    kb = KnowledgeBase(signature=sig({"A", "B", "C"}, (), ("a",)))
-    with pytest.raises(BoundOverflow):
-        for _ in iter_models(kb, max_domain=3, max_rank=2, limit=5):
-            pass
