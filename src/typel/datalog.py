@@ -356,9 +356,6 @@ class FactStore:
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets.values())
 
-    def all_facts(self) -> set[tuple[str, tuple[Const, ...]]]:
-        return {(p, args) for p, s in self._sets.items() for args in s}
-
 
 # --- evaluation ---
 
@@ -902,34 +899,6 @@ def naive_evaluate(program: DatalogProgram) -> FactStore:
         _eval_stratum_naive(store, rules, idb)
         _check_bound(store, bound)
     return store
-
-
-def query(store: FactStore, pattern: Atom) -> list[dict[Var, Const]]:
-    """All substitutions grounding pattern to a stored fact, sorted stably."""
-    args = pattern.args
-    positions = tuple(i for i, t in enumerate(args) if not isinstance(t, (Var, Minus)))
-    candidates = (
-        store.match(pattern.pred, positions, tuple(args[i] for i in positions))
-        if positions
-        else store.facts(pattern.pred)
-    )
-    results: list[dict[Var, Const]] = []
-    for fact in candidates:
-        if len(fact) != len(args):
-            continue
-        subst: dict[Var, Const] = {}
-        for t, v in zip(args, fact):
-            if isinstance(t, Minus):
-                if not isinstance(v, int):
-                    break
-                t, v = t.var, v + t.amount
-            # a repeated variable must meet the same value again
-            if isinstance(t, Var) and subst.setdefault(t, v) != v:
-                break
-        else:
-            results.append(subst)
-    results.sort(key=lambda s: sorted((v.name, repr(c)) for v, c in s.items()))
-    return results
 
 
 # --- rule transformation ---

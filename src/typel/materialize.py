@@ -27,36 +27,32 @@ from .datalog import (
     load_program,
     transform_rules,
 )
-from .kb import KnowledgeBase, Query, Subsumes, TypSubsumes
-from .normalize import (
-    AssertConcept,
-    AssertRole,
-    ChainSub,
-    ConjSub,
-    ExistsSub,
-    Goal,
-    InclTypical,
-    InstGoal,
-    NominalSub,
-    NormalizedKB,
-    ProductSub,
-    RoleConjSub,
-    RoleSub,
-    SelfSub,
-    SubBot,
-    SubExists,
-    SubName,
-    SubNominal,
-    SubProduct,
-    SubSelf,
-    SubsGoal,
-    TopSub,
-    TripleGoal,
-    TypGoal,
-    TypSubsGoal,
-    TypicalIncl,
-    normalize,
+from .kb import (
+    GCI,
+    Bot,
+    ConceptAssertion,
+    Conj,
+    Exists,
+    InstanceOf,
+    KnowledgeBase,
+    Name,
+    Nominal,
+    ProductToRole,
+    Query,
+    RoleAssertion,
+    RoleChain,
+    RoleConj,
+    RoleHolds,
+    RoleIncl,
+    RoleToProduct,
+    SelfRestriction,
+    Subsumes,
+    Top,
+    TypSubsumes,
+    TypicalInstanceOf,
+    Typicality,
 )
+from .normalize import NormalizedKB, normalize
 
 TOP_CONST = "top"
 BOT_CONST = "bot"
@@ -158,9 +154,63 @@ def aux_for(ranked: str) -> str:
 
 def translate(nkb: NormalizedKB) -> InputTranslation:
     """Ground facts for a normalized KB: declarations, aux constants, axioms."""
+    body: list[Atom] = []
+    witnesses: list[str] = []
+    has_bot = False
+    # keyword patterns: positional ones look up __match_args__ on every test
+    for i, ax in enumerate(nkb.axioms):
+        fact = None
+        match ax:
+            case GCI(lhs=Name(name=a), rhs=rhs):
+                match rhs:
+                    case Name(name=c):
+                        fact = Atom("subClass", (a, c))
+                    case Exists(role=r, filler=Name(name=b)):
+                        w = f"aux$ex{i}"
+                        witnesses.append(w)
+                        fact = Atom("supEx", (a, r, b, w))
+                    case Bot():
+                        has_bot = True
+                        fact = Atom("subClass", (a, BOT_CONST))
+                    case Nominal(individual=ind):
+                        fact = Atom("subClass", (a, ind))
+                    case SelfRestriction(role=r):
+                        fact = Atom("supSelf", (a, r))
+                    case Typicality(arg=Name(name=b)):
+                        fact = Atom("supTyp", (a, b))
+            case GCI(lhs=lhs, rhs=Name(name=c)):
+                match lhs:
+                    case Conj(left=Name(name=a), right=Name(name=b)):
+                        fact = Atom("subConj", (a, b, c))
+                    case Exists(role=r, filler=Name(name=a)):
+                        fact = Atom("subEx", (r, a, c))
+                    case Typicality(arg=Name(name=b)):
+                        fact = Atom("subTyp", (b, c))
+                    case Top():
+                        fact = Atom("subClass", (TOP_CONST, c))
+                    case Nominal(individual=ind):
+                        fact = Atom("subClass", (ind, c))
+                    case SelfRestriction(role=r):
+                        fact = Atom("subSelf", (r, c))
+            case ConceptAssertion(concept=Name(name=c), individual=a):
+                fact = Atom("subClass", (a, c))
+            case RoleAssertion(role=r, subject=a, target=b):
+                fact = Atom("supEx", (a, r, b, b))
+            case RoleIncl(sub=r, sup=s):
+                fact = Atom("subRole", (r, s))
+            case RoleChain(first=r, second=s, sup=t):
+                fact = Atom("subRChain", (r, s, t))
+            case RoleConj(first=r, second=s, sup=t):
+                fact = Atom("subRConj", (r, s, t))
+            case ProductToRole(left=Name(name=a), right=Name(name=b), sup=r):
+                fact = Atom("subProd", (a, b, r))
+            case RoleToProduct(sub=r, left=Name(name=c), right=Name(name=d)):
+                fact = Atom("supProd", (r, c, d))
+        if fact is None:
+            raise ValueError(f"not a normal axiom: {ax!r}")
+        body.append(fact)
     sig = nkb.signature
     facts: list[Atom] = []
-    aux: list[str] = []
     for a in sorted(sig.individual_names):
         facts.append(Atom("nom", (a,)))
         facts.append(Atom("cls", (a,)))
@@ -170,60 +220,17 @@ def translate(nkb: NormalizedKB) -> InputTranslation:
         facts.append(Atom("rol", (r,)))
     facts.append(Atom("top", (TOP_CONST,)))
     facts.append(Atom("cls", (TOP_CONST,)))
-    if any(isinstance(ax, SubBot) for ax in nkb.axioms):
+    if has_bot:
         facts.append(Atom("bot", (BOT_CONST,)))
         facts.append(Atom("cls", (BOT_CONST,)))
+    aux: list[str] = []
     for entry in nkb.aux_registry:
         a = aux_for(entry.ranked)
         aux.append(a)
         facts.append(Atom("auxc", (a, entry.ranked)))
     aux.append(aux_for(TOP_CONST))
     facts.append(Atom("auxc", (aux_for(TOP_CONST), TOP_CONST)))
-    for i, ax in enumerate(nkb.axioms):
-        match ax:
-            case AssertConcept(c, a):
-                facts.append(Atom("subClass", (a, c)))
-            case AssertRole(r, a, b):
-                facts.append(Atom("supEx", (a, r, b, b)))
-            case SubBot(a):
-                facts.append(Atom("subClass", (a, BOT_CONST)))
-            case TopSub(c):
-                facts.append(Atom("subClass", (TOP_CONST, c)))
-            case SubNominal(a, ind):
-                facts.append(Atom("subClass", (a, ind)))
-            case SubName(a, c):
-                facts.append(Atom("subClass", (a, c)))
-            case ConjSub(a, b, c):
-                facts.append(Atom("subConj", (a, b, c)))
-            case ExistsSub(r, a, c):
-                facts.append(Atom("subEx", (r, a, c)))
-            case SubExists(a, r, b):
-                w = f"aux$ex{i}"
-                aux.append(w)
-                facts.append(Atom("supEx", (a, r, b, w)))
-            case NominalSub(ind, c):
-                facts.append(Atom("subClass", (ind, c)))
-            case SelfSub(r, c):
-                facts.append(Atom("subSelf", (r, c)))
-            case SubSelf(a, r):
-                facts.append(Atom("supSelf", (a, r)))
-            case RoleSub(r, s):
-                facts.append(Atom("subRole", (r, s)))
-            case ChainSub(r, s, t):
-                facts.append(Atom("subRChain", (r, s, t)))
-            case RoleConjSub(r, s, t):
-                facts.append(Atom("subRConj", (r, s, t)))
-            case ProductSub(a, b, r):
-                facts.append(Atom("subProd", (a, b, r)))
-            case SubProduct(r, c, d):
-                facts.append(Atom("supProd", (r, c, d)))
-            case InclTypical(a, b):
-                facts.append(Atom("supTyp", (a, b)))
-            case TypicalIncl(b, c):
-                facts.append(Atom("subTyp", (b, c)))
-            case _:
-                raise ValueError(f"not a normal axiom: {ax!r}")
-    return InputTranslation(tuple(facts), tuple(aux))
+    return InputTranslation(tuple(facts + body), tuple(aux + witnesses))
 
 
 def build_program(it: InputTranslation) -> DatalogProgram:
@@ -262,15 +269,18 @@ def store_inconsistent(store: FactStore) -> bool:
     return any(args[1] in bots for args in store.facts("inst"))
 
 
-def _goal_atom(goal: Goal) -> Atom:
+def _goal_atom(goal: Query) -> Atom:
+    """The fact a query rewritten over names asks for."""
     match goal:
-        case InstGoal(a, c):
+        case InstanceOf(concept=Name(name=c), individual=a):
             return Atom("inst", (a, c))
-        case TypGoal(a, c):
+        case TypicalInstanceOf(concept=Name(name=c), individual=a):
             return Atom("typ", (a, c))
-        case TripleGoal(a, r, b):
+        case RoleHolds(role=r, subject=a, target=b):
             return Atom("triple", (a, r, b))
-        case SubsGoal(lhs, rhs) | TypSubsGoal(lhs, rhs):
+        case Subsumes(lhs=Name(name=lhs), rhs=Name(name=rhs)) | TypSubsumes(
+            lhs=Name(name=lhs), rhs=Name(name=rhs)
+        ):
             return Atom("inst", (lhs, rhs, lhs))
     raise TypeError(f"not a goal: {goal!r}")
 
@@ -287,7 +297,7 @@ def query_program(
     it = translate(nkb)
     goal = _goal_atom(goals[0]) if goals else None
     if isinstance(query, (Subsumes, TypSubsumes)):
-        return subsumption_program(it, isinstance(query, TypSubsumes), goals[0].lhs), goal
+        return subsumption_program(it, isinstance(query, TypSubsumes), goals[0].lhs.name), goal
     return build_program(it), goal
 
 

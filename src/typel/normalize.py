@@ -1,15 +1,27 @@
 """Normalization into the reasoner's normal form.
 
+The normal form is a KnowledgeBase whose axioms have one of 19 shapes, in
+.kbt syntax (A, B, C concept names, r, s, t roles, a, b, c individuals):
+
+    A(a)            r(a, b)
+    A <= bot        top <= A        A <= {c}        A <= B
+    A and B <= C    some r.A <= C   A <= some r.B
+    {a} <= C        self(r) <= C    A <= self(r)
+    r <= s          r o s <= t      r & s <= t
+    A x B <= r      r <= A x B
+    A <= T(B)       T(B) <= C
+
 Two passes.  The typicality pass names every T(C) occurrence: in general
 mode T(C) becomes a fresh name X_C bridged by X_C <= T(R), T(R) <= X_C
 where R is C itself when C is atomic and a two-way alias Y_C otherwise; in
 simple mode (typicality confined to left-hand sides) each inclusion
 T(C) <= D becomes T(Y_C) <= D' over an alias Y_C that is always fresh, so
 no shape A <= T(B) is ever produced.  The structural pass then reduces all
-remaining axioms to the fixed catalogue of normal shapes over names.
+remaining axioms to the normal shapes, passing through the ones already in
+normal form.
 
-Queries are rewritten to goals over concept names before either pass, by
-adding bridge inclusions for their complex concepts.
+Queries are rewritten to the same queries over concept names before either
+pass, by adding bridge inclusions for their complex concepts.
 
 All transformations are conservative: entailment over the original
 signature is unchanged.
@@ -18,11 +30,11 @@ signature is unchanged.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .kb import (
-    BOT,
     TOP,
+    ABoxAxiom,
     Bot,
     ConceptAssertion,
     ConceptExpr,
@@ -35,11 +47,9 @@ from .kb import (
     Nominal,
     ProductToRole,
     Query,
+    RBoxAxiom,
     RoleAssertion,
-    RoleChain,
-    RoleConj,
     RoleHolds,
-    RoleIncl,
     RoleToProduct,
     SelfRestriction,
     Signature,
@@ -55,229 +65,6 @@ from .kb import (
     is_simple,
     validate,
 )
-
-
-# --- normal axiom shapes ---
-
-
-@dataclass(frozen=True, slots=True)
-class AssertConcept:
-    """C(a) with C a name."""
-
-    concept: str
-    individual: str
-
-
-@dataclass(frozen=True, slots=True)
-class AssertRole:
-    """R(a,b)."""
-
-    role: str
-    subject: str
-    target: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubBot:
-    """A <= bot."""
-
-    sub: str
-
-
-@dataclass(frozen=True, slots=True)
-class TopSub:
-    """top <= C."""
-
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubNominal:
-    """A <= {c}."""
-
-    sub: str
-    individual: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubName:
-    """A <= C."""
-
-    sub: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class ConjSub:
-    """A and B <= C."""
-
-    left: str
-    right: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class ExistsSub:
-    """some R.A <= C."""
-
-    role: str
-    filler: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubExists:
-    """A <= some R.B."""
-
-    sub: str
-    role: str
-    filler: str
-
-
-@dataclass(frozen=True, slots=True)
-class NominalSub:
-    """{a} <= C."""
-
-    individual: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class SelfSub:
-    """self(R) <= C."""
-
-    role: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubSelf:
-    """A <= self(R)."""
-
-    sub: str
-    role: str
-
-
-@dataclass(frozen=True, slots=True)
-class RoleSub:
-    """R <= T."""
-
-    sub: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class ChainSub:
-    """R o S <= T."""
-
-    first: str
-    second: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class RoleConjSub:
-    """R & S <= T."""
-
-    first: str
-    second: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class ProductSub:
-    """A x B <= R."""
-
-    left: str
-    right: str
-    sup: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubProduct:
-    """R <= C x D."""
-
-    sub: str
-    left: str
-    right: str
-
-
-@dataclass(frozen=True, slots=True)
-class InclTypical:
-    """A <= T(B)."""
-
-    sub: str
-    arg: str
-
-
-@dataclass(frozen=True, slots=True)
-class TypicalIncl:
-    """T(B) <= C."""
-
-    arg: str
-    sup: str
-
-
-NormalAxiom = (
-    AssertConcept
-    | AssertRole
-    | SubBot
-    | TopSub
-    | SubNominal
-    | SubName
-    | ConjSub
-    | ExistsSub
-    | SubExists
-    | NominalSub
-    | SelfSub
-    | SubSelf
-    | RoleSub
-    | ChainSub
-    | RoleConjSub
-    | ProductSub
-    | SubProduct
-    | InclTypical
-    | TypicalIncl
-)
-
-
-# --- rewritten-query goals ---
-
-
-@dataclass(frozen=True, slots=True)
-class InstGoal:
-    individual: str
-    concept: str
-
-
-@dataclass(frozen=True, slots=True)
-class TypGoal:
-    individual: str
-    concept: str
-
-
-@dataclass(frozen=True, slots=True)
-class TripleGoal:
-    subject: str
-    role: str
-    target: str
-
-
-@dataclass(frozen=True, slots=True)
-class SubsGoal:
-    lhs: str
-    rhs: str
-
-
-@dataclass(frozen=True, slots=True)
-class TypSubsGoal:
-    """lhs is the ranked name standing for the queried T-argument."""
-
-    lhs: str
-    rhs: str
-
-
-Goal = InstGoal | TypGoal | TripleGoal | SubsGoal | TypSubsGoal
 
 
 # --- results ---
@@ -303,8 +90,11 @@ class RankedConcept:
 
 @dataclass(frozen=True, slots=True)
 class NormalizedKB:
+    """axioms keeps the normal axioms of all three boxes in one order, the
+    order translate numbers existential witnesses by."""
+
     signature: Signature
-    axioms: tuple[NormalAxiom, ...]
+    axioms: tuple[GCI | RBoxAxiom | ABoxAxiom, ...]
     aux_registry: tuple[RankedConcept, ...]
     fresh_name_log: tuple[FreshName, ...]
 
@@ -318,51 +108,13 @@ class NormalizedKB:
         return ranked
 
     def to_kb(self) -> KnowledgeBase:
-        """Reconstruct a KnowledgeBase over atomic concepts (for printing)."""
-        tbox: list[GCI] = []
-        rbox: list = []
-        abox: list = []
-        for ax in self.axioms:
-            match ax:
-                case AssertConcept(c, a):
-                    abox.append(ConceptAssertion(Name(c), a))
-                case AssertRole(r, a, b):
-                    abox.append(RoleAssertion(r, a, b))
-                case SubBot(a):
-                    tbox.append(GCI(Name(a), BOT))
-                case TopSub(c):
-                    tbox.append(GCI(TOP, Name(c)))
-                case SubNominal(a, i):
-                    tbox.append(GCI(Name(a), Nominal(i)))
-                case SubName(a, c):
-                    tbox.append(GCI(Name(a), Name(c)))
-                case ConjSub(a, b, c):
-                    tbox.append(GCI(Conj(Name(a), Name(b)), Name(c)))
-                case ExistsSub(r, a, c):
-                    tbox.append(GCI(Exists(r, Name(a)), Name(c)))
-                case SubExists(a, r, b):
-                    tbox.append(GCI(Name(a), Exists(r, Name(b))))
-                case NominalSub(i, c):
-                    tbox.append(GCI(Nominal(i), Name(c)))
-                case SelfSub(r, c):
-                    tbox.append(GCI(SelfRestriction(r), Name(c)))
-                case SubSelf(a, r):
-                    tbox.append(GCI(Name(a), SelfRestriction(r)))
-                case RoleSub(r, s):
-                    rbox.append(RoleIncl(r, s))
-                case ChainSub(r, s, t):
-                    rbox.append(RoleChain(r, s, t))
-                case RoleConjSub(r, s, t):
-                    rbox.append(RoleConj(r, s, t))
-                case ProductSub(a, b, r):
-                    rbox.append(ProductToRole(Name(a), Name(b), r))
-                case SubProduct(r, a, b):
-                    rbox.append(RoleToProduct(r, Name(a), Name(b)))
-                case InclTypical(a, b):
-                    tbox.append(GCI(Name(a), Typicality(Name(b))))
-                case TypicalIncl(b, c):
-                    tbox.append(GCI(Typicality(Name(b)), Name(c)))
-        return KnowledgeBase(self.signature, tuple(tbox), tuple(rbox), tuple(abox))
+        """The normal axioms split into boxes (for printing)."""
+        tbox = tuple(ax for ax in self.axioms if isinstance(ax, GCI))
+        abox = tuple(ax for ax in self.axioms if isinstance(ax, (ConceptAssertion, RoleAssertion)))
+        rbox = tuple(
+            ax for ax in self.axioms if not isinstance(ax, (GCI, ConceptAssertion, RoleAssertion))
+        )
+        return KnowledgeBase(self.signature, tbox, rbox, abox)
 
 
 def canonical_concept(c: ConceptExpr) -> ConceptExpr:
@@ -401,16 +153,6 @@ def _is_empty(c: ConceptExpr) -> bool:
             return False
 
 
-class _Entry:
-    __slots__ = ("key", "display", "ranked", "x_name")
-
-    def __init__(self, key: str, display: str, ranked: str, x_name: str | None):
-        self.key = key
-        self.display = display
-        self.ranked = ranked
-        self.x_name = x_name
-
-
 class _Normalizer:
     def __init__(self, kb: KnowledgeBase, simple_mode: bool):
         self.kb = kb
@@ -419,15 +161,14 @@ class _Normalizer:
         self.used: set[str] = set(sig.concept_names | sig.role_names | sig.individual_names)
         self.new_concepts: set[str] = set()
         self.fresh_log: list[FreshName] = []
-        self.registry: dict[str, _Entry] = {}
-        self.registry_order: list[str] = []
+        self.registry: dict[str, RankedConcept] = {}
         # phase-1 output boxes
         self.tbox: list[GCI] = []
         self.rbox: list = []
         self.abox: list = []
         # phase-2 output
-        self.normal: list[NormalAxiom] = []
-        self._top_alias: str | None = None
+        self.normal: list[GCI | RBoxAxiom | ABoxAxiom] = []
+        self._top_alias: Name | None = None
 
     # --- fresh names ---
 
@@ -447,7 +188,7 @@ class _Normalizer:
 
     # --- typicality pass ---
 
-    def register(self, arg: ConceptExpr) -> _Entry:
+    def register(self, arg: ConceptExpr) -> RankedConcept:
         key = canonical_key(arg)
         got = self.registry.get(key)
         if got is not None:
@@ -464,16 +205,16 @@ class _Normalizer:
             x_name = self.fresh("X", "typicality-occurrence", key)
             self.tbox.append(GCI(Name(x_name), Typicality(Name(ranked))))
             self.tbox.append(GCI(Typicality(Name(ranked)), Name(x_name)))
-        entry = _Entry(key, display, ranked, x_name)
+        entry = RankedConcept(key, display, ranked, x_name)
         self.registry[key] = entry
-        self.registry_order.append(key)
         return entry
 
-    def _embed_name(self, entry: _Entry) -> str:
+    def _embed_name(self, entry: RankedConcept) -> str:
         # simple mode: an embedded T(C) is consumed through a one-way bridge
         if entry.x_name is None:
-            entry.x_name = self.fresh("X", "typicality-embedded", entry.key)
-            self.tbox.append(GCI(Typicality(Name(entry.ranked)), Name(entry.x_name)))
+            x_name = self.fresh("X", "typicality-embedded", entry.key)
+            self.tbox.append(GCI(Typicality(Name(entry.ranked)), Name(x_name)))
+            entry = self.registry[entry.key] = replace(entry, x_name=x_name)
         return entry.x_name
 
     def replace_t(self, c: ConceptExpr) -> ConceptExpr:
@@ -527,45 +268,36 @@ class _Normalizer:
 
     # --- structural pass ---
 
-    def top_alias(self) -> str:
+    def top_alias(self) -> Name:
         if self._top_alias is None:
-            self._top_alias = self.fresh("TC", "top-alias", "top")
-            self.normal.append(TopSub(self._top_alias))
+            self._top_alias = Name(self.fresh("TC", "top-alias", "top"))
+            self.normal.append(GCI(TOP, self._top_alias))
         return self._top_alias
 
-    def name_of_lhs(self, c: ConceptExpr) -> str:
-        """A name n with c <= n, introducing shape axioms as needed."""
+    def name_of_lhs(self, c: ConceptExpr) -> Name:
+        """A name n with c <= n, introducing normal axioms as needed."""
         match c:
-            case Name(name):
-                return name
+            case Name():
+                return c
             case Top():
                 return self.top_alias()
-            case Nominal(individual):
-                n = self.fresh("L", "lhs-nominal", concept_text(c))
-                self.normal.append(NominalSub(individual, n))
+            case Nominal() | SelfRestriction() | Typicality(arg=Name()):
+                kind = {Nominal: "nominal", SelfRestriction: "self", Typicality: "typicality"}[type(c)]
+                n = Name(self.fresh("L", f"lhs-{kind}", concept_text(c)))
+                self.normal.append(GCI(c, n))
                 return n
-            case SelfRestriction(role):
-                n = self.fresh("L", "lhs-self", concept_text(c))
-                self.normal.append(SelfSub(role, n))
-                return n
-            case Exists(role, filler):
-                n = self.fresh("L", "lhs-exists", concept_text(c))
-                self.normal.append(ExistsSub(role, self.name_of_lhs(filler), n))
-                return n
-            case Typicality(Name(b)):
-                n = self.fresh("L", "lhs-typicality", concept_text(c))
-                self.normal.append(TypicalIncl(b, n))
+            case Exists(role=role, filler=filler):
+                n = Name(self.fresh("L", "lhs-exists", concept_text(c)))
+                self.normal.append(GCI(Exists(role, self.name_of_lhs(filler)), n))
                 return n
             case Conj():
                 parts = conjuncts(c)
                 acc = self.name_of_lhs(parts[0])
                 for i, part in enumerate(parts[1:]):
                     pn = self.name_of_lhs(part)
-                    if i == len(parts) - 2:
-                        n = self.fresh("L", "lhs-conj", concept_text(c))
-                    else:
-                        n = self.fresh("L", "lhs-conj-step", concept_text(c))
-                    self.normal.append(ConjSub(acc, pn, n))
+                    kind = "lhs-conj" if i == len(parts) - 2 else "lhs-conj-step"
+                    n = Name(self.fresh("L", kind, concept_text(c)))
+                    self.normal.append(GCI(Conj(acc, pn), n))
                     acc = n
                 return acc
         raise ValueError(f"cannot name left-hand concept: {concept_text(c)}")
@@ -578,61 +310,40 @@ class _Normalizer:
                 self.norm_gci(lhs, part)
             return
         if isinstance(rhs, Name):
-            sup = rhs.name
             match lhs:
-                case Name(name):
-                    self.normal.append(SubName(name, sup))
-                case Top():
-                    self.normal.append(TopSub(sup))
-                case Typicality(Name(b)):
-                    self.normal.append(TypicalIncl(b, sup))
-                case Nominal(individual):
-                    self.normal.append(NominalSub(individual, sup))
-                case SelfRestriction(role):
-                    self.normal.append(SelfSub(role, sup))
-                case Exists(role, filler):
-                    self.normal.append(ExistsSub(role, self.name_of_lhs(filler), sup))
+                case Name() | Top() | Typicality(arg=Name()) | Nominal() | SelfRestriction():
+                    self.normal.append(GCI(lhs, rhs))
+                case Exists(role=role, filler=filler):
+                    self.normal.append(GCI(Exists(role, self.name_of_lhs(filler)), rhs))
                 case Conj():
-                    parts = conjuncts(lhs)
-                    names = [self.name_of_lhs(p) for p in parts]
+                    names = [self.name_of_lhs(p) for p in conjuncts(lhs)]
                     acc = names[0]
-                    for i, pn in enumerate(names[1:]):
-                        if i == len(names) - 2:
-                            self.normal.append(ConjSub(acc, pn, sup))
-                        else:
-                            n = self.fresh("L", "lhs-conj-step", concept_text(lhs))
-                            self.normal.append(ConjSub(acc, pn, n))
-                            acc = n
+                    for pn in names[1:-1]:
+                        n = Name(self.fresh("L", "lhs-conj-step", concept_text(lhs)))
+                        self.normal.append(GCI(Conj(acc, pn), n))
+                        acc = n
+                    self.normal.append(GCI(Conj(acc, names[-1]), rhs))
                 case _:
                     raise ValueError(f"cannot normalize inclusion lhs: {concept_text(lhs)}")
             return
         # rhs is complex (or bot/nominal/self/typicality/exists): reduce lhs to a name
         a = self.name_of_lhs(lhs)
         match rhs:
-            case Bot():
-                self.normal.append(SubBot(a))
-            case Nominal(individual):
-                self.normal.append(SubNominal(a, individual))
-            case SelfRestriction(role):
-                self.normal.append(SubSelf(a, role))
-            case Typicality(Name(b)):
-                self.normal.append(InclTypical(a, b))
-            case Exists(role, filler):
-                if isinstance(filler, Name):
-                    self.normal.append(SubExists(a, role, filler.name))
-                else:
-                    b = self.fresh("B", "rhs-filler", concept_text(filler))
-                    self.normal.append(SubExists(a, role, b))
-                    self.norm_gci(Name(b), filler)
+            case Bot() | Nominal() | SelfRestriction() | Typicality(arg=Name()) | Exists(filler=Name()):
+                self.normal.append(GCI(a, rhs))
+            case Exists(role=role, filler=filler):
+                b = Name(self.fresh("B", "rhs-filler", concept_text(filler)))
+                self.normal.append(GCI(a, Exists(role, b)))
+                self.norm_gci(b, filler)
             case _:
                 raise ValueError(f"cannot normalize inclusion rhs: {concept_text(rhs)}")
 
-    def name_of_rhs(self, c: ConceptExpr) -> str:
+    def name_of_rhs(self, c: ConceptExpr) -> Name:
         """A name n with n <= c (for concepts in value positions)."""
         if isinstance(c, Name):
-            return c.name
-        n = self.fresh("R", "rhs-name", concept_text(c))
-        self.norm_gci(Name(n), c)
+            return c
+        n = Name(self.fresh("R", "rhs-name", concept_text(c)))
+        self.norm_gci(n, c)
         return n
 
     def run_structural_pass(self) -> None:
@@ -640,64 +351,56 @@ class _Normalizer:
             self.norm_gci(ax.lhs, ax.rhs)
         for ax in self.rbox:
             match ax:
-                case RoleIncl(sub, sup):
-                    self.normal.append(RoleSub(sub, sup))
-                case RoleChain(first, second, sup):
-                    self.normal.append(ChainSub(first, second, sup))
-                case RoleConj(first, second, sup):
-                    self.normal.append(RoleConjSub(first, second, sup))
                 case ProductToRole(left, right, sup):
                     if _is_empty(left) or _is_empty(right):
                         continue
-                    self.normal.append(ProductSub(self.name_of_lhs(left), self.name_of_lhs(right), sup))
+                    self.normal.append(ProductToRole(self.name_of_lhs(left), self.name_of_lhs(right), sup))
                 case RoleToProduct(sub, left, right):
-                    self.normal.append(SubProduct(sub, self.name_of_rhs(left), self.name_of_rhs(right)))
+                    self.normal.append(RoleToProduct(sub, self.name_of_rhs(left), self.name_of_rhs(right)))
+                case _:
+                    self.normal.append(ax)
         for ax in self.abox:
-            match ax:
-                case ConceptAssertion(concept, individual):
-                    if isinstance(concept, Name):
-                        self.normal.append(AssertConcept(concept.name, individual))
-                    else:
-                        f = self.fresh("F", "assertion-concept", concept_text(concept))
-                        self.normal.append(AssertConcept(f, individual))
-                        self.norm_gci(Name(f), concept)
-                case RoleAssertion(role, subject, target):
-                    self.normal.append(AssertRole(role, subject, target))
+            if isinstance(ax, ConceptAssertion) and not isinstance(ax.concept, Name):
+                f = Name(self.fresh("F", "assertion-concept", concept_text(ax.concept)))
+                self.normal.append(ConceptAssertion(f, ax.individual))
+                self.norm_gci(f, ax.concept)
+            else:
+                self.normal.append(ax)
 
     # --- query rewriting ---
 
-    def rewrite_query(self, q: Query, bridges: list[GCI]) -> Goal:
+    def rewrite_query(self, q: Query, bridges: list[GCI]) -> Query:
         match q:
             case InstanceOf(concept, individual):
                 if isinstance(concept, Name):
-                    return InstGoal(individual, concept.name)
-                n = self.fresh("Q", "instance-query", concept_text(concept))
-                bridges.append(GCI(concept, Name(n)))
-                return InstGoal(individual, n)
+                    return q
+                n = Name(self.fresh("Q", "instance-query", concept_text(concept)))
+                bridges.append(GCI(concept, n))
+                return InstanceOf(n, individual)
             case TypicalInstanceOf(concept, individual):
                 entry = self.register(concept)
-                return TypGoal(individual, entry.ranked)
-            case RoleHolds(role, subject, target):
-                return TripleGoal(subject, role, target)
+                return TypicalInstanceOf(Name(entry.ranked), individual)
+            case RoleHolds():
+                return q
             case Subsumes(lhs, rhs):
-                return SubsGoal(self._query_lhs(lhs, bridges), self._query_rhs(rhs, bridges))
+                return Subsumes(self._query_lhs(lhs, bridges), self._query_rhs(rhs, bridges))
             case TypSubsumes(lhs, rhs):
                 entry = self.register(lhs)
-                return TypSubsGoal(entry.ranked, self._query_rhs(rhs, bridges))
+                return TypSubsumes(Name(entry.ranked), self._query_rhs(rhs, bridges))
         raise TypeError(f"not a query: {q!r}")
 
-    def _query_lhs(self, c: ConceptExpr, bridges: list[GCI]) -> str:
+    def _query_lhs(self, c: ConceptExpr, bridges: list[GCI]) -> Name:
         if isinstance(c, Name):
-            return c.name
-        n = self.fresh("QL", "query-lhs", concept_text(c))
-        bridges.append(GCI(Name(n), c))
+            return c
+        n = Name(self.fresh("QL", "query-lhs", concept_text(c)))
+        bridges.append(GCI(n, c))
         return n
 
-    def _query_rhs(self, c: ConceptExpr, bridges: list[GCI]) -> str:
+    def _query_rhs(self, c: ConceptExpr, bridges: list[GCI]) -> Name:
         if isinstance(c, Name):
-            return c.name
-        n = self.fresh("QR", "query-rhs", concept_text(c))
-        bridges.append(GCI(c, Name(n)))
+            return c
+        n = Name(self.fresh("QR", "query-rhs", concept_text(c)))
+        bridges.append(GCI(c, n))
         return n
 
     # --- assembly ---
@@ -710,11 +413,9 @@ class _Normalizer:
             individual_names=sig.individual_names,
             simple_roles=compute_simple_roles(sig.role_names, tuple(self.rbox)),
         )
-        registry = tuple(
-            RankedConcept(e.key, e.display, e.ranked, e.x_name)
-            for e in (self.registry[k] for k in self.registry_order)
+        return NormalizedKB(
+            new_sig, tuple(self.normal), tuple(self.registry.values()), tuple(self.fresh_log)
         )
-        return NormalizedKB(new_sig, tuple(self.normal), registry, tuple(self.fresh_log))
 
 
 def _resolve_mode(kb: KnowledgeBase, mode: str) -> bool:
@@ -738,7 +439,7 @@ def normalize(
     queries: tuple[Query, ...] = (),
     mode: str = "auto",
     extra_ranked: tuple[ConceptExpr, ...] = (),
-) -> tuple[NormalizedKB, tuple[Goal, ...]]:
+) -> tuple[NormalizedKB, tuple[Query, ...]]:
     """Full pipeline: rewrite queries, name typicality, reduce to shapes.
 
     extra_ranked concepts are registered as if T(C) occurred in a query,
@@ -748,9 +449,9 @@ def normalize(
     _check_valid(kb)
     nz = _Normalizer(kb, _resolve_mode(kb, mode))
     bridges: list[GCI] = []
-    goals = tuple(nz.rewrite_query(q, bridges) for q in queries)
+    rewritten = tuple(nz.rewrite_query(q, bridges) for q in queries)
     nz.run_t_pass(extra_tbox=tuple(bridges))
     for c in extra_ranked:
         nz.register(c)
     nz.run_structural_pass()
-    return nz.result(), goals
+    return nz.result(), rewritten

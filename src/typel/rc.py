@@ -35,6 +35,7 @@ from .datalog import (
     transform_rules,
 )
 from .kb import (
+    GCI,
     ConceptExpr,
     KnowledgeBase,
     TypSubsumes,
@@ -49,13 +50,7 @@ from .materialize import (
     store_inconsistent,
     translate,
 )
-from .normalize import (
-    InclTypical,
-    NormalizedKB,
-    TypSubsGoal,
-    TypicalIncl,
-    normalize,
-)
+from .normalize import NormalizedKB, normalize
 from .parser import axiom_text
 
 
@@ -159,8 +154,8 @@ class RankAssignment:
     display: dict[str, str]
 
     def rows(self) -> list[tuple[str, str]]:
-        """(concept, rank) rows, finite ranks first, then inf; each block
-        sorted by rank then display name."""
+        """Distinct (concept, rank) rows, finite ranks first, then inf; each
+        block sorted by rank then display name."""
         finite = sorted(
             self.ranks.items(), key=lambda cv: (cv[1], self.display.get(cv[0], cv[0]))
         )
@@ -169,7 +164,9 @@ class RankAssignment:
             (self.display.get(c, c), "inf")
             for c in sorted(self.infinite, key=lambda c: self.display.get(c, c))
         ]
-        return out
+        # equivalent names sharing a display, such as the top constant and
+        # a simple-mode alias of top, give one row; a disagreement gives two
+        return list(dict.fromkeys(out))
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,14 +202,15 @@ def build_rc_program(
     original TBox occurrence count (the normalized count is never larger).
     """
     for ax in nkb.axioms:
-        if isinstance(ax, InclTypical):
+        if isinstance(ax, GCI) and isinstance(ax.rhs, Typicality):
             raise NotSimpleError(
-                f"not a simple KB: an axiom places typicality on the right "
-                f"({ax.sub} <= T({ax.arg}))"
+                f"not a simple KB: an axiom places typicality on the right ({axiom_text(ax)})"
             )
     it = translate(nkb)
     if t_occurrences is None:
-        t_occurrences = sum(1 for ax in nkb.axioms if isinstance(ax, TypicalIncl))
+        t_occurrences = sum(
+            1 for ax in nkb.axioms if isinstance(ax, GCI) and isinstance(ax.lhs, Typicality)
+        )
     facts = list(it.facts)
     facts += [Atom("possrank", (i,)) for i in range(t_occurrences + 2)]
     known = {f.args[1] for f in it.facts if f.pred == "auxc"}
@@ -235,8 +233,7 @@ def closure_program(
     """
     queries = () if query is None else (query,)
     nkb, goals = normalize(kb, queries, mode="simple", extra_ranked=concepts)
-    assert all(isinstance(goal, TypSubsGoal) for goal in goals)
-    pairs = tuple((goal.lhs, goal.rhs) for goal in goals)
+    pairs = tuple((goal.lhs.name, goal.rhs.name) for goal in goals)
     program = build_rc_program(
         nkb,
         extra_t_concepts=tuple(c for c, _ in pairs),

@@ -151,6 +151,21 @@ def test_rc_ranks_records(capsys):
     assert {"mode": "rc-ranks", "query": "Student", "verdict": "0"} in rows
 
 
+def test_rc_ranks_prints_top_once(capsys, tmp_path):
+    # T(top) gives top a simple-mode alias that displays as top as well
+    path = tmp_path / "kb.kbt"
+    path.write_text("class A. class B. T(top) <= B. T(A) <= B.\n")
+    for extra in ((), ("--concept", "top")):
+        code, out, _ = run(capsys, "rc-ranks", str(path), *extra)
+        assert (code, out) == (0, "A 0\ntop 0\n")
+        code, out, _ = run(capsys, "rc-ranks", str(path), "--format", "records", *extra)
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"mode": "rc-ranks", "query": "A", "verdict": "0"},
+            {"mode": "rc-ranks", "query": "top", "verdict": "0"},
+        ]
+
+
 def test_rc_check(capsys):
     code, out, _ = run(
         capsys, "rc-check", EX1_AF, "T(Young and Italian) <= some hasHair.{Black}"

@@ -24,7 +24,6 @@ from typel.datalog import (
     grounding_bound,
     load_program,
     naive_evaluate,
-    query,
     stratify,
     transform_rules,
     validate_program,
@@ -488,24 +487,6 @@ def test_grounding_bound_formula():
     )
     # two constants: |p| <= 2, |q| <= 4
     assert grounding_bound(program) == 2 + 4
-
-
-# --- query ----------------------------------------------------------------------
-
-
-def test_query_substitutions():
-    store = evaluate(
-        DatalogProgram(
-            facts=(Atom("p", ("a", "b")), Atom("p", ("a", "c")), Atom("p", ("b", "c"))),
-            rules=(),
-        )
-    )
-    subs = query(store, Atom("p", ("a", Y)))
-    assert [s[Y] for s in subs] == ["b", "c"]
-    assert query(store, Atom("missing", (X,))) == []
-    assert query(store, Atom("p", ("a", "b"))) == [{}]
-    store = evaluate(DatalogProgram(facts=(Atom("p", ("a", "a")), Atom("p", ("a", "b")))))
-    assert query(store, Atom("p", (X, X))) == [{X: "a"}]
 
 
 # --- dump / load -------------------------------------------------------------

@@ -16,6 +16,7 @@ from typel.materialize import (
     IR_LABELED,
     RT_LABELED,
     TOP_CONST,
+    _goal_atom,
     aux_for,
     build_program,
     check_consistency,
@@ -25,7 +26,7 @@ from typel.materialize import (
     translate,
 )
 from typel.model import refute
-from typel.normalize import normalize
+from typel.normalize import NormalizedKB, normalize
 from typel.parser import parse_kb, parse_query
 
 # --- reference rule table ----------------------------------------------------
@@ -192,6 +193,40 @@ def test_bot_axiom_translation():
     by = facts_by_pred(translate(nkb))
     assert ("A", BOT_CONST) in by["subClass"]
     assert (BOT_CONST,) in by["bot"]
+
+
+@pytest.mark.parametrize(
+    "axiom",
+    [
+        "A <= B and C",
+        "some r.(A and B) <= C",
+        "(A and B) and C <= D",
+        "(A and B)(a)",
+        "r <= (A and B) x C",
+    ],
+)
+def test_translate_rejects_axioms_outside_the_normal_shapes(axiom):
+    kb = parse_kb(f"class A. class B. class C. class D. role r. individual a.\n{axiom}.\n")
+    (ax,) = (*kb.tbox, *kb.rbox, *kb.abox)
+    nkb = NormalizedKB(kb.signature, (ax,), (), ())
+    with pytest.raises(ValueError, match="not a normal axiom"):
+        translate(nkb)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        "(A and B)(a)",
+        "T(A and B)(a)",
+        "A and B <= C",
+        "A <= some r.B",
+        "T(A and B) <= C",
+    ],
+)
+def test_goal_atom_rejects_queries_over_complex_concepts(query):
+    kb = parse_kb("class A. class B. class C. role r. individual a.")
+    with pytest.raises(TypeError, match="not a goal"):
+        _goal_atom(parse_query(query, kb))
 
 
 # --- instance checking -----------------------------------------------------------

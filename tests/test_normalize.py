@@ -7,21 +7,19 @@ import pytest
 from hypothesis import given, settings
 
 import test_parser
-from typel.kb import Conj, GCI, Name
-from typel.normalize import (
-    AssertConcept,
-    ConjSub,
-    InclTypical,
-    InstGoal,
-    NominalSub,
-    SubExists,
-    SubName,
-    SubsGoal,
-    TypGoal,
-    TypSubsGoal,
-    TypicalIncl,
-    normalize,
+from typel.kb import (
+    GCI,
+    ConceptAssertion,
+    Conj,
+    InstanceOf,
+    Name,
+    Nominal,
+    Subsumes,
+    TypSubsumes,
+    TypicalInstanceOf,
+    Typicality,
 )
+from typel.normalize import normalize
 from typel.parser import axiom_text, parse_kb, parse_query
 
 # --- signature-erasing comparator -----------------------------------------
@@ -175,13 +173,13 @@ def test_typicality_assertion_becomes_fresh_name_assertion():
         "T(Student and Nerd)(tom).\n"
     )
     nkb, _ = normalize(kb, (), mode="general")
-    assertions = [ax for ax in nkb.axioms if isinstance(ax, AssertConcept)]
+    assertions = [ax for ax in nkb.axioms if isinstance(ax, ConceptAssertion)]
     assert len(assertions) == 1
     (tom_ax,) = assertions
     assert tom_ax.individual == "tom"
     # the asserted name is the occurrence name of the registered T-concept
     (entry,) = nkb.aux_registry
-    assert tom_ax.concept == entry.x_name
+    assert tom_ax.concept == Name(entry.x_name)
 
 
 def test_full_fixture_contains_both_expansions(example1):
@@ -245,7 +243,7 @@ def test_complex_existential_filler_on_lhs():
 def test_nominal_lhs_is_normal():
     kb = parse_kb("class C. individual a.\n{a} <= C.\n")
     nkb, _ = normalize(kb, (), mode="general")
-    assert any(isinstance(ax, NominalSub) for ax in nkb.axioms)
+    assert any(isinstance(ax, GCI) and isinstance(ax.lhs, Nominal) for ax in nkb.axioms)
     assert len(nkb.axioms) == 1
 
 
@@ -265,10 +263,10 @@ def test_simple_mode_always_aliases_the_ranked_concept():
     assert entry.display == "A"
     assert entry.ranked != "A"
     # alias equations tie the fresh ranked name to A
-    assert SubName(entry.ranked, "A") in nkb.axioms
-    assert SubName("A", entry.ranked) in nkb.axioms
-    assert TypicalIncl(entry.ranked, "B") in nkb.axioms
-    assert not any(isinstance(ax, InclTypical) for ax in nkb.axioms)
+    assert GCI(Name(entry.ranked), Name("A")) in nkb.axioms
+    assert GCI(Name("A"), Name(entry.ranked)) in nkb.axioms
+    assert GCI(Typicality(Name(entry.ranked)), Name("B")) in nkb.axioms
+    assert not any(isinstance(ax, GCI) and isinstance(ax.rhs, Typicality) for ax in nkb.axioms)
 
 
 def test_general_mode_reuses_atomic_ranked_names():
@@ -298,32 +296,35 @@ def test_instance_query_over_complex_concept_gets_a_name(example1):
     q = parse_query("(some hasHair.{Black})(luigi)", example1)
     nkb, goals = normalize(example1, (q,), mode="general")
     (goal,) = goals
-    assert isinstance(goal, InstGoal)
+    assert isinstance(goal, InstanceOf)
     assert goal.individual == "luigi"
-    assert goal.concept not in original_names(example1)
+    assert isinstance(goal.concept, Name)
+    assert goal.concept.name not in original_names(example1)
 
 
 def test_typical_instance_query_goal(example1):
     q = parse_query("T(Student)(mario)", example1)
     _, goals = normalize(example1, (q,), mode="general")
     (goal,) = goals
-    assert isinstance(goal, TypGoal)
+    assert isinstance(goal, TypicalInstanceOf)
+    assert isinstance(goal.concept, Name)
 
 
 def test_subsumption_query_names_both_sides(example1):
     q = parse_query("some friendOf.{mary} <= Young", example1)
     _, goals = normalize(example1, (q,), mode="general")
     (goal,) = goals
-    assert isinstance(goal, SubsGoal)
+    assert isinstance(goal, Subsumes)
+    assert isinstance(goal.lhs, Name) and isinstance(goal.rhs, Name)
 
 
 def test_typ_subsumption_goal_uses_registered_ranked_name(example1):
     q = parse_query("T(Young and Italian) <= some hasHair.{Black}", example1)
     nkb, goals = normalize(example1, (q,), mode="general")
     (goal,) = goals
-    assert isinstance(goal, TypSubsGoal)
-    assert goal.lhs in nkb.ranked_names()
-    assert nkb.display_of(goal.lhs) in ("Young and Italian", "Italian and Young")
+    assert isinstance(goal, TypSubsumes)
+    assert goal.lhs.name in nkb.ranked_names()
+    assert nkb.display_of(goal.lhs.name) in ("Young and Italian", "Italian and Young")
 
 
 def test_normalization_is_deterministic(example1):

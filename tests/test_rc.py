@@ -9,6 +9,7 @@ from typel._families import chain_kb
 from typel.datalog import Atom, DatalogProgram, Neg, Rule, evaluate, stratify
 from typel.kb import Conj, Name, is_simple
 from typel.materialize import BOT_CONST, check_consistency, store_inconsistent, translate
+from typel.normalize import normalize
 from typel.parser import parse_concept, parse_kb, parse_query
 from typel.rc import (
     H_RULES,
@@ -17,6 +18,8 @@ from typel.rc import (
     RC_RULES,
     InconsistentKBError,
     NotSimpleError,
+    RankAssignment,
+    build_rc_program,
     closure_program,
     compute_ranks,
     rc_consistent,
@@ -102,6 +105,13 @@ def test_rows_ordering(example1_af):
     assert all(v == "inf" for v in values[len(finite) :])
 
 
+def test_rows_merge_equal_rows_and_keep_disagreeing_ones():
+    same = RankAssignment({"top": 0, "Y": 0}, frozenset(), 0, {"Y": "top"})
+    assert same.rows() == [("top", "0")]
+    apart = RankAssignment({"top": 0, "Y": 1}, frozenset(), 0, {"Y": "top"})
+    assert apart.rows() == [("top", "0"), ("top", "1")]
+
+
 # --- closure membership -----------------------------------------------------------
 
 
@@ -142,6 +152,13 @@ def test_non_simple_kb_rejected(example1):
         compute_ranks(example1)
     with pytest.raises(NotSimpleError):
         rc_consistent(example1)
+
+
+def test_closure_program_rejects_a_normal_form_with_typicality_on_the_right():
+    kb = parse_kb("class A. class B.\nA <= T(B).\n")
+    nkb, _ = normalize(kb, (), mode="general")
+    with pytest.raises(NotSimpleError, match=r"<= T\(B\)\)$"):
+        build_rc_program(nkb)
 
 
 def test_classically_inconsistent_kb_rejected():
