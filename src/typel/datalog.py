@@ -4,7 +4,8 @@ The engine is deliberately small: programs are finite sets of ground facts
 plus rules, predicates are stratified so every negated atom refers to a
 fully computed lower stratum, and each stratum is saturated bottom-up with
 semi-naive iteration.  A naive evaluator with the same semantics is kept as
-a differential-testing oracle.
+a differential-testing oracle; it reads the Rule objects directly and
+shares no compiled form with the semi-naive path.
 
 Each rule compiles once per process: the compiled joins are cached on the
 frozen Rule and the set of its body predicates that its stratum derives,
@@ -194,106 +195,72 @@ def stratify(rules: tuple[Rule, ...]) -> tuple[list[list[Rule]], dict[str, int]]
     Returns (rules grouped per stratum in evaluation order, stratum of each
     predicate).  Raises DatalogError when negation occurs in a dependency
     cycle.
+
+    One iterative Tarjan pass over the head -> body edges, each marked
+    negated or not.  Tarjan finishes a strongly connected component only
+    after every component it depends on, so its stratum is the maximum, over
+    edges leaving it, of the target's stratum plus one for a negated edge:
+    the least stratification (Apt, Blair & Walker 1988).
     """
-    preds: set[str] = set()
+    # head -> {body predicate: whether some edge between them is negated}
+    edges: dict[str, dict[str, bool]] = {}
     for rule in rules:
-        preds.add(rule.head.pred)
+        out = edges.setdefault(rule.head.pred, {})
         for item in rule.body:
-            preds.add(item.atom.pred if isinstance(item, Neg) else item.pred if isinstance(item, Atom) else "")
-    preds.discard("")
-    stratum = {p: 0 for p in preds}
-    limit = len(preds) + 1
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            h = rule.head.pred
-            for item in rule.body:
-                match item:
-                    case Atom(pred, _):
-                        want = stratum[pred]
-                    case Neg(atom):
-                        want = stratum[atom.pred] + 1
-                    case _:
-                        continue
-                if stratum[h] < want:
-                    stratum[h] = want
-                    changed = True
-                    if want > limit:
-                        raise DatalogError(
-                            "program is not stratifiable: " + _negation_cycle_message(rules)
-                        )
-    buckets: dict[int, list[Rule]] = {}
-    for rule in rules:
-        buckets.setdefault(stratum[rule.head.pred], []).append(rule)
-    ordered = [buckets[s] for s in sorted(buckets)]
-    return ordered, stratum
-
-
-def _negation_cycle_message(rules: tuple[Rule, ...]) -> str:
-    # Tarjan over the head -> body dependency graph to name one offending loop
-    edges: dict[str, set[str]] = {}
-    neg_edges: set[tuple[str, str]] = set()
-    for rule in rules:
-        h = rule.head.pred
-        edges.setdefault(h, set())
-        for item in rule.body:
-            if isinstance(item, Atom):
-                edges[h].add(item.pred)
-                edges.setdefault(item.pred, set())
-            elif isinstance(item, Neg):
-                edges[h].add(item.atom.pred)
-                edges.setdefault(item.atom.pred, set())
-                neg_edges.add((h, item.atom.pred))
+            if isinstance(item, Neg):
+                out[item.atom.pred] = True
+                edges.setdefault(item.atom.pred, {})
+            elif isinstance(item, Atom):
+                out.setdefault(item.pred, False)
+                edges.setdefault(item.pred, {})
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
-    counter = itertools.count()
-    sccs: list[set[str]] = []
-
-    def strongconnect(v: str) -> None:
-        work = [(v, iter(sorted(edges[v])))]
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
+    # a visited predicate without a level is still on the Tarjan stack
+    level: dict[str, int] = {}
+    for root in sorted(edges):
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(sorted(edges[root])))]
         while work:
             node, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = next(counter)
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(sorted(edges[w]))))
-                    advanced = True
                     break
-                if w in on_stack:
+                if w not in level:
                     low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                sccs.append(comp)
-
-    for p in sorted(edges):
-        if p not in index:
-            strongconnect(p)
-    for comp in sccs:
-        for h, b in neg_edges:
-            if h in comp and b in comp:
-                return f"negation inside a recursive component: {{{', '.join(sorted(comp))}}}"
-    return "negation inside a recursive component"
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] != index[node]:
+                    continue
+                comp = stack[stack.index(node) :]
+                del stack[len(stack) - len(comp) :]
+                members = set(comp)
+                s = 0
+                for v in comp:
+                    for w, neg in edges[v].items():
+                        if w not in members:
+                            s = max(s, level[w] + neg)
+                        elif neg:
+                            raise DatalogError(
+                                "program is not stratifiable: negation inside a recursive "
+                                f"component: {{{', '.join(sorted(comp))}}}"
+                            )
+                for v in comp:
+                    level[v] = s
+    buckets: dict[int, list[Rule]] = {}
+    for rule in rules:
+        buckets.setdefault(level[rule.head.pred], []).append(rule)
+    ordered = [buckets[s] for s in sorted(buckets)]
+    return ordered, level
 
 
 # --- fact storage ---
@@ -359,11 +326,10 @@ class FactStore:
 
 # --- evaluation ---
 
-_UNBOUND = object()
 
-
-# Rules are compiled to variable slots (plain list indices) so the join loop
-# never hashes Var objects.  A term op is (kind, payload, amount):
+# Rules are compiled to variable slots, which the generated code lowers to
+# locals v0, v1, ..., so the join loop never hashes Var objects.  A term op
+# is (kind, payload, amount):
 #   _OP_CONST: payload is the constant
 #   _OP_VAR:   payload is the slot
 #   _OP_MINUS: payload is the slot, amount is subtracted from its value
@@ -378,44 +344,6 @@ def _compile_term(t: Term, slots: dict[Var, int]) -> _TermOp:
     if isinstance(t, Minus):
         return (_OP_MINUS, slots.setdefault(t.var, len(slots)), t.amount)
     return (_OP_CONST, t, 0)
-
-
-def _resolve_op(op: _TermOp, subst: list):
-    kind, payload, amount = op
-    if kind == _OP_CONST:
-        return payload
-    v = subst[payload]
-    if kind == _OP_VAR or v is _UNBOUND:
-        return v
-    if not isinstance(v, int):
-        return None  # decrement of a symbol never matches anything
-    return v - amount
-
-
-def _match_ops(ops: tuple, fact: tuple[Const, ...], subst: list, trail: list[int]) -> bool:
-    """Extend subst in place to match fact; record touched slots on trail."""
-    for op, v in zip(ops, fact):
-        kind, payload, amount = op
-        if kind == _OP_VAR:
-            b = subst[payload]
-            if b is _UNBOUND:
-                subst[payload] = v
-                trail.append(payload)
-            elif b != v:
-                return False
-        elif kind == _OP_CONST:
-            if payload != v:
-                return False
-        else:
-            b = subst[payload]
-            if b is _UNBOUND:
-                if not isinstance(v, int):
-                    return False
-                subst[payload] = v + amount
-                trail.append(payload)
-            elif not isinstance(b, int) or b - amount != v:
-                return False
-    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -437,25 +365,6 @@ def _compile_constraint(item: BodyItem, slots: dict[Var, int]):
     return _CCmp(item.op, _compile_term(item.left, slots), _compile_term(item.right, slots))
 
 
-def _check_c(item, subst: list, store: FactStore) -> bool:
-    if type(item) is _CNeg:
-        args = tuple(_resolve_op(o, subst) for o in item.ops)
-        if any(a is _UNBOUND for a in args):
-            raise DatalogError(f"negated atom {item.pred} evaluated with unbound variable")
-        if any(a is None for a in args):
-            return True  # a failed decrement denotes no value, so the atom is absent
-        return not store.contains(item.pred, args)
-    left = _resolve_op(item.left, subst)
-    right = _resolve_op(item.right, subst)
-    if left is _UNBOUND or right is _UNBOUND:
-        raise DatalogError("comparison evaluated with unbound variable")
-    if left is None or right is None:
-        return False
-    if not isinstance(left, int) or not isinstance(right, int):
-        raise DatalogError(f"comparison between non-integers: {left!r} {item.op} {right!r}")
-    return left < right if item.op == "<" else left > right
-
-
 @dataclass(frozen=True, slots=True)
 class _Variant:
     """One rule body in a fixed join order, compiled to slots."""
@@ -472,7 +381,6 @@ class _Variant:
     # those with no variables run once up front
     pre: tuple
     after: tuple[tuple, ...]
-    nslots: int
     delta_first: bool
     fn: object = field(default=None, compare=False, repr=False)
 
@@ -529,7 +437,6 @@ def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
         tuple(key_ops),
         tuple(pre),
         tuple(tuple(x) for x in after),
-        len(slots),
         delta_first,
     )
     object.__setattr__(cv, "fn", _gen_fn(cv))
@@ -537,7 +444,10 @@ def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
 
 
 def _cmp_rt(left, op: str, right) -> bool:
-    """Runtime comparison shared by generated code, matching _check_c."""
+    """Runtime comparison for generated code.
+
+    The naive oracle states the same semantics on its own, over Rule terms.
+    """
     if left is None or right is None:
         return False
     if not isinstance(left, int) or not isinstance(right, int):
@@ -548,9 +458,9 @@ def _cmp_rt(left, op: str, right) -> bool:
 def _gen_fn(cv: _Variant):
     """Compile one join order to a Python function (store, delta, out).
 
-    The function runs the same join as the slot interpreter, with slots
-    lowered to plain locals and index lookups inlined.  The naive evaluator
-    keeps the interpreter, so the two paths cross-check each other.
+    Slots become plain locals and index lookups are inlined.  The naive
+    oracle reads the rules directly and shares no compiled form with this
+    code, so the two paths cross-check each other.
     """
     lines = [
         "def _drv(store, delta, out):",
@@ -735,60 +645,6 @@ def _compile_stratum(rules: list[Rule], idb: set[str]) -> list[_CompiledRule]:
     ]
 
 
-def _derive(
-    cv: _Variant,
-    store: FactStore,
-    delta: set[tuple[Const, ...]] | None,
-    out: set[tuple[Const, ...]],
-) -> None:
-    """Collect head instantiations for one join order into out."""
-    subst: list = [_UNBOUND] * cv.nslots
-    trail: list[int] = []
-    for item in cv.pre:
-        if not _check_c(item, subst, store):
-            return
-    n = len(cv.preds)
-    preds = cv.preds
-    all_ops = cv.ops
-    keys = cv.keys
-    key_ops = cv.key_ops
-    after = cv.after
-    head_ops = cv.head_ops
-
-    def rec(i: int) -> None:
-        if i == n:
-            out.add(tuple(_resolve_op(o, subst) for o in head_ops))
-            return
-        ops = all_ops[i]
-        arity = len(ops)
-        if i == 0 and delta is not None:
-            cands = delta
-        else:
-            kp = keys[i]
-            if kp:
-                key: list[Const] = []
-                for o in key_ops[i]:
-                    v = _resolve_op(o, subst)
-                    if v is None:
-                        return  # decrement of a symbol matches nothing
-                    key.append(v)
-                cands = store.match(preds[i], kp, tuple(key))
-            else:
-                cands = store.facts(preds[i])
-        aft = after[i]
-        for fact in cands:
-            if len(fact) != arity:
-                continue
-            mark = len(trail)
-            if _match_ops(ops, fact, subst, trail):
-                if not aft or all(_check_c(c, subst, store) for c in aft):
-                    rec(i + 1)
-            while len(trail) > mark:
-                subst[trail.pop()] = _UNBOUND
-
-    rec(0)
-
-
 def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) -> None:
     # a relation this stratum does not derive is final; if it is empty, no
     # rule joining it can fire
@@ -820,19 +676,78 @@ def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) 
         delta = new_delta
 
 
-def _eval_stratum_naive(store: FactStore, rules: list[Rule], idb: set[str]) -> None:
-    # full re-derivation, in the written body order, through the slot
-    # interpreter; this is the slow reference path the semi-naive generated
-    # code is checked against
-    compiled = _compile_stratum(rules, idb)
+def _unify(args: tuple[Term, ...], fact: tuple[Const, ...], subst: dict) -> dict | None:
+    """subst extended to match args against fact, or None on a clash."""
+    s = dict(subst)
+    for t, v in zip(args, fact):
+        if isinstance(t, Var):
+            if s.setdefault(t, v) != v:
+                return None
+        elif isinstance(t, Minus):
+            if t.var not in s:
+                if not isinstance(v, int):
+                    return None
+                s[t.var] = v + t.amount
+            elif not isinstance(s[t.var], int) or s[t.var] - t.amount != v:
+                return None
+        elif t != v:
+            return None
+    return s
+
+
+def _value(t: Term, subst: dict) -> Const | None:
+    """The constant t denotes under subst; None for a decrement of a symbol."""
+    if isinstance(t, Var):
+        return subst[t]
+    if isinstance(t, Minus):
+        v = subst[t.var]
+        return v - t.amount if isinstance(v, int) else None
+    return t
+
+
+def _holds(item: Neg | Compare, subst: dict, store: FactStore) -> bool:
+    if isinstance(item, Neg):
+        args = tuple(_value(t, subst) for t in item.atom.args)
+        # a failed decrement denotes no value, so the atom is absent
+        return None in args or not store.contains(item.atom.pred, args)
+    left, right = _value(item.left, subst), _value(item.right, subst)
+    if left is None or right is None:
+        return False
+    if not isinstance(left, int) or not isinstance(right, int):
+        raise DatalogError(f"comparison between non-integers: {left!r} {item.op} {right!r}")
+    return left < right if item.op == "<" else left > right
+
+
+def _joins(atoms: list[Atom], store: FactStore, subst: dict):
+    """Every extension of subst matching the atoms, joined in the given order."""
+    if not atoms:
+        yield subst
+        return
+    for fact in store.facts(atoms[0].pred):
+        s = _unify(atoms[0].args, fact, subst)
+        if s is not None:
+            yield from _joins(atoms[1:], store, s)
+
+
+def _eval_stratum_naive(store: FactStore, rules: list[Rule]) -> None:
+    # full re-derivation straight from the Rule objects: positive atoms join
+    # in the written order by scanning whole relations, then every negated
+    # atom and comparison is checked on the complete substitution.  It shares
+    # no compiled form (slots, index keys, constraint placement) with the
+    # semi-naive path, so it can catch a fault in any of them.
     changed = True
     while changed:
         changed = False
-        for c in compiled:
-            produced: set[tuple[Const, ...]] = set()
-            _derive(c.base, store, None, produced)
+        for rule in rules:
+            atoms = [item for item in rule.body if isinstance(item, Atom)]
+            constraints = [item for item in rule.body if not isinstance(item, Atom)]
+            produced = {
+                tuple(_value(t, s) for t in rule.head.args)
+                for s in _joins(atoms, store, {})
+                if all(_holds(c, s, store) for c in constraints)
+            }
             for args in produced:
-                if store.add(c.head_pred, args):
+                if store.add(rule.head.pred, args):
                     changed = True
 
 
@@ -889,14 +804,18 @@ def evaluate(program: DatalogProgram) -> FactStore:
 
 
 def naive_evaluate(program: DatalogProgram) -> FactStore:
-    """Reference evaluator: full re-application to fixpoint per stratum."""
+    """Reference evaluator: full re-application to fixpoint per stratum.
+
+    It reads the rules directly and never compiles them, so it is an
+    independent oracle for evaluate.
+    """
     validate_program(program)
     bound = grounding_bound(program)
     store = FactStore()
     for f in program.facts:
         store.add(f.pred, f.args)  # type: ignore[arg-type]
-    for rules, idb in _strata_with_idb(program):
-        _eval_stratum_naive(store, rules, idb)
+    for rules in stratify(program.rules)[0]:
+        _eval_stratum_naive(store, rules)
         _check_bound(store, bound)
     return store
 

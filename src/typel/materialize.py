@@ -138,7 +138,6 @@ DERIVED_PREDS = frozenset({"inst", "typ", "triple", "self", "sameRank", "leqRank
 @dataclass(frozen=True, slots=True)
 class InputTranslation:
     facts: tuple[Atom, ...]
-    aux_constants: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -155,7 +154,6 @@ def aux_for(ranked: str) -> str:
 def translate(nkb: NormalizedKB) -> InputTranslation:
     """Ground facts for a normalized KB: declarations, aux constants, axioms."""
     body: list[Atom] = []
-    witnesses: list[str] = []
     has_bot = False
     # keyword patterns: positional ones look up __match_args__ on every test
     for i, ax in enumerate(nkb.axioms):
@@ -166,9 +164,7 @@ def translate(nkb: NormalizedKB) -> InputTranslation:
                     case Name(name=c):
                         fact = Atom("subClass", (a, c))
                     case Exists(role=r, filler=Name(name=b)):
-                        w = f"aux$ex{i}"
-                        witnesses.append(w)
-                        fact = Atom("supEx", (a, r, b, w))
+                        fact = Atom("supEx", (a, r, b, f"aux$ex{i}"))
                     case Bot():
                         has_bot = True
                         fact = Atom("subClass", (a, BOT_CONST))
@@ -223,14 +219,10 @@ def translate(nkb: NormalizedKB) -> InputTranslation:
     if has_bot:
         facts.append(Atom("bot", (BOT_CONST,)))
         facts.append(Atom("cls", (BOT_CONST,)))
-    aux: list[str] = []
     for entry in nkb.aux_registry:
-        a = aux_for(entry.ranked)
-        aux.append(a)
-        facts.append(Atom("auxc", (a, entry.ranked)))
-    aux.append(aux_for(TOP_CONST))
+        facts.append(Atom("auxc", (aux_for(entry.ranked), entry.ranked)))
     facts.append(Atom("auxc", (aux_for(TOP_CONST), TOP_CONST)))
-    return InputTranslation(tuple(facts + body), tuple(aux + witnesses))
+    return InputTranslation(tuple(facts + body))
 
 
 def build_program(it: InputTranslation) -> DatalogProgram:

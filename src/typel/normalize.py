@@ -360,6 +360,8 @@ class _Normalizer:
                 case _:
                     self.normal.append(ax)
         for ax in self.abox:
+            if isinstance(ax, ConceptAssertion) and isinstance(ax.concept, Top):
+                continue  # every individual is in top by rule 3
             if isinstance(ax, ConceptAssertion) and not isinstance(ax.concept, Name):
                 f = Name(self.fresh("F", "assertion-concept", concept_text(ax.concept)))
                 self.normal.append(ConceptAssertion(f, ax.individual))

@@ -32,6 +32,7 @@ from typel.materialize import BASE_RULES, IR_LABELED, subsumption_rules
 from typel.rc import H_RULES, RC_BASE_RULES, RC_RULES
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
+CLOSURE_RULES = RC_BASE_RULES + H_RULES + RC_RULES
 
 
 def store_dict(store):
@@ -154,6 +155,98 @@ def test_negative_two_cycle_rejected():
         stratify(rules)
 
 
+def dependency_edges(rules):
+    """(head, body predicate, negated) for every positive and negated body atom."""
+    return {
+        (r.head.pred, item.atom.pred if isinstance(item, Neg) else item.pred, isinstance(item, Neg))
+        for r in rules
+        for item in r.body
+        if isinstance(item, (Atom, Neg))
+    }
+
+
+def reachable(edges):
+    """Predicate -> predicates reachable over one or more edges, by brute force."""
+    reach = {}
+    for h, b, _ in edges:
+        reach.setdefault(h, set()).add(b)
+        reach.setdefault(b, set())
+    changed = True
+    while changed:
+        changed = False
+        for p, out in reach.items():
+            more = set().union(*(reach[q] for q in out)) - out
+            if more:
+                out |= more
+                changed = True
+    return reach
+
+
+def component(reach, p):
+    return {q for q in reach if q == p or (q in reach[p] and p in reach[q])}
+
+
+def assert_least_stratification(rules):
+    strata, level = stratify(rules)
+    edges = dependency_edges(rules)
+    for h, b, neg in edges:
+        assert level[b] < level[h] if neg else level[b] <= level[h], (h, b, neg)
+    reach = reachable(edges)
+    for p, n in level.items():
+        # no predicate sits higher than an edge leaving its component forces it
+        comp = component(reach, p)
+        assert n == 0 or any(
+            h in comp and b not in comp and level[b] + neg == n for h, b, neg in edges
+        ), p
+    assert all(len({level[r.head.pred] for r in s}) == 1 for s in strata)
+    assert [r for s in strata for r in s] == sorted(rules, key=lambda r: level[r.head.pred])
+
+
+def random_dependency_rules(rng: random.Random) -> tuple[Rule, ...]:
+    """Rules over <=6 unary predicates whose negated atoms may close a cycle."""
+    preds = [f"p{i}" for i in range(rng.randint(1, 6))]
+
+    def item():
+        a = Atom(rng.choice(preds), (X,))
+        return Neg(a) if rng.random() < 0.3 else a
+
+    return tuple(
+        Rule(Atom(rng.choice(preds), (X,)), tuple(item() for _ in range(rng.randint(1, 3))))
+        for _ in range(rng.randint(1, 8))
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_stratify_is_least_on_random_stratified_programs(seed):
+    assert_least_stratification(random_stratified_program(random.Random(seed)).rules)
+
+
+@pytest.mark.parametrize("rules", [BASE_RULES, subsumption_rules(True), CLOSURE_RULES])
+def test_stratify_is_least_on_builtin_rules(rules):
+    assert_least_stratification(rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_stratify_rejects_exactly_the_negation_cycles(seed):
+    rules = random_dependency_rules(random.Random(seed))
+    edges = dependency_edges(rules)
+    reach = reachable(edges)
+    if not any(neg and h in reach[b] | {b} for h, b, neg in edges):
+        assert_least_stratification(rules)
+        return
+    with pytest.raises(DatalogError) as err:
+        stratify(rules)
+    prefix = "program is not stratifiable: negation inside a recursive component: {"
+    message = str(err.value)
+    assert message.startswith(prefix) and message.endswith("}")
+    named = set(message[len(prefix) : -1].split(", "))
+    # the named set is a whole strongly connected component with a negated edge inside
+    assert named == component(reach, min(named))
+    assert any(neg and h in named and b in named for h, b, neg in edges)
+
+
 # --- evaluation ----------------------------------------------------------------
 
 
@@ -226,6 +319,51 @@ def test_comparison_between_variables():
         ),
     )
     assert len(evaluate(program).facts("lt")) == 3
+
+
+def test_every_constraint_kind_filters_like_the_oracle():
+    # each constraint needs a variable only the last positive atom binds, so
+    # the compiled code places it at that atom; "2 < 1" and "1 < 2" have no
+    # variables and run before any join
+    program = load_program(
+        """
+        item(a). item(b). item(c). blocked(b, c0).
+        step(a, 1). step(b, 2). step(c, 3). done(a, 0).
+        val(x, 2). val(y, 3). val(z, s). q(1).
+        n(1). n(2). n(3). up(1). skip(2).
+        neg_const(?x) :- item(?x), not blocked(?x, c0).
+        neg_int(?x, ?I) :- item(?x), step(?x, ?I), not done(?x, ?I - 1).
+        neg_sym(?k) :- val(?k, ?V), not q(?V - 1).
+        cmp_sym(?k) :- val(?k, ?V), ?V - 1 > 0.
+        lt(?I, ?J) :- n(?I), n(?J), ?I < ?J.
+        gt(?I) :- n(?I), ?I > 1.
+        pre_false(?I) :- n(?I), 2 < 1.
+        pre_true(?I) :- n(?I), 1 < 2.
+        up(?I) :- up(?J), n(?I), ?J < ?I, not skip(?I).
+        """
+    )
+    store = naive_evaluate(program)
+    expected = {
+        "neg_const": {("a",), ("c",)},
+        "neg_int": {("b", 2), ("c", 3)},
+        # a decrement of the symbol s makes q(s - 1) absent and s - 1 > 0 false
+        "neg_sym": {("y",), ("z",)},
+        "cmp_sym": {("x",), ("y",)},
+        "lt": {(1, 2), (1, 3), (2, 3)},
+        "gt": {(2,), (3,)},
+        "pre_false": set(),
+        "pre_true": {(1,), (2,), (3,)},
+        "up": {(1,), (3,)},
+    }
+    assert {p: store.facts(p) for p in expected} == expected
+    assert store_dict(evaluate(program)) == store_dict(store)
+
+
+def test_comparison_between_symbols_raises():
+    program = load_program("v(a). w(?x) :- v(?x), ?x < 1.")
+    for run in (evaluate, naive_evaluate):
+        with pytest.raises(DatalogError, match="non-integers"):
+            run(program)
 
 
 def test_determinism():
@@ -395,7 +533,6 @@ def test_join_order_never_changes_results(seed):
             assert store_dict(evaluate(program)) == expected
 
 
-CLOSURE_RULES = RC_BASE_RULES + H_RULES + RC_RULES
 # H_RULES starts with the hypothesis copies of the structural rules, in order
 HYP_COPY = dict(zip((label for label, _ in IR_LABELED), H_RULES))
 

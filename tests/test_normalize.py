@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import test_parser
+from typel.datalog import Atom
 from typel.kb import (
     GCI,
     ConceptAssertion,
@@ -19,6 +20,7 @@ from typel.kb import (
     TypicalInstanceOf,
     Typicality,
 )
+from typel.materialize import check_instance, translate
 from typel.normalize import normalize
 from typel.parser import axiom_text, parse_kb, parse_query
 
@@ -245,6 +247,17 @@ def test_nominal_lhs_is_normal():
     nkb, _ = normalize(kb, (), mode="general")
     assert any(isinstance(ax, GCI) and isinstance(ax.lhs, Nominal) for ax in nkb.axioms)
     assert len(nkb.axioms) == 1
+
+
+def test_top_assertion_is_dropped_and_stays_entailed():
+    # every individual is in top by rule 3, so top(a) needs no fresh class
+    kb = parse_kb("class A. individual a.\ntop(a).\nA(a).\n")
+    nkb, _ = normalize(kb, (), mode="general")
+    assert normalized_texts(nkb) == ["A(a)"]
+    assert nkb.signature.concept_names == kb.signature.concept_names
+    facts = translate(nkb).facts
+    assert [f for f in facts if f.pred == "subClass"] == [Atom("subClass", ("a", "A"))]
+    assert check_instance(kb, parse_query("top(a)", kb)).entailed
 
 
 def test_conjunctive_rhs_splits():
