@@ -15,10 +15,13 @@ tables) reuse them.  A delta variant joins its remaining atoms greedily by
 bound minus arity, bound): a finished input relation is probed before a
 derived one that grows with the fixpoint.  The key is fixed by the
 program's rules and stratification, never by its facts, so one compiled
-order serves every store.  At the start of each stratum the semi-naive
-evaluator drops every rule with a positive body atom over a relation that
-is empty and that no rule of the stratum derives; such a relation stays
-empty, so the rule can never fire.
+order serves every store.  A variable that one atom binds and nothing
+else reads is dead: an atom binding only dead variables becomes a test
+that some fact matches, and one binding dead next to live variables skips
+a fact whose live values its probe has already joined.  At the start of
+each stratum the semi-naive evaluator drops every rule with a positive
+body atom over a relation that is empty and that no rule of the stratum
+derives; such a relation stays empty, so the rule can never fire.
 
 Terms are Python strings (symbolic constants), ints, variables, or ?v - k
 decrements.  A decrement in a positive body atom unifies in both
@@ -382,10 +385,19 @@ class _Variant:
     pre: tuple
     after: tuple[tuple, ...]
     delta_first: bool
+    # slots of variables that one atom binds and nothing else reads
+    dead: frozenset[int]
     fn: object = field(default=None, compare=False, repr=False)
 
 
 def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
+    """Compile the rule's body with its positive atoms joined in order.
+
+    A variable is dead when one positive atom binds it and nothing else
+    reads it: no other atom, no negated atom, no comparison, no head
+    argument.  The dead slots let the generated join test an atom for a
+    match instead of enumerating values nobody reads.
+    """
     positives = [item for item in rule.body if isinstance(item, Atom)]
     others = [item for item in rule.body if not isinstance(item, Atom)]
     atoms = [positives[i] for i in order]
@@ -395,7 +407,11 @@ def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
     key_ops: list[tuple] = []
     bound: set[Var] = set()
     bound_after: list[set[Var]] = []
+    # variables something besides the atom binding them reads
+    read = atom_vars(rule.head)
     for a in atoms:
+        vs = atom_vars(a)
+        read |= vs & bound
         ops = tuple(_compile_term(t, slots) for t in a.args)
         kp: list[int] = []
         for j, t in enumerate(a.args):
@@ -410,7 +426,7 @@ def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
         all_ops.append(ops)
         keys.append(tuple(kp))
         key_ops.append(tuple(ops[j] for j in kp))
-        bound = bound | atom_vars(a)
+        bound = bound | vs
         bound_after.append(bound)
     pre: list = []
     after: list[list] = [[] for _ in atoms]
@@ -419,6 +435,7 @@ def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
             need = atom_vars(item.atom)
         else:
             need = _term_vars(item.left) | _term_vars(item.right)
+        read |= need
         citem = _compile_constraint(item, slots)
         if not need:
             pre.append(citem)
@@ -438,6 +455,7 @@ def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
         tuple(pre),
         tuple(tuple(x) for x in after),
         delta_first,
+        frozenset(slots[v] for v in bound - read),
     )
     object.__setattr__(cv, "fn", _gen_fn(cv))
     return cv
@@ -458,15 +476,15 @@ def _cmp_rt(left, op: str, right) -> bool:
 def _gen_fn(cv: _Variant):
     """Compile one join order to a Python function (store, delta, out).
 
-    Slots become plain locals and index lookups are inlined.  The naive
-    oracle reads the rules directly and shares no compiled form with this
-    code, so the two paths cross-check each other.
+    Slots become plain locals and index lookups are inlined.  An atom that
+    binds no live variable becomes a test that some fact matches, and an
+    atom that binds dead variables next to live ones skips a fact whose
+    live values this probe has already joined.  The naive oracle reads the
+    rules directly and shares no compiled form with this code, so the two
+    paths cross-check each other.
     """
     lines = [
         "def _drv(store, delta, out):",
-        "    _match = store.match",
-        "    _facts = store.facts",
-        "    _contains = store.contains",
         "    _add = out.add",
     ]
     ind = "    "
@@ -512,6 +530,7 @@ def _gen_fn(cv: _Variant):
     for i, (pred, ops) in enumerate(zip(cv.preds, cv.ops)):
         from_delta = i == 0 and cv.delta_first
         kp = () if from_delta else cv.keys[i]
+        exit_stmt = "continue" if ind != "    " else "return"
         guards = []
         if from_delta:
             cand = "delta"
@@ -528,50 +547,79 @@ def _gen_fn(cv: _Variant):
             cand = f"_match({pred!r}, {kp!r}, ({', '.join(kexprs)},))"
         else:
             cand = f"_facts({pred!r})"
-        exit_stmt = "continue" if ind != "    " else "return"
-        if not from_delta and set(kp) == set(range(len(ops))) and not cv.after[i]:
-            # pure filter: every position is index-guaranteed, nothing to bind
-            cond = " and ".join(guards + [cand])
-            lines.append(f"{ind}if not ({cond}): {exit_stmt}")
-            continue
         if guards:
-            lines.append(f"{ind}if {' and '.join(guards)}:")
-            ind += "    "
+            lines.append(f"{ind}if not ({' and '.join(guards)}): {exit_stmt}")
         f = f"f{i}"
-        lines.append(f"{ind}for {f} in {cand}:")
-        ind += "    "
         kpset = set(kp)
+        # the lines run on each fact of cand, the slots they bind, and
+        # whether each position not in the key just binds a fresh variable
+        checks: list[str] = []
+        new: list[int] = []
+        plain = True
         for j, (kind, payload, amount) in enumerate(ops):
             if j in kpset:
                 continue  # equality is guaranteed by the index key
             if kind == _OP_CONST:
-                lines.append(f"{ind}if {f}[{j}] != {repr(payload)}: continue")
-            elif kind == _OP_VAR:
-                if payload in bound_slots:
-                    lines.append(f"{ind}if {f}[{j}] != v{payload}: continue")
+                checks.append(f"if {f}[{j}] != {repr(payload)}: continue")
+                plain = False
+            elif payload in bound_slots:
+                plain = False
+                if kind == _OP_VAR:
+                    checks.append(f"if {f}[{j}] != v{payload}: continue")
                 else:
-                    lines.append(f"{ind}v{payload} = {f}[{j}]")
-                    bound_slots.add(payload)
-            else:
-                if payload in bound_slots:
-                    lines.append(
-                        f"{ind}if type(v{payload}) is not int "
+                    checks.append(
+                        f"if type(v{payload}) is not int "
                         f"or v{payload} - {amount} != {f}[{j}]: continue"
                     )
-                else:
-                    t = f"_t{next(fresh)}"
-                    lines.append(f"{ind}{t} = {f}[{j}]")
-                    lines.append(f"{ind}if type({t}) is not int: continue")
-                    lines.append(f"{ind}v{payload} = {t} + {amount}")
-                    bound_slots.add(payload)
+            elif kind == _OP_VAR:
+                checks.append(f"v{payload} = {f}[{j}]")
+                new.append(payload)
+                bound_slots.add(payload)
+            else:
+                t = f"_t{next(fresh)}"
+                checks.append(f"{t} = {f}[{j}]")
+                checks.append(f"if type({t}) is not int: continue")
+                checks.append(f"v{payload} = {t} + {amount}")
+                new.append(payload)
+                bound_slots.add(payload)
+                plain = False
+        live = [slot for slot in new if slot not in cv.dead]
+        if not live and plain:
+            # every fact of cand matches and binds nothing anyone reads
+            lines.append(f"{ind}if not {cand}: {exit_stmt}")
+            continue
+        project = 0 < len(live) < len(new)
+        if project:
+            lines.append(f"{ind}_s{i} = set()")
+        lines.append(f"{ind}for {f} in {cand}:")
+        ind += "    "
+        lines.extend(ind + line for line in checks)
+        if not live:
+            # existence check: the first fact passing the checks is enough
+            lines.append(f"{ind}break")
+            ind = ind[:-4]
+            lines.append(f"{ind}else: {exit_stmt}")
+        elif project:
+            # distinct projection: the join below reads only the live values
+            key = f"v{live[0]}"
+            if len(live) > 1:
+                key = f"_k{i}"
+                lines.append(f"{ind}{key} = ({', '.join(f'v{s}' for s in live)},)")
+            lines.append(f"{ind}if {key} in _s{i}: continue")
+            lines.append(f"{ind}_s{i}.add({key})")
         for item in cv.after[i]:
-            emit_constraint(item, "continue")
+            emit_constraint(item, "continue" if live else exit_stmt)
 
     head = ", ".join(
         repr(payload) if kind == _OP_CONST else f"v{payload}"
         for kind, payload, _ in cv.head_ops
     )
     lines.append(f"{ind}_add(({head},))" if head else f"{ind}_add(())")
+    # bind only the store methods the body calls: fewer lines to compile
+    text = "\n".join(lines)
+    for name in ("_match", "_facts", "_contains"):
+        if name + "(" in text:
+            lines.insert(1, f"    {name} = store.{name[1:]}")
     ns: dict = {}
     exec(compile("\n".join(lines), "<datalog-rule>", "exec"), {"_cmp": _cmp_rt}, ns)
     return ns["_drv"]
