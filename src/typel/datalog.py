@@ -490,6 +490,8 @@ def _gen_fn(cv: _Variant):
     ind = "    "
     fresh = itertools.count()
     bound_slots: set[int] = set()
+    # store methods the body calls; only these get bound, to keep compiles short
+    used: set[str] = set()
 
     def side(op) -> str:
         # expression for one comparison side; a failed decrement becomes None
@@ -515,6 +517,7 @@ def _gen_fn(cv: _Variant):
                     args.append(f"(v{payload} - {amount})")
             arg_tuple = f"({', '.join(args)},)" if args else "()"
             cond = f"_contains({item.pred!r}, {arg_tuple})"
+            used.add("contains")
             if guards:
                 cond = " and ".join(guards + [cond])
             lines.append(f"{ind}if {cond}: {exit_stmt}")
@@ -545,25 +548,24 @@ def _gen_fn(cv: _Variant):
                     guards.append(f"type(v{payload}) is int")
                     kexprs.append(f"(v{payload} - {amount})")
             cand = f"_match({pred!r}, {kp!r}, ({', '.join(kexprs)},))"
+            used.add("match")
         else:
             cand = f"_facts({pred!r})"
+            used.add("facts")
         if guards:
             lines.append(f"{ind}if not ({' and '.join(guards)}): {exit_stmt}")
         f = f"f{i}"
         kpset = set(kp)
-        # the lines run on each fact of cand, the slots they bind, and
-        # whether each position not in the key just binds a fresh variable
+        # the lines run on each fact of cand, and the slots they bind
         checks: list[str] = []
         new: list[int] = []
-        plain = True
+        here = [payload for kind, payload, _ in ops if kind != _OP_CONST]
         for j, (kind, payload, amount) in enumerate(ops):
             if j in kpset:
                 continue  # equality is guaranteed by the index key
             if kind == _OP_CONST:
                 checks.append(f"if {f}[{j}] != {repr(payload)}: continue")
-                plain = False
             elif payload in bound_slots:
-                plain = False
                 if kind == _OP_VAR:
                     checks.append(f"if {f}[{j}] != v{payload}: continue")
                 else:
@@ -572,7 +574,9 @@ def _gen_fn(cv: _Variant):
                         f"or v{payload} - {amount} != {f}[{j}]: continue"
                     )
             elif kind == _OP_VAR:
-                checks.append(f"v{payload} = {f}[{j}]")
+                # a dead variable needs no local unless this atom reads it again
+                if payload not in cv.dead or here.count(payload) > 1:
+                    checks.append(f"v{payload} = {f}[{j}]")
                 new.append(payload)
                 bound_slots.add(payload)
             else:
@@ -582,10 +586,10 @@ def _gen_fn(cv: _Variant):
                 checks.append(f"v{payload} = {t} + {amount}")
                 new.append(payload)
                 bound_slots.add(payload)
-                plain = False
         live = [slot for slot in new if slot not in cv.dead]
-        if not live and plain:
-            # every fact of cand matches and binds nothing anyone reads
+        if not live and not checks:
+            # an existence check with nothing to check: any fact will do.  No
+            # constraint waits here, as one would read a variable bound here.
             lines.append(f"{ind}if not {cand}: {exit_stmt}")
             continue
         project = 0 < len(live) < len(new)
@@ -615,11 +619,7 @@ def _gen_fn(cv: _Variant):
         for kind, payload, _ in cv.head_ops
     )
     lines.append(f"{ind}_add(({head},))" if head else f"{ind}_add(())")
-    # bind only the store methods the body calls: fewer lines to compile
-    text = "\n".join(lines)
-    for name in ("_match", "_facts", "_contains"):
-        if name + "(" in text:
-            lines.insert(1, f"    {name} = store.{name[1:]}")
+    lines[1:1] = [f"    _{name} = store.{name}" for name in sorted(used)]
     ns: dict = {}
     exec(compile("\n".join(lines), "<datalog-rule>", "exec"), {"_cmp": _cmp_rt}, ns)
     return ns["_drv"]

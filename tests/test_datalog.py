@@ -47,29 +47,31 @@ def store_dict(store):
 
 
 def random_stratified_program(rng: random.Random) -> DatalogProgram:
-    """A safe stratified program over <=4 symbols, the integers 0..2 and <=8 rules.
+    """A safe stratified program over <=5 symbols, the integers 0..2 and <=8 rules.
 
     Each predicate gets a fixed stratum and a sort per column, symbol or
     integer; every term respects its column's sort, so a comparison, which
     reads only integer variables, never meets a symbol.  Rule bodies draw
     positive atoms from the head's stratum or below and negated atoms from
-    strictly below, so no negative cycle can form.  A positive atom may
-    decrement a variable matched plainly before it, and may bind a fresh
-    variable, once or repeated; nothing else reads a fresh variable unless
-    a comparison, a negated atom or the head happens to pick it, so dead
-    variables land in every join position.
+    strictly below, so no negative cycle can form.  Head and negated
+    variables are re-bound to constants unless a positive atom binds them.
+    A body position draws one of three shared variables or a constant of
+    its sort, all equally likely; three in five constant draws instead
+    give a variable of that atom only, once or repeated, or a decrement of
+    an integer variable matched plainly before it.  Only a comparison may
+    read an atom's own variable, so dead variables land in every join
+    position.
     """
-    symbols = [f"c{i}" for i in range(rng.randint(2, 4))]
-    consts = {"s": symbols, "i": [0, 1, 2]}
-    pool = {"s": [X, Y, Z], "i": [Var("I"), Var("J")]}
+    consts = {"s": [f"c{i}" for i in range(rng.randint(2, 5))], "i": [0, 1, 2]}
+    pool = {"s": [X, Y, Z], "i": [Var("I"), Var("J"), Var("K")]}
     preds = []
     for i in range(rng.randint(3, 6)):
-        sorts = tuple(rng.choice("ssi") for _ in range(rng.choice((1, 1, 2, 2, 3))))
+        sorts = tuple(rng.choice("sssi") for _ in range(rng.choice((1, 2, 1, 2, 3))))
         preds.append((f"p{i}", sorts, rng.randint(0, 2)))
 
     facts = []
     for name, sorts, _ in preds:
-        for _ in range(rng.randint(0, 6)):
+        for _ in range(rng.randint(0, 4)):
             facts.append(Atom(name, tuple(rng.choice(consts[s]) for s in sorts)))
 
     rules = []
@@ -78,52 +80,48 @@ def random_stratified_program(rng: random.Random) -> DatalogProgram:
         at_or_below = [p for p in preds if p[2] <= stratum]
         below = [p for p in preds if p[2] < stratum]
         fresh = itertools.count()
-        # plainly matched variables of each sort, in body order
+        # variables the body matches plainly, by sort, in body order
         bound: dict[str, list[Var]] = {"s": [], "i": []}
 
-        def term(sort: str, local: list[Var]):
-            roll = rng.random()
-            if roll < 0.3:
-                return rng.choice(consts[sort])
-            if roll < 0.45 and sort == "i" and bound[sort]:
-                return Minus(rng.choice(bound[sort]), rng.randint(1, 2))
-            if roll < 0.8:
-                # a variable of this atom only: dead unless something picks it
-                if local and rng.random() < 0.6:
-                    v = rng.choice(local)
+        def drawn(sort: str, local: list[Var]):
+            term = rng.choice(pool[sort] + consts[sort])
+            if not isinstance(term, Var) and rng.random() < 0.6:
+                if sort == "i" and bound["i"] and rng.random() < 0.4:
+                    return Minus(rng.choice(bound["i"]), rng.randint(1, 2))
+                # a variable of this atom only: dead unless a comparison reads it
+                if local and rng.random() < 0.5:
+                    term = rng.choice(local)
                 else:
-                    v = Var(f"{sort}{next(fresh)}")
-                local.append(v)
-            else:
-                v = rng.choice(pool[sort])
-            if v not in bound[sort]:
-                bound[sort].append(v)
-            return v
+                    term = Var(f"{sort.upper()}{next(fresh)}")
+                    local.append(term)
+            if isinstance(term, Var) and term not in bound[sort]:
+                bound[sort].append(term)
+            return term
 
         def grounded(sort: str):
-            if bound[sort] and rng.random() < 0.7:
-                v = rng.choice(bound[sort])
-                return Minus(v, 1) if rng.random() < 0.2 else v
-            return rng.choice(consts[sort])
+            term = rng.choice(pool[sort] + consts[sort])
+            return term if isinstance(term, Var) and term in bound[sort] else rng.choice(consts[sort])
 
         body: list = []
         for _ in range(rng.randint(1, 3)):
             name, sorts, _ = rng.choice(at_or_below)
             local: dict[str, list[Var]] = {"s": [], "i": []}
-            body.append(Atom(name, tuple(term(s, local[s]) for s in sorts)))
+            body.append(Atom(name, tuple(drawn(s, local[s]) for s in sorts)))
 
-        if below and rng.random() < 0.4:
+        if below and rng.random() < 0.5:
             name, sorts, _ = rng.choice(below)
             body.append(Neg(Atom(name, tuple(grounded(s) for s in sorts))))
         if rng.random() < 0.4:
-            body.insert(
-                rng.randint(0, len(body)), Compare(rng.choice("<>"), grounded("i"), grounded("i"))
-            )
 
-        head_args = tuple(
-            rng.choice(bound[s]) if bound[s] and rng.random() < 0.5 else rng.choice(consts[s])
-            for s in head_sorts
-        )
+            def side():
+                if bound["i"] and rng.random() < 0.7:
+                    v = rng.choice(bound["i"])
+                    return Minus(v, 1) if rng.random() < 0.2 else v
+                return rng.choice(consts["i"])
+
+            body.insert(rng.randint(0, len(body)), Compare(rng.choice("<>"), side(), side()))
+
+        head_args = tuple(grounded(s) for s in head_sorts)
         rules.append(Rule(Atom(head_name, head_args), tuple(body)))
 
     return DatalogProgram(facts=tuple(facts), rules=tuple(rules))
