@@ -23,6 +23,14 @@ each stratum the semi-naive evaluator drops every rule with a positive
 body atom over a relation that is empty and that no rule of the stratum
 derives; such a relation stays empty, so the rule can never fire.
 
+Facts live in a FactStore: one set per predicate plus hash indexes, each
+on a sorted tuple of argument positions and keyed by the bare value for
+one position, by the tuple of values for more.  A compiled join looks up
+every fact set and index dict it reads once per call and then probes
+them with plain dict lookups; it writes only to its output set, and the
+evaluator inserts each output set afterwards with one add_all, whose
+return value, the facts not stored yet, is the next delta.
+
 Terms are Python strings (symbolic constants), ints, variables, or ?v - k
 decrements.  A decrement in a positive body atom unifies in both
 directions: with v bound it denotes the value v - k, with v unbound it
@@ -40,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class DatalogError(ValueError):
@@ -272,34 +281,60 @@ def stratify(rules: tuple[Rule, ...]) -> tuple[list[list[Rule]], dict[str, int]]
 class FactStore:
     """Ground facts grouped by predicate, with hash indexes built on demand.
 
-    An index is keyed by a sorted tuple of argument positions; each distinct
-    key shape a rule needs gets built once, then kept current by add().
+    An index covers a sorted tuple of argument positions and maps each key
+    to the list of facts (its bucket) with those values there.  It keeps the
+    operator.itemgetter of its positions, so a one-position index is keyed
+    by the bare value and a wider one by the tuple of values.  Each distinct
+    index a rule needs gets built once, then kept current by add() and
+    add_all(), which share one maintenance loop.  A bucket is never empty.
     """
 
     __slots__ = ("_sets", "_indexes")
 
     def __init__(self):
         self._sets: dict[str, set[tuple[Const, ...]]] = {}
-        self._indexes: dict[
-            str, dict[tuple[int, ...], dict[tuple[Const, ...], list[tuple[Const, ...]]]]
-        ] = {}
+        # pred -> positions -> (key getter, buckets)
+        self._indexes: dict[str, dict[tuple[int, ...], tuple]] = {}
 
     def add(self, pred: str, args: tuple[Const, ...]) -> bool:
         s = self._sets.setdefault(pred, set())
         if args in s:
             return False
         s.add(args)
-        for positions, buckets in self._indexes.get(pred, {}).items():
-            if len(args) > positions[-1]:
-                key = tuple(args[p] for p in positions)
-                buckets.setdefault(key, []).append(args)
+        self._index_new(pred, (args,))
         return True
+
+    def add_all(self, pred: str, facts: set[tuple[Const, ...]]) -> set[tuple[Const, ...]]:
+        """Store facts; return the set of those that were not stored yet."""
+        s = self._sets.setdefault(pred, set())
+        fresh = facts - s
+        if fresh:
+            s |= fresh
+            self._index_new(pred, fresh)
+        return fresh
+
+    def _index_new(self, pred: str, facts) -> None:
+        for index in self._indexes.get(pred, {}).values():
+            _fill(index, facts)
 
     def contains(self, pred: str, args: tuple[Const, ...]) -> bool:
         return args in self._sets.get(pred, ())
 
     def facts(self, pred: str) -> set[tuple[Const, ...]]:
         return self._sets.get(pred, set())
+
+    def index(self, pred: str, positions: tuple[int, ...]) -> dict:
+        """The buckets of pred's index on the given sorted, non-empty positions.
+
+        The dict is the live index: later adds update it in place.  Facts
+        too short to have all the positions are in no bucket.
+        """
+        per_pred = self._indexes.setdefault(pred, {})
+        index = per_pred.get(positions)
+        if index is None:
+            index = per_pred[positions] = (itemgetter(*positions), {})
+            _fill(index, self._sets.get(pred, ()))
+        return index[1]
 
     def match(
         self, pred: str, positions: tuple[int, ...], key: tuple[Const, ...]
@@ -309,22 +344,28 @@ class FactStore:
         Facts too short to have all the positions are excluded; arity
         mismatches beyond that are the caller's concern.
         """
-        per_pred = self._indexes.setdefault(pred, {})
-        buckets = per_pred.get(positions)
-        if buckets is None:
-            buckets = {}
-            last = positions[-1]
-            for fact in self._sets.get(pred, ()):
-                if len(fact) > last:
-                    buckets.setdefault(tuple(fact[p] for p in positions), []).append(fact)
-            per_pred[positions] = buckets
-        return buckets.get(key, [])
+        return self.index(pred, positions).get(key[0] if len(key) == 1 else key, [])
 
     def preds(self) -> list[str]:
         return sorted(self._sets)
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets.values())
+
+
+def _fill(index: tuple, facts) -> None:
+    """Put each fact long enough for the index into its bucket."""
+    key, buckets = index
+    for fact in facts:
+        try:
+            k = key(fact)
+        except IndexError:
+            continue
+        bucket = buckets.get(k)
+        if bucket is None:
+            buckets[k] = [fact]
+        else:
+            bucket.append(fact)
 
 
 # --- evaluation ---
@@ -476,12 +517,15 @@ def _cmp_rt(left, op: str, right) -> bool:
 def _gen_fn(cv: _Variant):
     """Compile one join order to a Python function (store, delta, out).
 
-    Slots become plain locals and index lookups are inlined.  An atom that
-    binds no live variable becomes a test that some fact matches, and an
-    atom that binds dead variables next to live ones skips a fact whose
-    live values this probe has already joined.  The naive oracle reads the
-    rules directly and shares no compiled form with this code, so the two
-    paths cross-check each other.
+    Slots become plain locals.  Every relation the body reads, as a fact
+    set or as the buckets of an index, is looked up once at the top; the
+    function writes only to out, never to the store, so those stay current
+    while it runs, and each probe is one dict lookup.  An atom that binds no
+    live variable becomes a test that some fact matches, and an atom that
+    binds dead variables next to live ones skips a fact whose live values
+    this probe has already joined.  The naive oracle reads the rules
+    directly and shares no compiled form with this code, so the two paths
+    cross-check each other.
     """
     lines = [
         "def _drv(store, delta, out):",
@@ -490,8 +534,11 @@ def _gen_fn(cv: _Variant):
     ind = "    "
     fresh = itertools.count()
     bound_slots: set[int] = set()
-    # store methods the body calls; only these get bound, to keep compiles short
-    used: set[str] = set()
+    # (pred, index positions, or () for the fact set) -> its local
+    rels: dict[tuple[str, tuple[int, ...]], str] = {}
+
+    def rel(pred: str, positions: tuple[int, ...] = ()) -> str:
+        return rels.setdefault((pred, positions), f"_r{len(rels)}")
 
     def side(op) -> str:
         # expression for one comparison side; a failed decrement becomes None
@@ -516,8 +563,7 @@ def _gen_fn(cv: _Variant):
                     guards.append(f"type(v{payload}) is int")
                     args.append(f"(v{payload} - {amount})")
             arg_tuple = f"({', '.join(args)},)" if args else "()"
-            cond = f"_contains({item.pred!r}, {arg_tuple})"
-            used.add("contains")
+            cond = f"{arg_tuple} in {rel(item.pred)}"
             if guards:
                 cond = " and ".join(guards + [cond])
             lines.append(f"{ind}if {cond}: {exit_stmt}")
@@ -535,8 +581,9 @@ def _gen_fn(cv: _Variant):
         kp = () if from_delta else cv.keys[i]
         exit_stmt = "continue" if ind != "    " else "return"
         guards = []
+        # cand: the facts to join; empty: true when there are none
         if from_delta:
-            cand = "delta"
+            cand, empty = "delta", "not delta"
         elif kp:
             kexprs = []
             for kind, payload, amount in cv.key_ops[i]:
@@ -547,11 +594,13 @@ def _gen_fn(cv: _Variant):
                 else:
                     guards.append(f"type(v{payload}) is int")
                     kexprs.append(f"(v{payload} - {amount})")
-            cand = f"_match({pred!r}, {kp!r}, ({', '.join(kexprs)},))"
-            used.add("match")
+            # keyed like FactStore.index: the bare value for one position
+            key = kexprs[0] if len(kexprs) == 1 else f"({', '.join(kexprs)})"
+            ix = rel(pred, kp)
+            cand, empty = f"{ix}.get({key}, ())", f"{key} not in {ix}"
         else:
-            cand = f"_facts({pred!r})"
-            used.add("facts")
+            cand = rel(pred)
+            empty = f"not {cand}"
         if guards:
             lines.append(f"{ind}if not ({' and '.join(guards)}): {exit_stmt}")
         f = f"f{i}"
@@ -590,7 +639,7 @@ def _gen_fn(cv: _Variant):
         if not live and not checks:
             # an existence check with nothing to check: any fact will do.  No
             # constraint waits here, as one would read a variable bound here.
-            lines.append(f"{ind}if not {cand}: {exit_stmt}")
+            lines.append(f"{ind}if {empty}: {exit_stmt}")
             continue
         project = 0 < len(live) < len(new)
         if project:
@@ -619,7 +668,12 @@ def _gen_fn(cv: _Variant):
         for kind, payload, _ in cv.head_ops
     )
     lines.append(f"{ind}_add(({head},))" if head else f"{ind}_add(())")
-    lines[1:1] = [f"    _{name} = store.{name}" for name in sorted(used)]
+    lines[1:1] = [
+        f"    {name} = store.index({pred!r}, {kp!r})"
+        if kp
+        else f"    {name} = store.facts({pred!r})"
+        for (pred, kp), name in rels.items()
+    ]
     ns: dict = {}
     exec(compile("\n".join(lines), "<datalog-rule>", "exec"), {"_cmp": _cmp_rt}, ns)
     return ns["_drv"]
@@ -705,9 +759,9 @@ def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) 
     for c in compiled:
         produced: set[tuple[Const, ...]] = set()
         c.base.fn(store, None, produced)
-        for args in produced:
-            if store.add(c.head_pred, args):
-                delta.setdefault(c.head_pred, set()).add(args)
+        fresh = store.add_all(c.head_pred, produced)
+        if fresh:
+            delta.setdefault(c.head_pred, set()).update(fresh)
     recursive = [c for c in compiled if any(p in idb for p in c.positive_preds)]
     while delta:
         new_delta: dict[str, set[tuple[Const, ...]]] = {}
@@ -718,9 +772,9 @@ def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) 
                     continue
                 produced = set()
                 c.variants[k].fn(store, d, produced)
-                for args in produced:
-                    if store.add(c.head_pred, args):
-                        new_delta.setdefault(c.head_pred, set()).add(args)
+                fresh = store.add_all(c.head_pred, produced)
+                if fresh:
+                    new_delta.setdefault(c.head_pred, set()).update(fresh)
         delta = new_delta
 
 

@@ -7,7 +7,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture
@@ -712,6 +712,166 @@ def test_rule_4_hypothesis_copy_emits_each_fact_once_per_probe():
         out = CountingOut()
         v.fn(store, delta, out)
         assert sorted(out.calls) == expected, v.preds
+
+
+# --- fact store: scalar keys, hoisted buckets, bulk insert ----------------------
+
+
+# ints and symbols share every column; facts of one predicate have 1 to 3
+# arguments, so some are too short for an index on position 1 or 2
+STORE_VALUES = st.sampled_from([0, 1, 2, "a", "b"])
+STORE_FACTS = st.lists(STORE_VALUES, min_size=1, max_size=3).map(tuple)
+STORE_PREDS = st.sampled_from(["p", "q"])
+STORE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), STORE_PREDS, STORE_FACTS),
+        st.tuples(st.just("add_all"), STORE_PREDS, st.sets(STORE_FACTS, max_size=6)),
+        st.tuples(
+            st.just("index"),
+            STORE_PREDS,
+            st.sets(st.integers(0, 2), min_size=1).map(lambda s: tuple(sorted(s))),
+        ),
+        st.tuples(
+            st.just("match"),
+            STORE_PREDS,
+            st.sets(st.integers(0, 2), min_size=1).map(lambda s: tuple(sorted(s))),
+            st.tuples(STORE_VALUES, STORE_VALUES, STORE_VALUES),
+        ),
+    ),
+    max_size=25,
+)
+
+
+def brute_buckets(facts, positions):
+    """facts grouped by their values at positions: the bare value for one
+    position, else the tuple; facts too short for the positions left out."""
+    out = {}
+    for f in facts:
+        if len(f) > positions[-1]:
+            key = tuple(f[p] for p in positions)
+            out.setdefault(key[0] if len(key) == 1 else key, set()).add(f)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(STORE_OPS)
+@example(
+    [
+        # an index before its facts, a short fact, ints and symbols in one
+        # column, a bulk insert that is partly stored, an index after its facts
+        ("index", "p", (1,)),
+        ("add", "p", (0, "a")),
+        ("add", "p", ("b",)),
+        ("add_all", "p", {(0, "a"), ("a", 0), (1, 0, 2), (2,)}),
+        ("index", "p", (0, 2)),
+        ("match", "p", (1,), ("a", 0, 0)),
+        ("match", "p", (0, 2), (1, 1, 2)),
+        ("add_all", "p", {(1, 0, 2), ("b", 2, "a")}),
+    ]
+)
+def test_fact_store_indexes_equal_a_filter_of_the_facts(ops):
+    store = datalog.FactStore()
+    # the dict each index call first returned: it must stay the live index
+    live: dict[tuple[str, tuple[int, ...]], dict] = {}
+    for op, pred, *rest in ops:
+        before = set(store.facts(pred))
+        if op == "add":
+            (fact,) = rest
+            assert store.add(pred, fact) == (fact not in before)
+        elif op == "add_all":
+            (facts,) = rest
+            assert store.add_all(pred, set(facts)) == facts - before
+        elif op == "index":
+            (positions,) = rest
+            live.setdefault((pred, positions), store.index(pred, positions))
+        else:
+            positions, values = rest
+            key = values[: len(positions)]
+            bucket = store.match(pred, positions, key)
+            live.setdefault((pred, positions), store.index(pred, positions))
+            long_enough = [f for f in store.facts(pred) if len(f) > positions[-1]]
+            assert set(bucket) == {f for f in long_enough if tuple(f[p] for p in positions) == key}
+        for (p, positions), buckets in live.items():
+            assert store.index(p, positions) is buckets
+            assert all(len(b) == len(set(b)) for b in buckets.values())
+            assert {k: set(b) for k, b in buckets.items()} == brute_buckets(
+                store.facts(p), positions
+            )
+
+
+class CountingStore(datalog.FactStore):
+    """A store that counts index and match calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = {"index": 0, "match": 0}
+
+    def index(self, pred, positions):
+        self.calls["index"] += 1
+        return super().index(pred, positions)
+
+    def match(self, pred, positions, key):
+        self.calls["match"] += 1
+        return super().match(pred, positions, key)
+
+
+def test_delta_variant_looks_up_each_index_once_per_call():
+    # rule 21's hypothesis copy, joined from its first inst_h atom: every
+    # delta fact probes subProd and the second inst_h through an index
+    rule = HYP_COPY["21"]
+    c = datalog._compile_rule(rule, dict(derived_in_stratum(CLOSURE_RULES))[rule])
+    v = c.variants[c.positive_preds.index("inst_h")]
+    keyed = sum(1 for kp in v.keys[1:] if kp)
+    counts = []
+    for n in (1, 50):
+        store = CountingStore()
+        store.add("stage", ("D", 0))
+        store.add("subProd", ("c0", "c1", "w"))
+        for j in range(3):
+            store.add("inst_h", (f"y{j}", "c1", "D", 0))
+        delta = {(f"x{j}", "c0", "D", 0) for j in range(n)}
+        store.add_all("inst_h", delta)
+        store.calls.update(index=0, match=0)
+        out = set()
+        v.fn(store, delta, out)
+        assert out == {(f"x{i}", "w", f"y{j}", "D", 0) for i in range(n) for j in range(3)}
+        assert store.calls["match"] == 0
+        counts.append(store.calls["index"])
+    assert 2 <= counts[0] <= keyed and counts[0] == counts[1], (counts, v.keys)
+
+
+SCALAR_KEY_CASES = {
+    # b is probed on its first column alone, by ?I - 1; n and b hold symbols
+    # there too, and the decrement of s denotes no value
+    "decrement": (
+        "n(0). n(1). n(2). n(s). b(0, x). b(1, y). b(s, z). b(t, w). "
+        "q(?I, ?y) :- n(?I), b(?I - 1, ?y).",
+        {(1, "x"), (2, "y")},
+    ),
+    # one-position probes on a symbol and on an int constant
+    "constant": (
+        "a(1). a(u). b(c, u). b(0, v). b(d, w). b(1, t). "
+        "q(?x, ?y, c) :- a(?x), b(c, ?y). q(?x, ?y, 0) :- a(?x), b(0, ?y).",
+        {(1, "u", "c"), ("u", "u", "c"), (1, "v", 0), ("u", "v", 0)},
+    ),
+    # a one-position probe on a column where 0 and symbols mix
+    "mixed column": (
+        "a(0). a(1). a(a). a(b). b(0, u). b(a, v). b(1, w). b(c, x). b(0, a). "
+        "q(?x, ?y) :- a(?x), b(?x, ?y).",
+        {(0, "u"), ("a", "v"), (1, "w"), (0, "a")},
+    ),
+}
+
+
+@pytest.mark.parametrize("derived", [False, True], ids=["input", "derived"])
+@pytest.mark.parametrize(
+    "text, expected", SCALAR_KEY_CASES.values(), ids=SCALAR_KEY_CASES.keys()
+)
+def test_scalar_key_probes_agree_with_the_oracle(text, expected, derived):
+    program = load_program(text)
+    if derived:
+        program = with_derived_inputs(program)
+    assert evaluate_like_oracle(program).facts("q") == expected
 
 
 # perfbench's ladder_text(2, 1, Random(1)): two rungs with conflicting
