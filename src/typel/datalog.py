@@ -7,21 +7,27 @@ semi-naive iteration.  A naive evaluator with the same semantics is kept as
 a differential-testing oracle; it reads the Rule objects directly and
 shares no compiled form with the semi-naive path.
 
-Each rule compiles once per process: the compiled joins are cached on the
-frozen Rule and the set of its body predicates that its stratum derives,
-so programs that share rules (every program built from the fixed rule
-tables) reuse them.  A delta variant joins its remaining atoms greedily by
-(all arguments bound, some argument bound and the relation not derived,
-bound minus arity, bound): a finished input relation is probed before a
-derived one that grows with the fixpoint.  The key is fixed by the
-program's rules and stratification, never by its facts, so one compiled
-order serves every store.  A variable that one atom binds and nothing
-else reads is dead: an atom binding only dead variables becomes a test
-that some fact matches, and one binding dead next to live variables skips
-a fact whose live values its probe has already joined.  At the start of
-each stratum the semi-naive evaluator drops every rule with a positive
-body atom over a relation that is empty and that no rule of the stratum
-derives; such a relation stays empty, so the rule can never fire.
+Only the facts change between calls on the fixed rule tables, so each
+rule table is prepared once per process: _prepare validates it, stratifies
+it and compiles its rules, cached on the value-equal tuple of rules, and
+evaluate checks only the facts against it.  Each rule compiles once per
+process: the compiled joins are cached on the frozen Rule and the set of
+its body predicates that its stratum derives, so tables that share rules
+reuse them.  The Python code of a join is generated on its first call, so
+a short command pays only for the joins it runs.
+
+A delta variant joins its remaining atoms greedily by (all arguments
+bound, some argument bound and the relation not derived, bound minus
+arity, bound): a finished input relation is probed before a derived one
+that grows with the fixpoint.  The key is fixed by the program's rules
+and stratification, never by its facts, so one compiled order serves
+every store.  A variable that one atom binds and nothing else reads is
+dead: an atom binding only dead variables becomes a test that some fact
+matches, and one binding dead next to live variables skips a fact whose
+live values its probe has already joined.  At the start of each stratum
+the semi-naive evaluator drops every rule with a positive body atom over
+a relation that is empty and that no rule of the stratum derives; such a
+relation stays empty, so the rule can never fire.
 
 Facts live in a FactStore: one set per predicate plus hash indexes, each
 on a sorted tuple of argument positions and keyed by the bare value for
@@ -428,6 +434,8 @@ class _Variant:
     delta_first: bool
     # slots of variables that one atom binds and nothing else reads
     dead: frozenset[int]
+    # the join as a function (store, delta, out); _compile_order sets a stub
+    # that generates the real function on the first call and replaces itself
     fn: object = field(default=None, compare=False, repr=False)
 
 
@@ -498,8 +506,17 @@ def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
         delta_first,
         frozenset(slots[v] for v in bound - read),
     )
-    object.__setattr__(cv, "fn", _gen_fn(cv))
+    object.__setattr__(cv, "fn", _generate_on_first_call(cv))
     return cv
+
+
+def _generate_on_first_call(cv: _Variant):
+    def first_call(store, delta, out):
+        fn = _gen_fn(cv)
+        object.__setattr__(cv, "fn", fn)
+        fn(store, delta, out)
+
+    return first_call
 
 
 def _cmp_rt(left, op: str, right) -> bool:
@@ -517,10 +534,11 @@ def _cmp_rt(left, op: str, right) -> bool:
 def _gen_fn(cv: _Variant):
     """Compile one join order to a Python function (store, delta, out).
 
-    Slots become plain locals.  Every relation the body reads, as a fact
-    set or as the buckets of an index, is looked up once at the top; the
-    function writes only to out, never to the store, so those stay current
-    while it runs, and each probe is one dict lookup.  An atom that binds no
+    It runs on the variant's first call, never for a variant no evaluation
+    reaches.  Slots become plain locals.  Every relation the body reads, as
+    a fact set or as the buckets of an index, is looked up once at the top;
+    the function writes only to out, never to the store, so those stay
+    current while it runs, and each probe is one dict lookup.  An atom that binds no
     live variable becomes a test that some fact matches, and an atom that
     binds dead variables next to live ones skips a fact whose live values
     this probe has already joined.  The naive oracle reads the rules
@@ -738,23 +756,12 @@ def _compile_rule(rule: Rule, derived: frozenset[str]) -> _CompiledRule:
     return _CompiledRule(rule.head.pred, tuple(a.pred for a in positives), base, variants)
 
 
-def _compile_stratum(rules: list[Rule], idb: set[str]) -> list[_CompiledRule]:
-    return [
-        _compile_rule(
-            r, frozenset(a.pred for a in r.body if isinstance(a, Atom) and a.pred in idb)
-        )
-        for r in rules
-    ]
-
-
-def _eval_stratum_seminaive(store: FactStore, rules: list[Rule], idb: set[str]) -> None:
+def _eval_stratum_seminaive(
+    store: FactStore, compiled: tuple[_CompiledRule, ...], idb: frozenset[str]
+) -> None:
     # a relation this stratum does not derive is final; if it is empty, no
     # rule joining it can fire
-    compiled = [
-        c
-        for c in _compile_stratum(rules, idb)
-        if all(p in idb or store.facts(p) for p in c.positive_preds)
-    ]
+    compiled = [c for c in compiled if all(p in idb or store.facts(p) for p in c.positive_preds)]
     delta: dict[str, set[tuple[Const, ...]]] = {}
     for c in compiled:
         produced: set[tuple[Const, ...]] = set()
@@ -853,14 +860,16 @@ def _eval_stratum_naive(store: FactStore, rules: list[Rule]) -> None:
                     changed = True
 
 
-def _strata_with_idb(program: DatalogProgram) -> list[tuple[list[Rule], set[str]]]:
-    ordered, _ = stratify(program.rules)
-    return [(rules, {r.head.pred for r in rules}) for rules in ordered]
-
-
 def grounding_bound(program: DatalogProgram) -> int:
     """Upper bound on derivable ground atoms: sum over predicates of
     |constants|^arity.  Constants are those in facts plus rule literals."""
+    arity, constants = _symbols(program)
+    n = max(len(constants), 1)
+    return sum(n**k for k in arity.values())
+
+
+def _symbols(program: DatalogProgram) -> tuple[dict[str, int], set[Const]]:
+    """The arity of every predicate and every constant the program names."""
     constants: set[Const] = set()
     arity: dict[str, int] = {}
     for f in program.facts:
@@ -880,8 +889,7 @@ def grounding_bound(program: DatalogProgram) -> int:
                 scan(item)
             elif isinstance(item, Neg):
                 scan(item.atom)
-    n = max(len(constants), 1)
-    return sum(n**k for k in arity.values())
+    return arity, constants
 
 
 def _check_bound(store: FactStore, bound: int) -> None:
@@ -892,15 +900,66 @@ def _check_bound(store: FactStore, bound: int) -> None:
         )
 
 
-def evaluate(program: DatalogProgram) -> FactStore:
-    """Saturate the program, stratum by stratum, with semi-naive iteration."""
-    validate_program(program)
-    bound = grounding_bound(program)
+# large enough to keep the four built-in rule tables (base, both subsumption
+# seeds, closure) resident
+@functools.lru_cache(maxsize=16)
+def _prepare(rules: tuple[Rule, ...]):
+    """Validate, stratify and compile a rule table once per process.
+
+    Returns what evaluate needs of the table whatever the facts: the arity
+    of each predicate, the rule literals (the rules' half of the grounding
+    bound's constants) and, per stratum in evaluation order, the predicates
+    it derives and its compiled rules.
+    """
+    table = DatalogProgram(rules=rules)
+    validate_program(table)
+    arity, constants = _symbols(table)
+    strata = []
+    for stratum in stratify(rules)[0]:
+        idb = frozenset(r.head.pred for r in stratum)
+        compiled = tuple(
+            _compile_rule(r, frozenset(a.pred for a in r.body if isinstance(a, Atom)) & idb)
+            for r in stratum
+        )
+        strata.append((idb, compiled))
+    return arity, frozenset(constants), tuple(strata)
+
+
+def _load_facts(
+    facts: tuple[Atom, ...], rule_arity: dict[str, int], rule_constants: frozenset[Const]
+) -> tuple[FactStore, int]:
+    """The facts, checked against the prepared rules, in a new store; and the
+    program's grounding bound."""
+    arity = dict(rule_arity)
+    constants = set(rule_constants)
     store = FactStore()
-    for f in program.facts:
+    for f in facts:
+        if arity.setdefault(f.pred, len(f.args)) != len(f.args):
+            raise DatalogError(f"fact {f.pred}: predicate {f.pred!r} used with two arities")
+        for t in f.args:
+            _check_const(t, f"fact {f.pred}")
+        constants.update(f.args)
         store.add(f.pred, f.args)  # type: ignore[arg-type]
-    for rules, idb in _strata_with_idb(program):
-        _eval_stratum_seminaive(store, rules, idb)
+    n = max(len(constants), 1)
+    return store, sum(n**k for k in arity.values())
+
+
+def evaluate(program: DatalogProgram) -> FactStore:
+    """Saturate the program, stratum by stratum, with semi-naive iteration.
+
+    The rule table is prepared once per process (_prepare); each call checks
+    only the facts against it.
+    """
+    try:
+        arity, constants, strata = _prepare(program.rules)
+        store, bound = _load_facts(program.facts, arity, constants)
+    except DatalogError:
+        # validate_program reports the first fault in program order, facts
+        # before rules, which neither check above alone can
+        validate_program(program)
+        raise
+    for idb, compiled in strata:
+        _eval_stratum_seminaive(store, compiled, idb)
         _check_bound(store, bound)
     return store
 

@@ -15,6 +15,7 @@ its goal atom; the CLI dumps the same program.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .datalog import (
@@ -229,10 +230,12 @@ def build_program(it: InputTranslation) -> DatalogProgram:
     return DatalogProgram(facts=it.facts, rules=BASE_RULES)
 
 
+@functools.lru_cache(maxsize=2)
 def subsumption_rules(typ_seed: bool) -> tuple[Rule, ...]:
     """The parameterized variant: every derived predicate carries the
     hypothesis class; for each hyp(?B) the seed places a witness of ?B in
-    ?B itself (a typical one for typicality subsumption)."""
+    ?B itself (a typical one for typicality subsumption).  Built once per
+    seed kind."""
     widened = transform_rules(
         BASE_RULES,
         targets=DERIVED_PREDS,

@@ -142,6 +142,9 @@ def _parse_rc_rules() -> tuple[tuple[str, Rule], ...]:
 RC_LABELED: tuple[tuple[str, Rule], ...] = _parse_rc_rules()
 RC_RULES: tuple[Rule, ...] = tuple(rule for _, rule in RC_LABELED)
 
+# the closure program's rule table, one tuple for every request
+CLOSURE_RULES: tuple[Rule, ...] = RC_BASE_RULES + H_RULES + RC_RULES
+
 
 @dataclass(frozen=True, slots=True)
 class RankAssignment:
@@ -219,7 +222,7 @@ def build_rc_program(
             facts.append(Atom("auxc", (f"aux${name}", name)))
     for c, d in def_subs_pairs:
         facts.append(Atom("def_subs", (c, d)))
-    return DatalogProgram(facts=tuple(facts), rules=RC_BASE_RULES + H_RULES + RC_RULES)
+    return DatalogProgram(facts=tuple(facts), rules=CLOSURE_RULES)
 
 
 def closure_program(

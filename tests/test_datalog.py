@@ -3,15 +3,20 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
+import typel
 from typel import datalog
 from typel.datalog import (
     Atom,
@@ -33,10 +38,9 @@ from typel.datalog import (
 )
 from typel.materialize import BASE_RULES, IR_LABELED, query_program, subsumption_rules
 from typel.parser import parse_kb, parse_query
-from typel.rc import H_RULES, RC_BASE_RULES, RC_RULES, closure_program
+from typel.rc import CLOSURE_RULES, H_RULES, closure_program
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
-CLOSURE_RULES = RC_BASE_RULES + H_RULES + RC_RULES
 
 
 def store_dict(store):
@@ -435,7 +439,12 @@ def test_positive_programs_monotone_in_facts(seed):
 
 @pytest.fixture
 def fired(monkeypatch):
-    """Head predicates of the compiled rules the semi-naive evaluator runs."""
+    """Head predicates of the compiled rules the semi-naive evaluator runs.
+
+    A prepared rule table keeps the compiled rules it was built with, so the
+    cache is cleared on both sides: the test's tables compile through the
+    recording wrapper, and no recording table outlives the test.
+    """
     heads: list[str] = []
     compile_rule = datalog._compile_rule
 
@@ -454,7 +463,9 @@ def fired(monkeypatch):
         )
 
     monkeypatch.setattr(datalog, "_compile_rule", recording)
-    return heads
+    datalog._prepare.cache_clear()
+    yield heads
+    datalog._prepare.cache_clear()
 
 
 def evaluate_like_oracle(program):
@@ -508,20 +519,42 @@ BUILTIN_RULE_SETS = (
     BASE_RULES,
     subsumption_rules(True),
     subsumption_rules(False),
-    RC_BASE_RULES + H_RULES + RC_RULES,
+    CLOSURE_RULES,
 )
 
 
+def builtin_table_programs():
+    """One program with facts over each of BUILTIN_RULE_SETS, in its order."""
+    return (
+        _query("example1.kbt", "MathHater(paul)"),
+        _query("example1.kbt", "T(Student) <= MathHater"),
+        _query("example4.kbt", "A and B <= D"),
+        closure_program(load_fixture("example4.kbt"))[0],
+    )
+
+
 def test_second_evaluate_of_builtin_rules_generates_no_code(monkeypatch):
-    for rules in BUILTIN_RULE_SETS:
-        evaluate(DatalogProgram(rules=rules))
+    programs = builtin_table_programs()
+    assert tuple(p.rules for p in programs) == BUILTIN_RULE_SETS
     generated = []
     gen_fn = datalog._gen_fn
     monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
-    for rules in BUILTIN_RULE_SETS:
-        evaluate(DatalogProgram(rules=rules))
-    # subsumption_rules builds new Rule objects on each call; equal ones hit
-    evaluate(DatalogProgram(rules=subsumption_rules(True)))
+    datalog._prepare.cache_clear()
+    datalog._compile_rule.cache_clear()
+    for program in programs:
+        evaluate(program)
+    assert generated
+    generated.clear()
+    # with no prepared table left, every rule is looked up in the compile
+    # cache again and must hit, also for an equal table of distinct Rule
+    # objects
+    datalog._prepare.cache_clear()
+    typ = programs[1]
+    equal = load_program(dump_program(typ)).rules
+    assert equal == typ.rules and equal[0] is not typ.rules[0]
+    evaluate(DatalogProgram(typ.facts, equal))
+    for program in programs:
+        evaluate(program)
     assert generated == []
 
 
@@ -541,10 +574,73 @@ def test_rule_cache_is_bounded_and_holds_every_builtin_rule():
     builtin = {key for rules in BUILTIN_RULE_SETS for key in derived_in_stratum(rules)}
     maxsize = datalog._compile_rule.cache_info().maxsize
     assert maxsize is not None and maxsize >= len(builtin)
+    # a prepared table would answer without asking the compile cache
+    datalog._prepare.cache_clear()
     datalog._compile_rule.cache_clear()
     for rules in BUILTIN_RULE_SETS:
         evaluate(DatalogProgram(rules=rules))
     assert datalog._compile_rule.cache_info().currsize == len(builtin)
+
+
+def test_second_evaluate_of_a_rule_table_skips_its_analysis(monkeypatch):
+    programs = builtin_table_programs()
+    assert datalog._prepare.cache_info().maxsize >= len(programs)
+    datalog._prepare.cache_clear()
+    for program in programs:
+        evaluate(program)
+    calls = []
+    for name in ("validate_program", "stratify"):
+        real = getattr(datalog, name)
+        monkeypatch.setattr(
+            datalog, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
+        )
+    for program in programs:
+        # the same rule table over other facts: all four tables stay prepared
+        evaluate(DatalogProgram(program.facts[: len(program.facts) // 2], program.rules))
+    assert calls == []
+
+
+# counts the join functions generated and called by one check in a fresh
+# process, where no rule has been compiled yet
+COLD_CHECK = """
+import sys
+from typel import datalog
+from typel.cli import main
+
+generated, called = [], set()
+gen_fn = datalog._gen_fn
+
+
+def counting(cv):
+    fn = gen_fn(cv)
+    generated.append(cv)
+
+    def call(store, delta, out):
+        called.add(id(cv))
+        fn(store, delta, out)
+
+    return call
+
+
+datalog._gen_fn = counting
+code = main(["check", sys.argv[1], "MathHater(paul)"])
+print(code, len(generated), len(called))
+"""
+
+
+def test_cold_check_generates_only_the_joins_it_calls():
+    src = str(Path(typel.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_CHECK, str(fixture_path("example1.kbt"))],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, generated, called = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    assert 0 < generated <= called
 
 
 # --- join order from the stratum ----------------------------------------------
@@ -564,10 +660,13 @@ def test_join_order_never_changes_results(seed):
         lambda rule, derived: frozenset(),
     )
     for mark in markings:
+        # else the first marking's prepared table answers for all three
+        datalog._prepare.cache_clear()
         with mock.patch.object(
             datalog, "_compile_rule", lambda rule, derived: compile_rule(rule, mark(rule, derived))
         ):
             assert store_dict(evaluate(program)) == expected
+    datalog._prepare.cache_clear()
 
 
 # H_RULES starts with the hypothesis copies of the structural rules, in order
@@ -948,6 +1047,139 @@ def test_arity_mismatch_rejected():
     )
     with pytest.raises(DatalogError):
         evaluate(program)
+
+
+# --- error parity: the prepared table checks what validate_program checks -----
+
+
+def _rule_atoms(rules):
+    for rule in rules:
+        yield rule.head
+        for item in rule.body:
+            if isinstance(item, Atom):
+                yield item
+            elif isinstance(item, Neg):
+                yield item.atom
+
+
+def _fact_clashes_with_rule(rng, facts, rules):
+    a = rng.choice(list(_rule_atoms(rules)))
+    facts.insert(rng.randint(0, len(facts)), Atom(a.pred, ("c0",) * (len(a.args) + 1)))
+
+
+def _rule_clashes_with_fact(rng, facts, rules):
+    if not facts:
+        facts.append(Atom("e", ("c0",)))
+    f = rng.choice(facts)
+    n = len(f.args) + rng.choice((-1, 1)) if f.args else 1
+    body = (Atom(f.pred, (X,) * n),) if n else (Atom(f.pred, ()), Atom("e0", (X,)))
+    rules.insert(rng.randint(0, len(rules)), Rule(Atom("clash", (X,)), body))
+
+
+def _bad_fact_constant(rng, facts, rules):
+    bad = rng.choice((True, "", "7up", 2.5, None, ("a",)))
+    pred = rng.choice([f.pred for f in facts if f.args] or ["e"])
+    n = next((len(f.args) for f in facts if f.pred == pred), 1)
+    args = ["c0"] * n
+    args[rng.randrange(n)] = bad
+    facts.insert(rng.randint(0, len(facts)), Atom(pred, tuple(args)))
+
+
+def _new_rule(rng, rules, make):
+    base = rng.choice(rules)
+    rules.insert(rng.randint(0, len(rules)), make(base))
+
+
+def _decrement_in_head(rng, facts, rules):
+    _new_rule(rng, rules, lambda r: Rule(Atom("dec", (Minus(Var("V"), 1),)), r.body))
+
+
+def _unsafe_head(rng, facts, rules):
+    _new_rule(rng, rules, lambda r: Rule(Atom("unsafe", (Var("U"),)), r.body))
+
+
+def _unsafe_negation(rng, facts, rules):
+    a = rng.choice(list(_rule_atoms(rules)))
+    neg = Neg(Atom(a.pred, (Var("U"),) * len(a.args) or ()))
+    _new_rule(rng, rules, lambda r: Rule(r.head, r.body + (neg,)))
+
+
+def _unsafe_comparison(rng, facts, rules):
+    _new_rule(rng, rules, lambda r: Rule(r.head, (Compare("<", Var("U"), 1),) + r.body))
+
+
+def _loose_decrement(rng, facts, rules):
+    a = rng.choice([a for a in _rule_atoms(rules) if a.args] or [Atom("e", ("c0",))])
+    loose = Atom(a.pred, (Minus(Var("L"), 1),) + a.args[1:])
+    _new_rule(rng, rules, lambda r: Rule(r.head, r.body + (loose,)))
+
+
+def _empty_body(rng, facts, rules):
+    _new_rule(rng, rules, lambda r: Rule(r.head, ()))
+
+
+def _unknown_comparison(rng, facts, rules):
+    _new_rule(rng, rules, lambda r: Rule(r.head, r.body + (Compare("=", 0, 1),)))
+
+
+FAULTS = {
+    f.__name__.lstrip("_"): f
+    for f in (
+        _fact_clashes_with_rule,
+        _rule_clashes_with_fact,
+        _bad_fact_constant,
+        _decrement_in_head,
+        _unsafe_head,
+        _unsafe_negation,
+        _unsafe_comparison,
+        _loose_decrement,
+        _empty_body,
+        _unknown_comparison,
+    )
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**9),
+    st.lists(st.sampled_from(sorted(FAULTS)), max_size=3),
+)
+@example(1, ["fact_clashes_with_rule"])
+@example(2, ["rule_clashes_with_fact"])
+@example(3, ["bad_fact_constant", "empty_body"])
+@example(4, ["unsafe_negation", "bad_fact_constant"])
+def test_evaluate_raises_exactly_what_validate_program_raises(seed, faults):
+    # a random stratified program with the drawn faults put in at random
+    # places; evaluate, on a cold and then a warm prepared table, must fail
+    # with validate_program's message or, when that passes, use the
+    # grounding bound of the whole program
+    rng = random.Random(seed)
+    program = random_stratified_program(rng)
+    facts, rules = list(program.facts), list(program.rules)
+    for name in faults:
+        FAULTS[name](rng, facts, rules)
+    program = DatalogProgram(tuple(facts), tuple(rules))
+    try:
+        validate_program(program)
+        expected = None
+    except DatalogError as e:
+        expected = str(e)
+    assert (expected is None) == (not faults)
+    bounds = []
+    check_bound = datalog._check_bound
+    datalog._prepare.cache_clear()
+    with mock.patch.object(
+        datalog, "_check_bound", lambda store, bound: bounds.append(bound) or check_bound(store, bound)
+    ):
+        for _ in ("cold", "warm"):
+            if expected is None:
+                evaluate(program)
+            else:
+                with pytest.raises(DatalogError) as raised:
+                    evaluate(program)
+                assert str(raised.value) == expected
+    if expected is None:
+        assert bounds and set(bounds) == {grounding_bound(program)}
 
 
 # --- grounding bound -----------------------------------------------------------
