@@ -5,7 +5,7 @@ Exit codes: 0 entailed/consistent/in-closure/none-found (or plain success),
 one-line "internal error:" message on stderr and no verdict).  --format
 records emits one JSON object per line with keys {mode, query, verdict} in
 stable order, so repeated runs are byte-identical.  --dump-program writes
-the program the library builds for the command, as query_program and
+the program the command's entry point evaluates, as query_program and
 closure_program return it, once the entry point has accepted the KB.
 """
 
@@ -121,8 +121,11 @@ def _cmd_query(args) -> int:
         case _:  # rc-consistent
             holds, verdicts = rc_consistent(kb), _CONSISTENT
     if args.dump_program:
-        builder = closure_program if args.command.startswith("rc-") else query_program
-        _dump(args.dump_program, builder(kb, q)[0])
+        if args.command.startswith("rc-"):
+            program = closure_program(kb, q, inject_ranks=args.command == "rc-consistent")[0]
+        else:
+            program = query_program(kb, q)[0]
+        _dump(args.dump_program, program)
     _emit(args, verdicts[0] if holds else verdicts[1], q)
     return 0 if holds else 1
 
@@ -132,7 +135,7 @@ def _cmd_rc_ranks(args) -> int:
     extra = tuple(parse_concept(text, kb) for text in (args.concept or ()))
     ra = compute_ranks(kb, query_concepts=extra)
     if args.dump_program:
-        _dump(args.dump_program, closure_program(kb, concepts=extra)[0])
+        _dump(args.dump_program, closure_program(kb, concepts=extra, inject_ranks=False)[0])
     if args.format == "records":
         for name, rank in ra.rows():
             print(json.dumps({"mode": "rc-ranks", "query": name, "verdict": rank}, sort_keys=True))

@@ -103,6 +103,20 @@ BodyItem = Atom | Neg | Compare
 class Rule:
     head: Atom
     body: tuple[BodyItem, ...]
+    # a rule table keys the _prepare cache, and a frozen dataclass would
+    # rehash every atom of every rule on each lookup.  String hashes differ
+    # between processes, so a pickle carries only head and body and the
+    # hash is computed again on load.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Rule, (self.head, self.body)
 
 
 @dataclass(frozen=True, slots=True)
@@ -900,8 +914,8 @@ def _check_bound(store: FactStore, bound: int) -> None:
         )
 
 
-# large enough to keep the four built-in rule tables (base, both subsumption
-# seeds, closure) resident
+# large enough to keep the five built-in rule tables (base, both subsumption
+# seeds, closure with and without its rank-injection rules) resident
 @functools.lru_cache(maxsize=16)
 def _prepare(rules: tuple[Rule, ...]):
     """Validate, stratify and compile a rule table once per process.

@@ -14,7 +14,17 @@ it stays exceptional: stage(C, i) holds for i = 0 and when C was
 exceptional at i - 1, and guards every staged rule.
 
 Only simple KBs qualify: typicality may appear in inclusion left sides
-only, so the defeasible part is a set of T(C) <= D axioms.
+only, so the defeasible part is a set of T(C) <= D axioms.  Ranks mean
+nothing on a classically inconsistent KB, and each entry point reads that
+off its own closure store, with one evaluation per request:
+
+- compute_ranks and rc_entails evaluate RANK_RULES, the closure table
+  without the injection rules.  Nothing else writes to the base calculus,
+  so the store's base part is the classical saturation of the KB.
+- rc_consistent evaluates the full CLOSURE_RULES.  The injection rules only
+  add facts, so a consistent store is also classically consistent; only an
+  inconsistent one needs check_consistency to tell a classically
+  inconsistent KB from the verdict.
 
 closure_program builds the program each entry point evaluates and reads
 back; the CLI dumps the same program.
@@ -61,6 +71,9 @@ class NotSimpleError(ValueError):
 class InconsistentKBError(ValueError):
     """Classically inconsistent input: every concept floods, ranks mean
     nothing."""
+
+
+_INCONSISTENT = "classically inconsistent KB: ranks are undefined"
 
 
 # base rule set for closure work: the structural rules plus the typicality
@@ -142,8 +155,19 @@ def _parse_rc_rules() -> tuple[tuple[str, Rule], ...]:
 RC_LABELED: tuple[tuple[str, Rule], ...] = _parse_rc_rules()
 RC_RULES: tuple[Rule, ...] = tuple(rule for _, rule in RC_LABELED)
 
-# the closure program's rule table, one tuple for every request
-CLOSURE_RULES: tuple[Rule, ...] = RC_BASE_RULES + H_RULES + RC_RULES
+# the two rules feeding computed ranks back into the base calculus; only
+# the closure-consistency test reads what they derive
+INJECTION_RULES: tuple[Rule, ...] = tuple(
+    rule for label, rule in RC_LABELED if label in ("SameRank_rc1", "LeqRank_rc2")
+)
+
+# the closure program's rule tables, one tuple each for every request:
+# without the injection rules for ranks and membership, with them for
+# closure consistency
+RANK_RULES: tuple[Rule, ...] = RC_BASE_RULES + H_RULES + tuple(
+    rule for rule in RC_RULES if rule not in INJECTION_RULES
+)
+CLOSURE_RULES: tuple[Rule, ...] = RANK_RULES + INJECTION_RULES
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,13 +220,15 @@ def build_rc_program(
     extra_t_concepts: tuple[str, ...] = (),
     def_subs_pairs: tuple[tuple[str, str], ...] = (),
     t_occurrences: int | None = None,
+    rules: tuple[Rule, ...] = CLOSURE_RULES,
 ) -> DatalogProgram:
-    """Assemble the full closure program over a simple-mode normalization.
+    """Assemble a closure program over a simple-mode normalization.
 
     extra_t_concepts are tracked names that must get a rank even without a
     defeasible axiom of their own; def_subs_pairs gate which inrc pairs the
     program may derive.  t_occurrences overrides the stage bound with the
     original TBox occurrence count (the normalized count is never larger).
+    rules is the rule table, CLOSURE_RULES or RANK_RULES.
     """
     for ax in nkb.axioms:
         if isinstance(ax, GCI) and isinstance(ax.rhs, Typicality):
@@ -222,17 +248,24 @@ def build_rc_program(
             facts.append(Atom("auxc", (f"aux${name}", name)))
     for c, d in def_subs_pairs:
         facts.append(Atom("def_subs", (c, d)))
-    return DatalogProgram(facts=tuple(facts), rules=CLOSURE_RULES)
+    return DatalogProgram(facts=tuple(facts), rules=rules)
 
 
 def closure_program(
-    kb: KnowledgeBase, query: TypSubsumes | None = None, concepts: tuple[ConceptExpr, ...] = ()
+    kb: KnowledgeBase,
+    query: TypSubsumes | None = None,
+    concepts: tuple[ConceptExpr, ...] = (),
+    inject_ranks: bool = True,
 ) -> tuple[DatalogProgram, NormalizedKB, Atom | None]:
     """The closure program an entry point evaluates, the normalization its
     ranks are read against, and the inrc goal of a T(C) <= D query.
 
     concepts are extra concepts to rank.  A query's C gets a rank too, and
     its pair is the only one the program may put in the closure.
+    inject_ranks selects the table: CLOSURE_RULES, which rc_consistent
+    evaluates, or without it RANK_RULES, which compute_ranks and rc_entails
+    evaluate and whose store is classically inconsistent exactly when the
+    KB is.
     """
     queries = () if query is None else (query,)
     nkb, goals = normalize(kb, queries, mode="simple", extra_ranked=concepts)
@@ -242,16 +275,24 @@ def closure_program(
         extra_t_concepts=tuple(c for c, _ in pairs),
         def_subs_pairs=pairs,
         t_occurrences=t_occurrence_count(kb),
+        rules=CLOSURE_RULES if inject_ranks else RANK_RULES,
     )
     return program, nkb, Atom("inrc", pairs[0]) if pairs else None
 
 
-def _gate(kb: KnowledgeBase) -> None:
+def _require_simple(kb: KnowledgeBase) -> None:
     bad = first_non_simple_axiom(kb)
     if bad is not None:
         raise NotSimpleError(f"not a simple KB: {axiom_text(bad)}")
-    if not check_consistency(kb):
-        raise InconsistentKBError("classically inconsistent KB: ranks are undefined")
+
+
+def _ranked_store(program: DatalogProgram) -> FactStore:
+    """Evaluate a RANK_RULES program; its base part is the classical
+    saturation, so an inconsistent store means an inconsistent KB."""
+    store = evaluate(program)
+    if store_inconsistent(store):
+        raise InconsistentKBError(_INCONSISTENT)
+    return store
 
 
 def _read_assignment(store: FactStore, nkb: NormalizedKB) -> RankAssignment:
@@ -284,18 +325,18 @@ def compute_ranks(
     kb: KnowledgeBase, query_concepts: tuple[ConceptExpr, ...] = ()
 ) -> RankAssignment:
     """Rank every T-argument of the KB plus the given query concepts."""
-    _gate(kb)
-    program, nkb, _ = closure_program(kb, concepts=query_concepts)
-    return _read_assignment(evaluate(program), nkb)
+    _require_simple(kb)
+    program, nkb, _ = closure_program(kb, concepts=query_concepts, inject_ranks=False)
+    return _read_assignment(_ranked_store(program), nkb)
 
 
 def rc_entails(kb: KnowledgeBase, q: TypSubsumes) -> RcVerdict:
     """Is T(C) <= D in the rational closure of the TBox?"""
     if not isinstance(q, TypSubsumes):
         raise TypeError(f"rational closure membership needs a T(C) <= D query, got {q!r}")
-    _gate(kb)
-    program, _, goal = closure_program(kb, q)
-    return RcVerdict(in_closure=evaluate(program).contains(goal.pred, goal.args))
+    _require_simple(kb)
+    program, _, goal = closure_program(kb, q, inject_ranks=False)
+    return RcVerdict(in_closure=_ranked_store(program).contains(goal.pred, goal.args))
 
 
 def rc_consistent(kb: KnowledgeBase) -> bool:
@@ -303,8 +344,15 @@ def rc_consistent(kb: KnowledgeBase) -> bool:
 
     The injection rules force the base calculus to treat equally ranked
     concepts' representatives as equally ranked elements; if that floods a
-    bottom class, no model matches the assignment.
+    bottom class, no model matches the assignment.  The injection rules
+    only add facts, so a consistent closure store settles classical
+    consistency too; an inconsistent one is the verdict only for a
+    classically consistent KB.
     """
-    _gate(kb)
+    _require_simple(kb)
     program, _, _ = closure_program(kb)
-    return not store_inconsistent(evaluate(program))
+    if not store_inconsistent(evaluate(program)):
+        return True
+    if not check_consistency(kb):
+        raise InconsistentKBError(_INCONSISTENT)
+    return False

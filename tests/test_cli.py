@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_parser
-import typel
+import typel.materialize
+import typel.rc
 from typel.cli import main
 from typel.datalog import evaluate, load_program
 from typel.materialize import query_program, store_inconsistent
@@ -103,21 +104,35 @@ def test_translate_dump_round_trips(capsys, tmp_path):
         ("rc-consistent", "rc_inconsistent.kbt", None),
     ],
 )
-def test_dump_program_is_the_evaluated_program(capsys, tmp_path, command, fixture, arg):
+def test_dump_program_is_the_evaluated_program(
+    capsys, tmp_path, monkeypatch, command, fixture, arg
+):
+    evaluated = []
+
+    def recording_evaluate(program):
+        evaluated.append(program)
+        return evaluate(program)
+
+    monkeypatch.setattr(typel.materialize, "evaluate", recording_evaluate)
+    monkeypatch.setattr(typel.rc, "evaluate", recording_evaluate)
     dump_file = tmp_path / "program.dl"
     extra = () if arg is None else ("--concept", arg) if command == "rc-ranks" else (arg,)
     kb_path = str(fixture_path(fixture))
     code, out, _ = run(capsys, command, kb_path, *extra, "--dump-program", str(dump_file))
     assert code in (0, 1)
+    # one evaluation per request; an inconsistent closure store costs
+    # rc-consistent a second one, of the base program, to tell a
+    # classically inconsistent KB from the verdict
+    assert len(evaluated) == (2 if fixture == "rc_inconsistent.kbt" else 1)
+    dumped = load_program(dump_file.read_text())
+    assert dumped == evaluated[0]
     kb = load_fixture(fixture)
     if command.startswith("rc-"):
         concepts = (parse_concept(arg, kb),) if command == "rc-ranks" else ()
         query = parse_query(arg, kb) if command == "rc-check" else None
-        program, nkb, goal = closure_program(kb, query, concepts)
+        _, nkb, goal = closure_program(kb, query, concepts)
     else:
-        program, goal = query_program(kb, None if arg is None else parse_query(arg, kb))
-    dumped = load_program(dump_file.read_text())
-    assert dumped == program
+        _, goal = query_program(kb, None if arg is None else parse_query(arg, kb))
     store = evaluate(dumped)
     if command == "rc-ranks":
         verdict = "\n".join(f"{name} {rank}" for name, rank in _read_assignment(store, nkb).rows())

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -38,7 +39,7 @@ from typel.datalog import (
 )
 from typel.materialize import BASE_RULES, IR_LABELED, query_program, subsumption_rules
 from typel.parser import parse_kb, parse_query
-from typel.rc import CLOSURE_RULES, H_RULES, closure_program
+from typel.rc import CLOSURE_RULES, H_RULES, RANK_RULES, closure_program
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
@@ -520,6 +521,7 @@ BUILTIN_RULE_SETS = (
     subsumption_rules(True),
     subsumption_rules(False),
     CLOSURE_RULES,
+    RANK_RULES,
 )
 
 
@@ -530,6 +532,7 @@ def builtin_table_programs():
         _query("example1.kbt", "T(Student) <= MathHater"),
         _query("example4.kbt", "A and B <= D"),
         closure_program(load_fixture("example4.kbt"))[0],
+        closure_program(load_fixture("example4.kbt"), inject_ranks=False)[0],
     )
 
 
@@ -595,9 +598,41 @@ def test_second_evaluate_of_a_rule_table_skips_its_analysis(monkeypatch):
             datalog, name, lambda *args, real=real, name=name: calls.append(name) or real(*args)
         )
     for program in programs:
-        # the same rule table over other facts: all four tables stay prepared
+        # the same rule table over other facts: every table stays prepared
         evaluate(DatalogProgram(program.facts[: len(program.facts) // 2], program.rules))
     assert calls == []
+
+
+# unpickles a rule in a process with another hash seed and compares it with
+# an equal rule built there
+UNPICKLE_RULE = """
+import pickle
+import sys
+from typel.datalog import Atom, Rule, Var
+
+rule = pickle.loads(sys.stdin.buffer.read())
+fresh = Rule(Atom("p", (Var("X"), "a")), (Atom("q", (Var("X"),)),))
+print(hash("a"), rule == fresh, hash(rule) == hash(fresh), {rule: 1}.get(fresh))
+"""
+
+
+def test_unpickled_rule_hashes_like_an_equal_rule_built_in_its_process():
+    rule = Rule(Atom("p", (X, "a")), (Atom("q", (X,)),))
+    assert hash(rule) == hash(Rule(rule.head, rule.body))
+    src = str(Path(typel.__file__).resolve().parent.parent)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", UNPICKLE_RULE],
+        input=pickle.dumps(rule),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    str_hash, equal, same_hash, found = proc.stdout.decode().split()
+    # the child hashes strings differently, so a hash carried over would be stale
+    assert int(str_hash) != hash("a")
+    assert (equal, same_hash, found) == ("True", "True", "1")
 
 
 # counts the join functions generated and called by one check in a fresh

@@ -2,15 +2,15 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from typel._families import chain_kb
 from typel.datalog import Atom, DatalogProgram, Neg, Rule, evaluate, stratify
-from typel.kb import Conj, Name, is_simple
+from typel.kb import Conj, Name, TypSubsumes, first_non_simple_axiom, is_simple
 from typel.materialize import BOT_CONST, check_consistency, store_inconsistent, translate
 from typel.normalize import normalize
-from typel.parser import parse_concept, parse_kb, parse_query
+from typel.parser import axiom_text, parse_concept, parse_kb, parse_query
 from typel.rc import (
     H_RULES,
     RC_BASE_RULES,
@@ -19,6 +19,8 @@ from typel.rc import (
     InconsistentKBError,
     NotSimpleError,
     RankAssignment,
+    RcVerdict,
+    _read_assignment,
     build_rc_program,
     closure_program,
     compute_ranks,
@@ -161,10 +163,19 @@ def test_closure_program_rejects_a_normal_form_with_typicality_on_the_right():
         build_rc_program(nkb)
 
 
-def test_classically_inconsistent_kb_rejected():
+@pytest.mark.parametrize(
+    "entry",
+    [
+        compute_ranks,
+        lambda kb: rc_entails(kb, parse_query("T(A) <= A", kb)),
+        rc_consistent,
+    ],
+    ids=["compute_ranks", "rc_entails", "rc_consistent"],
+)
+def test_classically_inconsistent_kb_rejected(entry):
     kb = parse_kb("class A. individual a.\nA <= bot.\nA(a).\n")
-    with pytest.raises(InconsistentKBError):
-        compute_ranks(kb)
+    with pytest.raises(InconsistentKBError, match="^classically inconsistent KB"):
+        entry(kb)
 
 
 # --- rank-aware consistency ------------------------------------------------------------
@@ -399,3 +410,74 @@ def test_staged_closure_agrees_with_one_shot(kb):
     for pred in ("rank", "inf_rank", "fixp", "exceptional", "inrc"):
         assert set(staged.facts(pred)) == set(one_shot.facts(pred)), pred
     assert store_inconsistent(staged) == store_inconsistent(one_shot)
+
+
+# --- one evaluation per request against the gate-first composition -----------------------
+
+
+def _outcome(call):
+    """The verdict, or the class and message of the exception raised."""
+    try:
+        return call()
+    except Exception as e:  # any outcome counts, the comparison decides
+        return type(e), str(e)
+
+
+def _gated(kb):
+    """The reference gate: simplicity, then a separate classical
+    consistency check of the base program, before any closure program."""
+    bad = first_non_simple_axiom(kb)
+    if bad is not None:
+        raise NotSimpleError(f"not a simple KB: {axiom_text(bad)}")
+    if not check_consistency(kb):
+        raise InconsistentKBError("classically inconsistent KB: ranks are undefined")
+
+
+def _gated_ranks(kb, concepts):
+    _gated(kb)
+    program, nkb, _ = closure_program(kb, concepts=concepts, inject_ranks=True)
+    return _read_assignment(evaluate(program), nkb)
+
+
+def _gated_entails(kb, q):
+    _gated(kb)
+    program, _, goal = closure_program(kb, q, inject_ranks=True)
+    return RcVerdict(in_closure=evaluate(program).contains(goal.pred, goal.args))
+
+
+def _gated_consistent(kb):
+    _gated(kb)
+    return not store_inconsistent(evaluate(closure_program(kb, inject_ranks=True)[0]))
+
+
+def _name_queries(kb):
+    names = st.builds(Name, st.sampled_from(sorted(kb.signature.concept_names)))
+    return st.tuples(st.just(kb), st.builds(TypSubsumes, names, names))
+
+
+# no simplicity or consistency filter: every outcome must come out as before
+kbs_with_queries = st.one_of(
+    st.tuples(
+        test_parser.kbs,
+        st.builds(TypSubsumes, test_parser.tfree_concepts, test_parser.tfree_concepts),
+    ),
+    ladders.flatmap(_name_queries),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kbs_with_queries)
+@example((load_fixture("rc_inconsistent.kbt"), TypSubsumes(Name("Student"), Name("Young"))))
+@example((load_fixture("example1.kbt"), TypSubsumes(Name("Student"), Name("Young"))))
+def test_entry_points_agree_with_the_gate_first_composition(kb_and_query):
+    """Reading classical consistency off the closure store keeps the three
+    outcomes apart: NotSimpleError, InconsistentKBError and the verdict
+    each come out exactly as from the gate followed by the full closure
+    program, for ranks, membership and closure consistency."""
+    kb, q = kb_and_query
+    concepts = (q.lhs,)
+    assert _outcome(lambda: compute_ranks(kb, concepts)) == _outcome(
+        lambda: _gated_ranks(kb, concepts)
+    )
+    assert _outcome(lambda: rc_entails(kb, q)) == _outcome(lambda: _gated_entails(kb, q))
+    assert _outcome(lambda: rc_consistent(kb)) == _outcome(lambda: _gated_consistent(kb))
