@@ -5,23 +5,21 @@ plus rules, predicates are stratified so every negated atom refers to a
 fully computed lower stratum, and each stratum is saturated bottom-up with
 semi-naive iteration.  A naive evaluator with the same semantics is kept as
 a differential-testing oracle; it reads the Rule objects directly and
-shares no compiled form with the semi-naive path.
+shares no generated code with the semi-naive path.
 
 Only the facts change between calls on the fixed rule tables, so each
 rule table is prepared once per process: _prepare validates it, stratifies
-it and compiles its rules, cached on the value-equal tuple of rules, and
-evaluate checks only the facts against it.  Each rule compiles once per
-process: the compiled joins are cached on the frozen Rule and the set of
-its body predicates that its stratum derives, so tables that share rules
-reuse them.  The Python code of a join is generated on its first call, so
-a short command pays only for the joins it runs.
+it and fixes the join orders of its rules, cached on the value-equal tuple
+of rules, and evaluate checks only the facts against it.  The Python code
+of a join is generated straight from its rule on the join's first call,
+so a short command pays only for the joins it runs.
 
 A delta variant joins its remaining atoms greedily by (all arguments
 bound, some argument bound and the relation not derived, bound minus
 arity, bound): a finished input relation is probed before a derived one
 that grows with the fixpoint.  The key is fixed by the program's rules
-and stratification, never by its facts, so one compiled order serves
-every store.  A variable that one atom binds and nothing else reads is
+and stratification, never by its facts, so one join order serves every
+store.  A variable that one atom binds and nothing else reads is
 dead: an atom binding only dead variables becomes a test that some fact
 matches, and one binding dead next to live variables skips a fact whose
 live values its probe has already joined.  At the start of each stratum
@@ -31,7 +29,7 @@ relation stays empty, so the rule can never fire.
 
 Facts live in a FactStore: one set per predicate plus hash indexes, each
 on a sorted tuple of argument positions and keyed by the bare value for
-one position, by the tuple of values for more.  A compiled join looks up
+one position, by the tuple of values for more.  A generated join looks up
 every fact set and index dict it reads once per call and then probes
 them with plain dict lookups; it writes only to its output set, and the
 evaluator inserts each output set afterwards with one add_all, whose
@@ -140,6 +138,12 @@ def atom_vars(a: Atom) -> set[Var]:
     return out
 
 
+def _constraint_vars(item: Neg | Compare) -> set[Var]:
+    if isinstance(item, Neg):
+        return atom_vars(item.atom)
+    return _term_vars(item.left) | _term_vars(item.right)
+
+
 def _check_const(c, where: str) -> None:
     if isinstance(c, bool) or not isinstance(c, (str, int)):
         raise DatalogError(f"{where}: not a constant: {c!r}")
@@ -200,15 +204,10 @@ def validate_program(program: DatalogProgram) -> None:
             names = ", ".join(sorted(v.name for v in loose))
             raise DatalogError(f"{where}: decremented variable(s) {names} never matched plainly")
         for item in rule.body:
-            match item:
-                case Neg(atom):
-                    loose = atom_vars(atom) - positive_vars
-                    kind = "negated atom"
-                case Compare(_, left, right):
-                    loose = (_term_vars(left) | _term_vars(right)) - positive_vars
-                    kind = "comparison"
-                case _:
-                    continue
+            if isinstance(item, Atom):
+                continue
+            loose = _constraint_vars(item) - positive_vars
+            kind = "negated atom" if isinstance(item, Neg) else "comparison"
             if loose:
                 names = ", ".join(sorted(v.name for v in loose))
                 raise DatalogError(f"{where}: {kind} uses unbound variable(s) {names}")
@@ -391,146 +390,36 @@ def _fill(index: tuple, facts) -> None:
 # --- evaluation ---
 
 
-# Rules are compiled to variable slots, which the generated code lowers to
-# locals v0, v1, ..., so the join loop never hashes Var objects.  A term op
-# is (kind, payload, amount):
-#   _OP_CONST: payload is the constant
-#   _OP_VAR:   payload is the slot
-#   _OP_MINUS: payload is the slot, amount is subtracted from its value
-_OP_CONST, _OP_VAR, _OP_MINUS = 0, 1, 2
-
-_TermOp = tuple  # (kind, payload, amount)
-
-
-def _compile_term(t: Term, slots: dict[Var, int]) -> _TermOp:
-    if isinstance(t, Var):
-        return (_OP_VAR, slots.setdefault(t, len(slots)), 0)
-    if isinstance(t, Minus):
-        return (_OP_MINUS, slots.setdefault(t.var, len(slots)), t.amount)
-    return (_OP_CONST, t, 0)
-
-
-@dataclass(frozen=True, slots=True)
-class _CNeg:
-    pred: str
-    ops: tuple
-
-
-@dataclass(frozen=True, slots=True)
-class _CCmp:
-    op: str
-    left: _TermOp
-    right: _TermOp
-
-
-def _compile_constraint(item: BodyItem, slots: dict[Var, int]):
-    if isinstance(item, Neg):
-        return _CNeg(item.atom.pred, tuple(_compile_term(t, slots) for t in item.atom.args))
-    return _CCmp(item.op, _compile_term(item.left, slots), _compile_term(item.right, slots))
-
-
 @dataclass(frozen=True, slots=True)
 class _Variant:
-    """One rule body in a fixed join order, compiled to slots."""
+    """One rule body with its positive atoms joined in a fixed order."""
 
-    head_pred: str
-    head_ops: tuple
-    preds: tuple[str, ...]
-    ops: tuple[tuple, ...]
-    # keys[i]: argument positions of atom i ground before it is joined
-    # (constants, variables bound earlier, decrements of such variables)
-    keys: tuple[tuple[int, ...], ...]
-    key_ops: tuple[tuple, ...]
-    # constraints become checkable at the earliest atom binding their variables;
-    # those with no variables run once up front
-    pre: tuple
-    after: tuple[tuple, ...]
+    rule: Rule
+    atoms: tuple[Atom, ...]
+    # the first atom reads the delta, not the store
     delta_first: bool
-    # slots of variables that one atom binds and nothing else reads
-    dead: frozenset[int]
-    # the join as a function (store, delta, out); _compile_order sets a stub
-    # that generates the real function on the first call and replaces itself
+    # the join as a function (store, delta, out); _variant sets a stub that
+    # generates the real function on the first call and replaces itself
     fn: object = field(default=None, compare=False, repr=False)
 
 
-def _compile_order(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
-    """Compile the rule's body with its positive atoms joined in order.
-
-    A variable is dead when one positive atom binds it and nothing else
-    reads it: no other atom, no negated atom, no comparison, no head
-    argument.  The dead slots let the generated join test an atom for a
-    match instead of enumerating values nobody reads.
-    """
+def _variant(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
     positives = [item for item in rule.body if isinstance(item, Atom)]
-    others = [item for item in rule.body if not isinstance(item, Atom)]
-    atoms = [positives[i] for i in order]
-    slots: dict[Var, int] = {}
-    all_ops: list[tuple] = []
-    keys: list[tuple[int, ...]] = []
-    key_ops: list[tuple] = []
-    bound: set[Var] = set()
-    bound_after: list[set[Var]] = []
-    # variables something besides the atom binding them reads
-    read = atom_vars(rule.head)
-    for a in atoms:
-        vs = atom_vars(a)
-        read |= vs & bound
-        ops = tuple(_compile_term(t, slots) for t in a.args)
-        kp: list[int] = []
-        for j, t in enumerate(a.args):
-            if isinstance(t, Var):
-                ground = t in bound
-            elif isinstance(t, Minus):
-                ground = t.var in bound
-            else:
-                ground = True
-            if ground:
-                kp.append(j)
-        all_ops.append(ops)
-        keys.append(tuple(kp))
-        key_ops.append(tuple(ops[j] for j in kp))
-        bound = bound | vs
-        bound_after.append(bound)
-    pre: list = []
-    after: list[list] = [[] for _ in atoms]
-    for item in others:
-        if isinstance(item, Neg):
-            need = atom_vars(item.atom)
-        else:
-            need = _term_vars(item.left) | _term_vars(item.right)
-        read |= need
-        citem = _compile_constraint(item, slots)
-        if not need:
-            pre.append(citem)
-            continue
-        for i, avail in enumerate(bound_after):
-            if need <= avail:
-                after[i].append(citem)
-                break
-    head_ops = tuple(_compile_term(t, slots) for t in rule.head.args)
-    cv = _Variant(
-        rule.head.pred,
-        head_ops,
-        tuple(a.pred for a in atoms),
-        tuple(all_ops),
-        tuple(keys),
-        tuple(key_ops),
-        tuple(pre),
-        tuple(tuple(x) for x in after),
-        delta_first,
-        frozenset(slots[v] for v in bound - read),
-    )
-    object.__setattr__(cv, "fn", _generate_on_first_call(cv))
-    return cv
+    cv = _Variant(rule, tuple(positives[i] for i in order), delta_first)
 
-
-def _generate_on_first_call(cv: _Variant):
     def first_call(store, delta, out):
         fn = _gen_fn(cv)
         object.__setattr__(cv, "fn", fn)
         fn(store, delta, out)
 
-    return first_call
+    object.__setattr__(cv, "fn", first_call)
+    return cv
+
+
+def _key_positions(atom: Atom, bound: set[Var]) -> tuple[int, ...]:
+    """Argument positions of atom that are ground once bound is: constants,
+    bound variables and decrements of them."""
+    return tuple(j for j, t in enumerate(atom.args) if _term_vars(t) <= bound)
 
 
 def _cmp_rt(left, op: str, right) -> bool:
@@ -546,56 +435,90 @@ def _cmp_rt(left, op: str, right) -> bool:
 
 
 def _gen_fn(cv: _Variant):
-    """Compile one join order to a Python function (store, delta, out).
+    """Generate one join's Python function (store, delta, out) from its rule.
 
     It runs on the variant's first call, never for a variant no evaluation
-    reaches.  Slots become plain locals.  Every relation the body reads, as
-    a fact set or as the buckets of an index, is looked up once at the top;
-    the function writes only to out, never to the store, so those stay
-    current while it runs, and each probe is one dict lookup.  An atom that binds no
-    live variable becomes a test that some fact matches, and an atom that
-    binds dead variables next to live ones skips a fact whose live values
-    this probe has already joined.  The naive oracle reads the rules
-    directly and shares no compiled form with this code, so the two paths
-    cross-check each other.
+    reaches.  Variables become locals v0, v1, ... in order of first
+    occurrence in the join order.  A variable is dead when one positive atom
+    binds it and nothing else reads it: no other atom, no negated atom, no
+    comparison, no head argument.  An atom that binds no live variable
+    becomes a test that some fact matches, and an atom that binds dead
+    variables next to live ones skips a fact whose live values this probe
+    has already joined.  A negated atom or comparison is checked after the
+    first atom that binds all its variables, or once up front when it has
+    none.  Every relation the body reads, as a fact set or as the buckets of
+    an index on the positions ground before it is joined, is looked up once
+    at the top; the function writes only to out, never to the store, so
+    those stay current while it runs, and each probe is one dict lookup.
+    The naive oracle reads the rules directly and shares no code with this
+    one, so the two paths cross-check each other.
     """
+    rule, atoms = cv.rule, cv.atoms
+    local: dict[Var, str] = {}
+    # before[i]: the variables bound before atom i is joined
+    before: list[set[Var]] = []
+    bound: set[Var] = set()
+    # variables something besides the atom binding them reads
+    read = atom_vars(rule.head)
+    for a in atoms:
+        for t in a.args:
+            for var in _term_vars(t):
+                local.setdefault(var, f"v{len(local)}")
+        vs = atom_vars(a)
+        read |= vs & bound
+        before.append(bound)
+        bound = bound | vs
+    # after[i]: the constraints whose variables atom i is the first to bind
+    pre: list[Neg | Compare] = []
+    after: list[list[Neg | Compare]] = [[] for _ in atoms]
+    bound_after = before[1:] + [bound]
+    for item in rule.body:
+        if isinstance(item, Atom):
+            continue
+        need = _constraint_vars(item)
+        read |= need
+        if not need:
+            pre.append(item)
+        else:
+            after[next(i for i, vs in enumerate(bound_after) if need <= vs)].append(item)
+    dead = bound - read
+
     lines = [
         "def _drv(store, delta, out):",
         "    _add = out.add",
     ]
     ind = "    "
     fresh = itertools.count()
-    bound_slots: set[int] = set()
     # (pred, index positions, or () for the fact set) -> its local
     rels: dict[tuple[str, tuple[int, ...]], str] = {}
 
     def rel(pred: str, positions: tuple[int, ...] = ()) -> str:
         return rels.setdefault((pred, positions), f"_r{len(rels)}")
 
-    def side(op) -> str:
-        # expression for one comparison side; a failed decrement becomes None
-        kind, payload, amount = op
-        if kind == _OP_CONST:
-            return repr(payload)
-        if kind == _OP_VAR:
-            return f"v{payload}"
-        return f"((v{payload} - {amount}) if type(v{payload}) is int else None)"
+    def value(t: Term, guards: list[str]) -> str:
+        # a decrement denotes a value only when its variable holds an int
+        if isinstance(t, Var):
+            return local[t]
+        if isinstance(t, Minus):
+            v = local[t.var]
+            guards.append(f"type({v}) is int")
+            return f"({v} - {t.amount})"
+        return repr(t)
 
-    def emit_constraint(item, exit_stmt: str) -> None:
-        if type(item) is _CNeg:
-            guards = []
-            args = []
-            for kind, payload, amount in item.ops:
-                if kind == _OP_CONST:
-                    args.append(repr(payload))
-                elif kind == _OP_VAR:
-                    args.append(f"v{payload}")
-                else:
-                    # a failed decrement denotes no value, so the atom is absent
-                    guards.append(f"type(v{payload}) is int")
-                    args.append(f"(v{payload} - {amount})")
+    def side(t: Term) -> str:
+        # expression for one comparison side; a failed decrement becomes None
+        if isinstance(t, Minus):
+            v = local[t.var]
+            return f"(({v} - {t.amount}) if type({v}) is int else None)"
+        return value(t, [])
+
+    def emit_constraint(item: Neg | Compare, exit_stmt: str) -> None:
+        if isinstance(item, Neg):
+            # a failed decrement denotes no value, so the atom is absent
+            guards: list[str] = []
+            args = [value(t, guards) for t in item.atom.args]
             arg_tuple = f"({', '.join(args)},)" if args else "()"
-            cond = f"{arg_tuple} in {rel(item.pred)}"
+            cond = f"{arg_tuple} in {rel(item.atom.pred)}"
             if guards:
                 cond = " and ".join(guards + [cond])
             lines.append(f"{ind}if {cond}: {exit_stmt}")
@@ -605,69 +528,61 @@ def _gen_fn(cv: _Variant):
                 f"{exit_stmt}"
             )
 
-    for item in cv.pre:
+    for item in pre:
         emit_constraint(item, "return")
 
-    for i, (pred, ops) in enumerate(zip(cv.preds, cv.ops)):
+    for i, a in enumerate(atoms):
         from_delta = i == 0 and cv.delta_first
-        kp = () if from_delta else cv.keys[i]
+        kp = () if from_delta else _key_positions(a, before[i])
         exit_stmt = "continue" if ind != "    " else "return"
-        guards = []
+        guards: list[str] = []
         # cand: the facts to join; empty: true when there are none
         if from_delta:
             cand, empty = "delta", "not delta"
         elif kp:
-            kexprs = []
-            for kind, payload, amount in cv.key_ops[i]:
-                if kind == _OP_CONST:
-                    kexprs.append(repr(payload))
-                elif kind == _OP_VAR:
-                    kexprs.append(f"v{payload}")
-                else:
-                    guards.append(f"type(v{payload}) is int")
-                    kexprs.append(f"(v{payload} - {amount})")
+            kexprs = [value(a.args[j], guards) for j in kp]
             # keyed like FactStore.index: the bare value for one position
             key = kexprs[0] if len(kexprs) == 1 else f"({', '.join(kexprs)})"
-            ix = rel(pred, kp)
+            ix = rel(a.pred, kp)
             cand, empty = f"{ix}.get({key}, ())", f"{key} not in {ix}"
         else:
-            cand = rel(pred)
+            cand = rel(a.pred)
             empty = f"not {cand}"
         if guards:
             lines.append(f"{ind}if not ({' and '.join(guards)}): {exit_stmt}")
         f = f"f{i}"
         kpset = set(kp)
-        # the lines run on each fact of cand, and the slots they bind
+        # the lines run on each fact of cand, and the variables they bind
         checks: list[str] = []
-        new: list[int] = []
-        here = [payload for kind, payload, _ in ops if kind != _OP_CONST]
-        for j, (kind, payload, amount) in enumerate(ops):
+        new: list[Var] = []
+        here = [v for t in a.args for v in _term_vars(t)]
+        for j, t in enumerate(a.args):
             if j in kpset:
                 continue  # equality is guaranteed by the index key
-            if kind == _OP_CONST:
-                checks.append(f"if {f}[{j}] != {repr(payload)}: continue")
-            elif payload in bound_slots:
-                if kind == _OP_VAR:
-                    checks.append(f"if {f}[{j}] != v{payload}: continue")
+            if not isinstance(t, (Var, Minus)):
+                checks.append(f"if {f}[{j}] != {t!r}: continue")
+                continue
+            var = t.var if isinstance(t, Minus) else t
+            v = local[var]
+            if var in before[i] or var in new:
+                if isinstance(t, Var):
+                    checks.append(f"if {f}[{j}] != {v}: continue")
                 else:
                     checks.append(
-                        f"if type(v{payload}) is not int "
-                        f"or v{payload} - {amount} != {f}[{j}]: continue"
+                        f"if type({v}) is not int or {v} - {t.amount} != {f}[{j}]: continue"
                     )
-            elif kind == _OP_VAR:
+            elif isinstance(t, Var):
                 # a dead variable needs no local unless this atom reads it again
-                if payload not in cv.dead or here.count(payload) > 1:
-                    checks.append(f"v{payload} = {f}[{j}]")
-                new.append(payload)
-                bound_slots.add(payload)
+                if var not in dead or here.count(var) > 1:
+                    checks.append(f"{v} = {f}[{j}]")
+                new.append(var)
             else:
-                t = f"_t{next(fresh)}"
-                checks.append(f"{t} = {f}[{j}]")
-                checks.append(f"if type({t}) is not int: continue")
-                checks.append(f"v{payload} = {t} + {amount}")
-                new.append(payload)
-                bound_slots.add(payload)
-        live = [slot for slot in new if slot not in cv.dead]
+                tmp = f"_t{next(fresh)}"
+                checks.append(f"{tmp} = {f}[{j}]")
+                checks.append(f"if type({tmp}) is not int: continue")
+                checks.append(f"{v} = {tmp} + {t.amount}")
+                new.append(var)
+        live = [local[var] for var in new if var not in dead]
         if not live and not checks:
             # an existence check with nothing to check: any fact will do.  No
             # constraint waits here, as one would read a variable bound here.
@@ -686,19 +601,16 @@ def _gen_fn(cv: _Variant):
             lines.append(f"{ind}else: {exit_stmt}")
         elif project:
             # distinct projection: the join below reads only the live values
-            key = f"v{live[0]}"
+            key = live[0]
             if len(live) > 1:
                 key = f"_k{i}"
-                lines.append(f"{ind}{key} = ({', '.join(f'v{s}' for s in live)},)")
+                lines.append(f"{ind}{key} = ({', '.join(live)},)")
             lines.append(f"{ind}if {key} in _s{i}: continue")
             lines.append(f"{ind}_s{i}.add({key})")
-        for item in cv.after[i]:
+        for item in after[i]:
             emit_constraint(item, "continue" if live else exit_stmt)
 
-    head = ", ".join(
-        repr(payload) if kind == _OP_CONST else f"v{payload}"
-        for kind, payload, _ in cv.head_ops
-    )
+    head = ", ".join(value(t, []) for t in rule.head.args)
     lines.append(f"{ind}_add(({head},))" if head else f"{ind}_add(())")
     lines[1:1] = [
         f"    {name} = store.index({pred!r}, {kp!r})"
@@ -720,8 +632,8 @@ def _greedy_order(positives: list[Atom], first: int, derived: frozenset[str]) ->
     filter first, then a probe of a finished input relation, which stays
     small, before a partially bound derived relation, which grows with the
     fixpoint; otherwise the most-ground atom.  The score reads only the
-    rule and its stratum, never the facts, so the compiled order is a
-    property of the program and the compile cache stays valid across data.
+    rule and its stratum, never the facts, so the join order is a property
+    of the program and one prepared table serves every store.
     """
     order = [first]
     bound = set(atom_vars(positives[first]))
@@ -730,14 +642,7 @@ def _greedy_order(positives: list[Atom], first: int, derived: frozenset[str]) ->
 
         def score(i: int) -> tuple[bool, bool, int, int, int]:
             a = positives[i]
-            nb = 0
-            for t in a.args:
-                if isinstance(t, Var):
-                    nb += t in bound
-                elif isinstance(t, Minus):
-                    nb += t.var in bound
-                else:
-                    nb += 1
+            nb = len(_key_positions(a, bound))
             n = len(a.args)
             return (nb == n, nb > 0 and a.pred not in derived, nb - n, nb, -i)
 
@@ -757,14 +662,11 @@ class _CompiledRule:
     variants: tuple[_Variant, ...]
 
 
-# large enough to keep every built-in rule table (145 distinct keys of a rule
-# and the body predicates its stratum derives) resident
-@functools.lru_cache(maxsize=256)
 def _compile_rule(rule: Rule, derived: frozenset[str]) -> _CompiledRule:
     positives = [item for item in rule.body if isinstance(item, Atom)]
-    base = _compile_order(rule, list(range(len(positives))), False)
+    base = _variant(rule, list(range(len(positives))), False)
     variants = tuple(
-        _compile_order(rule, _greedy_order(positives, k, derived), True)
+        _variant(rule, _greedy_order(positives, k, derived), True)
         for k in range(len(positives))
     )
     return _CompiledRule(rule.head.pred, tuple(a.pred for a in positives), base, variants)
@@ -856,7 +758,7 @@ def _eval_stratum_naive(store: FactStore, rules: list[Rule]) -> None:
     # full re-derivation straight from the Rule objects: positive atoms join
     # in the written order by scanning whole relations, then every negated
     # atom and comparison is checked on the complete substitution.  It shares
-    # no compiled form (slots, index keys, constraint placement) with the
+    # no generated code (locals, index keys, constraint placement) with the
     # semi-naive path, so it can catch a fault in any of them.
     changed = True
     while changed:
@@ -877,7 +779,11 @@ def _eval_stratum_naive(store: FactStore, rules: list[Rule]) -> None:
 def grounding_bound(program: DatalogProgram) -> int:
     """Upper bound on derivable ground atoms: sum over predicates of
     |constants|^arity.  Constants are those in facts plus rule literals."""
-    arity, constants = _symbols(program)
+    return _bound(*_symbols(program))
+
+
+def _bound(arity: dict[str, int], constants: set[Const]) -> int:
+    """The grounding bound of predicates of these arities over these constants."""
     n = max(len(constants), 1)
     return sum(n**k for k in arity.values())
 
@@ -954,8 +860,7 @@ def _load_facts(
             _check_const(t, f"fact {f.pred}")
         constants.update(f.args)
         store.add(f.pred, f.args)  # type: ignore[arg-type]
-    n = max(len(constants), 1)
-    return store, sum(n**k for k in arity.values())
+    return store, _bound(arity, constants)
 
 
 def evaluate(program: DatalogProgram) -> FactStore:

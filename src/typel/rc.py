@@ -217,18 +217,17 @@ def t_occurrence_count(kb: KnowledgeBase) -> int:
 
 def build_rc_program(
     nkb: NormalizedKB,
-    extra_t_concepts: tuple[str, ...] = (),
     def_subs_pairs: tuple[tuple[str, str], ...] = (),
     t_occurrences: int | None = None,
     rules: tuple[Rule, ...] = CLOSURE_RULES,
 ) -> DatalogProgram:
     """Assemble a closure program over a simple-mode normalization.
 
-    extra_t_concepts are tracked names that must get a rank even without a
-    defeasible axiom of their own; def_subs_pairs gate which inrc pairs the
-    program may derive.  t_occurrences overrides the stage bound with the
-    original TBox occurrence count (the normalized count is never larger).
-    rules is the rule table, CLOSURE_RULES or RANK_RULES.
+    def_subs_pairs gate which inrc pairs the program may derive; each pair's
+    left-hand side has its auxc fact already, as simple-mode normalization
+    ranks every query's left-hand side.  t_occurrences overrides the stage
+    bound with the original TBox occurrence count (the normalized count is
+    never larger).  rules is the rule table, CLOSURE_RULES or RANK_RULES.
     """
     for ax in nkb.axioms:
         if isinstance(ax, GCI) and isinstance(ax.rhs, Typicality):
@@ -242,10 +241,6 @@ def build_rc_program(
         )
     facts = list(it.facts)
     facts += [Atom("possrank", (i,)) for i in range(t_occurrences + 2)]
-    known = {f.args[1] for f in it.facts if f.pred == "auxc"}
-    for name in extra_t_concepts:
-        if name not in known:
-            facts.append(Atom("auxc", (f"aux${name}", name)))
     for c, d in def_subs_pairs:
         facts.append(Atom("def_subs", (c, d)))
     return DatalogProgram(facts=tuple(facts), rules=rules)
@@ -272,7 +267,6 @@ def closure_program(
     pairs = tuple((goal.lhs.name, goal.rhs.name) for goal in goals)
     program = build_rc_program(
         nkb,
-        extra_t_concepts=tuple(c for c, _ in pairs),
         def_subs_pairs=pairs,
         t_occurrences=t_occurrence_count(kb),
         rules=CLOSURE_RULES if inject_ranks else RANK_RULES,

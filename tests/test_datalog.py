@@ -28,6 +28,7 @@ from typel.datalog import (
     Neg,
     Rule,
     Var,
+    atom_vars,
     dump_program,
     evaluate,
     grounding_bound,
@@ -440,13 +441,14 @@ def test_positive_programs_monotone_in_facts(seed):
 
 @pytest.fixture
 def fired(monkeypatch):
-    """Head predicates of the compiled rules the semi-naive evaluator runs.
+    """(rule, delta) of each join the semi-naive evaluator runs, in order;
+    the delta is None for a rule's first join over the whole store.
 
     A prepared rule table keeps the compiled rules it was built with, so the
     cache is cleared on both sides: the test's tables compile through the
     recording wrapper, and no recording table outlives the test.
     """
-    heads: list[str] = []
+    calls: list[tuple[Rule, frozenset | None]] = []
     compile_rule = datalog._compile_rule
 
     def recording(rule, derived):
@@ -454,7 +456,7 @@ def fired(monkeypatch):
 
         def record(v):
             def fn(store, delta, out):
-                heads.append(v.head_pred)
+                calls.append((v.rule, None if delta is None else frozenset(delta)))
                 v.fn(store, delta, out)
 
             return dataclasses.replace(v, fn=fn)
@@ -465,8 +467,12 @@ def fired(monkeypatch):
 
     monkeypatch.setattr(datalog, "_compile_rule", recording)
     datalog._prepare.cache_clear()
-    yield heads
+    yield calls
     datalog._prepare.cache_clear()
+
+
+def heads(fired):
+    return {rule.head.pred for rule, _ in fired}
 
 
 def evaluate_like_oracle(program):
@@ -484,7 +490,7 @@ def test_relation_derived_in_the_stratum_fires_though_empty_at_its_start(fired):
         ),
     )
     assert evaluate_like_oracle(program).facts("s") == {("a", "c")}
-    assert "s" in fired
+    assert "s" in heads(fired)
 
 
 def test_empty_relation_from_a_lower_stratum_disables_the_rule(fired):
@@ -500,7 +506,7 @@ def test_empty_relation_from_a_lower_stratum_disables_the_rule(fired):
     assert level["low"] < level["high"]
     store = evaluate_like_oracle(program)
     assert store.facts("q") == {("a",)} and not store.facts("high")
-    assert "q" in fired and "high" not in fired
+    assert "q" in heads(fired) and "high" not in heads(fired)
 
 
 def test_negated_empty_relation_never_disables_the_rule(fired):
@@ -513,7 +519,24 @@ def test_negated_empty_relation_never_disables_the_rule(fired):
     )
     store = evaluate_like_oracle(program)
     assert store.facts("q") == {("a",)} and store.facts("pos") == {(1,)}
-    assert {"q", "pos"} <= set(fired)
+    assert {"q", "pos"} <= heads(fired)
+
+
+def test_recursive_variant_is_fed_each_fact_once(fired):
+    # nodes 0..n joined by the n edges i -> i + 1 reach every later node:
+    # n(n + 1)/2 path facts, each new once, so fed once as delta.  The
+    # recursive rule's first join derives the paths of length 2, so its
+    # first delta variant derives them again.
+    n = 8
+    edges = [(i, i + 1) for i in range(n)]
+    step = Rule(Atom("path", (X, Z)), (Atom("path", (X, Y)), Atom("edge", (Y, Z))))
+    program = DatalogProgram(
+        facts=tuple(Atom("edge", e) for e in edges),
+        rules=(Rule(Atom("path", (X, Y)), (Atom("edge", (X, Y)),)), step),
+    )
+    assert len(evaluate_like_oracle(program).facts("path")) == n * (n + 1) // 2
+    deltas = [delta for rule, delta in fired if rule == step and delta is not None]
+    assert sum(map(len, deltas)) == n * (n + 1) // 2
 
 
 BUILTIN_RULE_SETS = (
@@ -543,15 +566,11 @@ def test_second_evaluate_of_builtin_rules_generates_no_code(monkeypatch):
     gen_fn = datalog._gen_fn
     monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
     datalog._prepare.cache_clear()
-    datalog._compile_rule.cache_clear()
     for program in programs:
         evaluate(program)
     assert generated
     generated.clear()
-    # with no prepared table left, every rule is looked up in the compile
-    # cache again and must hit, also for an equal table of distinct Rule
-    # objects
-    datalog._prepare.cache_clear()
+    # an equal table of distinct Rule objects finds the prepared table
     typ = programs[1]
     equal = load_program(dump_program(typ)).rules
     assert equal == typ.rules and equal[0] is not typ.rules[0]
@@ -570,19 +589,6 @@ def derived_in_stratum(rules):
             body = {a.pred for a in rule.body if isinstance(a, Atom)}
             out.append((rule, frozenset(body & heads)))
     return out
-
-
-def test_rule_cache_is_bounded_and_holds_every_builtin_rule():
-    # the cache key is the rule and the body predicates its stratum derives
-    builtin = {key for rules in BUILTIN_RULE_SETS for key in derived_in_stratum(rules)}
-    maxsize = datalog._compile_rule.cache_info().maxsize
-    assert maxsize is not None and maxsize >= len(builtin)
-    # a prepared table would answer without asking the compile cache
-    datalog._prepare.cache_clear()
-    datalog._compile_rule.cache_clear()
-    for rules in BUILTIN_RULE_SETS:
-        evaluate(DatalogProgram(rules=rules))
-    assert datalog._compile_rule.cache_info().currsize == len(builtin)
 
 
 def test_second_evaluate_of_a_rule_table_skips_its_analysis(monkeypatch):
@@ -715,13 +721,19 @@ def delta_variants(rules, rule):
     return derived, [v for v, p in zip(c.variants, c.positive_preds) if p in derived]
 
 
+def bound_before(v, i):
+    """The variables the join of variant v has bound when it reaches atom i."""
+    return set().union(*map(atom_vars, v.atoms[:i]))
+
+
 def test_rule_21_hypothesis_copy_probes_subprod_before_the_second_inst_h():
     derived, variants = delta_variants(CLOSURE_RULES, HYP_COPY["21"])
     assert {"stage", "inst_h"} <= derived and "subProd" not in derived
     assert len(variants) == 3
     for v in variants:
-        second_inst_h = max(i for i, p in enumerate(v.preds) if p == "inst_h")
-        assert v.preds.index("subProd") < second_inst_h, v.preds
+        preds = [a.pred for a in v.atoms]
+        second_inst_h = max(i for i, p in enumerate(preds) if p == "inst_h")
+        assert preds.index("subProd") < second_inst_h, preds
 
 
 @pytest.mark.parametrize("label", ["4", "27", "29"])
@@ -733,15 +745,15 @@ def test_no_zero_bound_scan_ahead_of_a_bound_derived_atom(label):
     derived, variants = delta_variants(BASE_RULES, dict(IR_LABELED)[label])
     assert variants
     for v in variants:
-        for i in range(1, len(v.preds)):
-            if v.preds[i] not in ("cls", "nom") or v.keys[i]:
+        preds = [a.pred for a in v.atoms]
+        for i in range(1, len(preds)):
+            bound = bound_before(v, i)
+            if preds[i] not in ("cls", "nom") or datalog._key_positions(v.atoms[i], bound):
                 continue
-            bound = {slot for ops in v.ops[:i] for kind, slot, _ in ops if kind != datalog._OP_CONST}
-            for j in range(i + 1, len(v.preds)):
+            for j in range(i + 1, len(preds)):
                 assert not (
-                    v.preds[j] in derived
-                    and any(kind == datalog._OP_CONST or slot in bound for kind, slot, _ in v.ops[j])
-                ), v.preds
+                    preds[j] in derived and datalog._key_positions(v.atoms[j], bound)
+                ), preds
 
 
 # --- dead variables: existence checks and distinct projection ----------------
@@ -845,7 +857,7 @@ def test_rule_4_hypothesis_copy_emits_each_fact_once_per_probe():
     for v, delta in probes:
         out = CountingOut()
         v.fn(store, delta, out)
-        assert sorted(out.calls) == expected, v.preds
+        assert sorted(out.calls) == expected, v.atoms
 
 
 # --- fact store: scalar keys, hoisted buckets, bulk insert ----------------------
@@ -955,7 +967,9 @@ def test_delta_variant_looks_up_each_index_once_per_call():
     rule = HYP_COPY["21"]
     c = datalog._compile_rule(rule, dict(derived_in_stratum(CLOSURE_RULES))[rule])
     v = c.variants[c.positive_preds.index("inst_h")]
-    keyed = sum(1 for kp in v.keys[1:] if kp)
+    keyed = sum(
+        1 for i in range(1, len(v.atoms)) if datalog._key_positions(v.atoms[i], bound_before(v, i))
+    )
     counts = []
     for n in (1, 50):
         store = CountingStore()
@@ -971,7 +985,7 @@ def test_delta_variant_looks_up_each_index_once_per_call():
         assert out == {(f"x{i}", "w", f"y{j}", "D", 0) for i in range(n) for j in range(3)}
         assert store.calls["match"] == 0
         counts.append(store.calls["index"])
-    assert 2 <= counts[0] <= keyed and counts[0] == counts[1], (counts, v.keys)
+    assert 2 <= counts[0] <= keyed and counts[0] == counts[1], (counts, v.atoms)
 
 
 SCALAR_KEY_CASES = {

@@ -1,6 +1,8 @@
 """Rank computation and closure membership for simple KBs."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -455,6 +457,37 @@ def _name_queries(kb):
     return st.tuples(st.just(kb), st.builds(TypSubsumes, names, names))
 
 
+def _nominal_conflict_text(k: int, conflicts: frozenset[tuple[int, int]]) -> str:
+    """k nominals {a_i}, each with its own default T({a_i}) <= C_i, a
+    universal role U, and for each conflict (i, j) an axiom that no typical
+    element may sit in {a_i} and another in {a_j}.  Each default makes its
+    nominal a typical element, so the closure is inconsistent exactly when
+    there is a conflict; classically the KB is always consistent."""
+    lines = [f"class C{i}. individual a{i}." for i in range(k)] + ["role U."]
+    lines += [f"T({{a{i}}}) <= C{i}." for i in range(k)]
+    lines.append("top x top <= U.")
+    lines += [
+        f"some U.({{a{i}}} and T(top)) and some U.({{a{j}}} and T(top)) <= bot."
+        for i, j in sorted(conflicts)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+nominal_conflicts = st.integers(2, 4).flatmap(
+    lambda k: st.tuples(
+        st.just(k), st.frozensets(st.sampled_from(list(itertools.combinations(range(k), 2))))
+    )
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(nominal_conflicts)
+def test_nominal_conflicts_make_the_closure_inconsistent(k_and_conflicts):
+    kb = parse_kb(_nominal_conflict_text(*k_and_conflicts))
+    assert check_consistency(kb)
+    assert rc_consistent(kb) == (not k_and_conflicts[1])
+
+
 # no simplicity or consistency filter: every outcome must come out as before
 kbs_with_queries = st.one_of(
     st.tuples(
@@ -462,6 +495,9 @@ kbs_with_queries = st.one_of(
         st.builds(TypSubsumes, test_parser.tfree_concepts, test_parser.tfree_concepts),
     ),
     ladders.flatmap(_name_queries),
+    nominal_conflicts.map(lambda args: parse_kb(_nominal_conflict_text(*args))).flatmap(
+        _name_queries
+    ),
 )
 
 
