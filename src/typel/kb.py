@@ -10,6 +10,7 @@ All values here are immutable; sharing across threads is safe.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 
@@ -71,16 +72,23 @@ TOP = Top()
 BOT = Bot()
 
 
+def subconcepts(c: ConceptExpr) -> Iterator[ConceptExpr]:
+    """c and every concept inside it, in pre-order: a concept before its
+    parts, a conjunction's left part before its right."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        yield c
+        match c:
+            case Conj(left, right):
+                stack.append(right)
+                stack.append(left)
+            case Exists(_, part) | Typicality(part):
+                stack.append(part)
+
+
 def contains_typicality(c: ConceptExpr) -> bool:
-    match c:
-        case Typicality():
-            return True
-        case Conj(left, right):
-            return contains_typicality(left) or contains_typicality(right)
-        case Exists(_, filler):
-            return contains_typicality(filler)
-        case _:
-            return False
+    return any(isinstance(part, Typicality) for part in subconcepts(c))
 
 
 def conjuncts(c: ConceptExpr) -> list[ConceptExpr]:
@@ -260,6 +268,22 @@ class TypSubsumes:
 Query = InstanceOf | TypicalInstanceOf | RoleHolds | Subsumes | TypSubsumes
 
 
+def query_axiom(q: Query) -> GCI | ABoxAxiom:
+    """The assertion or concept inclusion that q asks about."""
+    match q:
+        case InstanceOf(concept, individual):
+            return ConceptAssertion(concept, individual)
+        case TypicalInstanceOf(concept, individual):
+            return ConceptAssertion(Typicality(concept), individual)
+        case RoleHolds(role, subject, target):
+            return RoleAssertion(role, subject, target)
+        case Subsumes(lhs, rhs):
+            return GCI(lhs, rhs)
+        case TypSubsumes(lhs, rhs):
+            return GCI(Typicality(lhs), rhs)
+    raise TypeError(f"not a query: {q!r}")
+
+
 # --- validation ---
 
 
@@ -286,56 +310,6 @@ def compute_simple_roles(sig_roles: frozenset[str], rbox: tuple[RBoxAxiom, ...])
     return frozenset(sig_roles - non_simple)
 
 
-def _concept_names_used(c: ConceptExpr) -> set[str]:
-    match c:
-        case Name(name):
-            return {name}
-        case Conj(left, right):
-            return _concept_names_used(left) | _concept_names_used(right)
-        case Exists(_, filler) | Typicality(filler):
-            return _concept_names_used(filler)
-        case _:
-            return set()
-
-
-def _roles_used(c: ConceptExpr) -> set[str]:
-    match c:
-        case Conj(left, right):
-            return _roles_used(left) | _roles_used(right)
-        case Exists(role, filler):
-            return {role} | _roles_used(filler)
-        case SelfRestriction(role):
-            return {role}
-        case Typicality(arg):
-            return _roles_used(arg)
-        case _:
-            return set()
-
-
-def _individuals_used(c: ConceptExpr) -> set[str]:
-    match c:
-        case Nominal(individual):
-            return {individual}
-        case Conj(left, right):
-            return _individuals_used(left) | _individuals_used(right)
-        case Exists(_, filler) | Typicality(filler):
-            return _individuals_used(filler)
-        case _:
-            return set()
-
-
-def _self_roles(c: ConceptExpr) -> set[str]:
-    match c:
-        case Conj(left, right):
-            return _self_roles(left) | _self_roles(right)
-        case Exists(_, filler) | Typicality(filler):
-            return _self_roles(filler)
-        case SelfRestriction(role):
-            return {role}
-        case _:
-            return set()
-
-
 def validate(kb: KnowledgeBase) -> list[Violation]:
     """Check declaredness, sort disjointness, box placement, simple-role usage.
 
@@ -358,13 +332,18 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
         out.append(Violation("signature", f"role {n!r} flagged simple but a role chain flows into it"))
 
     def check_concept(c: ConceptExpr, where: str) -> None:
-        for n in sorted(_concept_names_used(c) - sig.concept_names):
+        parts = list(subconcepts(c))
+        concepts = {p.name for p in parts if isinstance(p, Name)}
+        roles = {p.role for p in parts if isinstance(p, (Exists, SelfRestriction))}
+        individuals = {p.individual for p in parts if isinstance(p, Nominal)}
+        self_roles = {p.role for p in parts if isinstance(p, SelfRestriction)}
+        for n in sorted(concepts - sig.concept_names):
             out.append(Violation(where, f"undeclared concept name {n!r}"))
-        for n in sorted(_roles_used(c) - sig.role_names):
+        for n in sorted(roles - sig.role_names):
             out.append(Violation(where, f"undeclared role name {n!r}"))
-        for n in sorted(_individuals_used(c) - sig.individual_names):
+        for n in sorted(individuals - sig.individual_names):
             out.append(Violation(where, f"undeclared individual {n!r}"))
-        for n in sorted(_self_roles(c) - actual_simple):
+        for n in sorted(self_roles - actual_simple):
             out.append(Violation(where, f"self() requires a simple role, {n!r} is not"))
 
     def check_role(r: str, where: str) -> None:

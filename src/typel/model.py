@@ -40,6 +40,7 @@ from .kb import (
     TypicalInstanceOf,
     Typicality,
     concept_text,
+    query_axiom,
 )
 
 
@@ -138,18 +139,7 @@ def is_model(m: RankedInterpretation, kb: KnowledgeBase) -> bool:
 
 
 def satisfies_query(m: RankedInterpretation, q: Query) -> bool:
-    match q:
-        case InstanceOf(concept, individual):
-            return m.individual_map[individual] in extension(m, concept)
-        case TypicalInstanceOf(concept, individual):
-            return m.individual_map[individual] in extension(m, Typicality(concept))
-        case RoleHolds(role, subject, target):
-            return (m.individual_map[subject], m.individual_map[target]) in _role(m, role)
-        case Subsumes(lhs, rhs):
-            return extension(m, lhs) <= extension(m, rhs)
-        case TypSubsumes(lhs, rhs):
-            return extension(m, Typicality(lhs)) <= extension(m, rhs)
-    raise TypeError(f"not a query: {q!r}")
+    return satisfies(m, query_axiom(q))
 
 
 def render_model(m: RankedInterpretation) -> str:

@@ -63,6 +63,7 @@ from .kb import (
     conj_of,
     conjuncts,
     is_simple,
+    subconcepts,
     validate,
 )
 
@@ -140,17 +141,7 @@ def canonical_key(c: ConceptExpr) -> str:
 
 def _is_empty(c: ConceptExpr) -> bool:
     """Syntactically unsatisfiable concept (denotes the empty set everywhere)."""
-    match c:
-        case Bot():
-            return True
-        case Conj(left, right):
-            return _is_empty(left) or _is_empty(right)
-        case Exists(_, filler):
-            return _is_empty(filler)
-        case Typicality(arg):
-            return _is_empty(arg)
-        case _:
-            return False
+    return any(isinstance(part, Bot) for part in subconcepts(c))
 
 
 class _Normalizer:

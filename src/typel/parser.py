@@ -11,6 +11,11 @@ Concepts:  top | bot | A | {a} | self(r) | T(C) | C and D | some r.C
 "and" binds tighter than "<=" and associates left; the filler of "some"
 is a single atom, so conjunctive fillers need parens: some r.(C and D).
 Names must be declared before use.  "%" starts a line comment.
+
+A query is one assertion or concept inclusion of this grammar, C(a),
+T(C)(a), r(a, b), C <= D or T(C) <= D, with an optional period; a role
+axiom is not a query.  A concept may be MAX_NESTING levels deep: each
+"some", parenthesis, "T(" and "and" is one level.
 """
 
 from __future__ import annotations
@@ -47,14 +52,17 @@ from .kb import (
     TypicalInstanceOf,
     compute_simple_roles,
     concept_text,
+    query_axiom,
 )
 
 KEYWORDS = frozenset({"class", "role", "individual", "top", "bot", "and", "some", "self", "T", "x", "o"})
 
 _PUNCT = {"<=", "(", ")", "{", "}", ".", ",", "&"}
 
-# how many some-fillers, parentheses and T(...) a concept may sit inside;
-# the parser and the passes after it recurse once or more per level
+# how many levels of some-fillers, parentheses, T(...) and conjunctions a
+# concept may have.  The parser recurses up to four frames per level and
+# the passes after it about one, so a concept at the bound needs about 415
+# of Python's default 1,000 frames
 MAX_NESTING = 100
 
 
@@ -131,6 +139,7 @@ class _Parser:
         self.roles: set[str] = set()
         self.individuals: set[str] = set()
         self.depth = 0
+        self.height = 0
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -164,36 +173,55 @@ class _Parser:
             self.fail(t, f"expected {what}, found {shown!r}")
         return t
 
+    def declared(self, names: set[str], what: str) -> str:
+        """The next token, which must name a declared `what` (in names)."""
+        t = self.ident(f"{what} name")
+        if t.text not in names:
+            self.fail(t, f"undeclared {what} {t.text!r}")
+        return t.text
+
+    def too_deep(self, tok: Token):
+        self.fail(tok, f"concept nested deeper than {MAX_NESTING} levels")
+
     def nested(self, opener: Token, parse):
         """parse() one nesting level below the construct opened at opener."""
         if self.depth == MAX_NESTING:
-            self.fail(opener, f"concept nested deeper than {MAX_NESTING} levels")
+            self.too_deep(opener)
         self.depth += 1
         c = parse()
         self.depth -= 1
+        self.height += 1
         return c
 
-    # concept grammar
+    # concept grammar; each parse method leaves in self.height the levels
+    # below the concept it returns, and depth + height never exceeds
+    # MAX_NESTING
 
     def concept(self) -> ConceptExpr:
         c = self.concept_atom_or_some()
+        height = self.height
         while self.peek().kind == "keyword" and self.peek().text == "and":
-            self.next()
-            c = Conj(c, self.concept_atom_or_some())
+            t = self.next()
+            right = self.concept_atom_or_some()
+            # the conjunction so far becomes the left part, one level down
+            height = 1 + max(height, self.height)
+            if self.depth + height > MAX_NESTING:
+                self.too_deep(t)
+            c = Conj(c, right)
+        self.height = height
         return c
 
     def concept_atom_or_some(self) -> ConceptExpr:
         t = self.peek()
         if t.kind == "keyword" and t.text == "some":
             self.next()
-            role = self.ident("role name")
-            if role.text not in self.roles:
-                self.fail(role, f"undeclared role {role.text!r}")
+            role = self.declared(self.roles, "role")
             self.expect(".")
-            return Exists(role.text, self.nested(t, self.concept_atom_or_some))
+            return Exists(role, self.nested(t, self.concept_atom_or_some))
         return self.concept_atom()
 
     def concept_atom(self) -> ConceptExpr:
+        self.height = 0
         t = self.next()
         if t.kind == "keyword":
             if t.text == "top":
@@ -202,11 +230,9 @@ class _Parser:
                 return BOT
             if t.text == "self":
                 self.expect("(")
-                role = self.ident("role name")
-                if role.text not in self.roles:
-                    self.fail(role, f"undeclared role {role.text!r}")
+                role = self.declared(self.roles, "role")
                 self.expect(")")
-                return SelfRestriction(role.text)
+                return SelfRestriction(role)
             if t.text == "T":
                 self.expect("(")
                 arg = self.nested(t, self.concept)
@@ -225,11 +251,9 @@ class _Parser:
                 self.fail(t, f"undeclared concept name {t.text!r}")
             return Name(t.text)
         if t.kind == "{":
-            ind = self.ident("individual name")
-            if ind.text not in self.individuals:
-                self.fail(ind, f"undeclared individual {ind.text!r}")
+            ind = self.declared(self.individuals, "individual")
             self.expect("}")
-            return Nominal(ind.text)
+            return Nominal(ind)
         if t.kind == "(":
             c = self.nested(t, self.concept)
             self.expect(")")
@@ -237,98 +261,61 @@ class _Parser:
         shown = t.text if t.kind != "eof" else "end of input"
         self.fail(t, f"expected a concept, found {shown!r}")
 
-    # statements
+    # statements, each without its closing period
 
-    def statement(self, tbox: list[GCI], rbox: list[RBoxAxiom], abox: list[ABoxAxiom]) -> None:
+    def statement(self):
+        """A declaration, which returns None, or an axiom."""
         t = self.peek()
         if t.kind == "keyword" and t.text in ("class", "role", "individual"):
             self.next()
             name = self.ident(f"{t.text} name")
             if name.text in self.concepts | self.roles | self.individuals:
                 self.fail(name, f"{name.text!r} is already declared")
-            self.expect(".")
             {"class": self.concepts, "role": self.roles, "individual": self.individuals}[t.text].add(name.text)
-            return
+            return None
+        return self.axiom()
+
+    def axiom(self) -> GCI | RBoxAxiom | ABoxAxiom:
+        t = self.peek()
         if t.kind == "ident" and t.text in self.roles:
-            self.role_statement(rbox, abox)
-            return
+            return self.role_axiom()
         lhs = self.concept()
         nxt = self.next()
         if nxt.kind == "keyword" and nxt.text == "x":
             right = self.concept()
             self.expect("<=")
-            sup = self.ident("role name")
-            if sup.text not in self.roles:
-                self.fail(sup, f"undeclared role {sup.text!r}")
-            self.expect(".")
-            rbox.append(ProductToRole(lhs, right, sup.text))
-            return
+            return ProductToRole(lhs, right, self.declared(self.roles, "role"))
         if nxt.kind == "<=":
-            rhs = self.concept()
-            self.expect(".")
-            tbox.append(GCI(lhs, rhs))
-            return
+            return GCI(lhs, self.concept())
         if nxt.kind == "(":
-            ind = self.ident("individual name")
-            if ind.text not in self.individuals:
-                self.fail(ind, f"undeclared individual {ind.text!r}")
+            ind = self.declared(self.individuals, "individual")
             self.expect(")")
-            self.expect(".")
-            abox.append(ConceptAssertion(lhs, ind.text))
-            return
+            return ConceptAssertion(lhs, ind)
         shown = nxt.text if nxt.kind != "eof" else "end of input"
         self.fail(nxt, f"expected 'x', '<=' or '(' after concept, found {shown!r}")
 
-    def role_statement(self, rbox: list[RBoxAxiom], abox: list[ABoxAxiom]) -> None:
-        first = self.ident("role name")
+    def role_axiom(self) -> RBoxAxiom | RoleAssertion:
+        first = self.ident("role name").text
         nxt = self.next()
         if nxt.kind == "(":
-            subject = self.ident("individual name")
-            if subject.text not in self.individuals:
-                self.fail(subject, f"undeclared individual {subject.text!r}")
+            subject = self.declared(self.individuals, "individual")
             self.expect(",")
-            target = self.ident("individual name")
-            if target.text not in self.individuals:
-                self.fail(target, f"undeclared individual {target.text!r}")
+            target = self.declared(self.individuals, "individual")
             self.expect(")")
-            self.expect(".")
-            abox.append(RoleAssertion(first.text, subject.text, target.text))
-            return
-        if nxt.kind == "keyword" and nxt.text == "o":
-            second = self.ident("role name")
-            if second.text not in self.roles:
-                self.fail(second, f"undeclared role {second.text!r}")
+            return RoleAssertion(first, subject, target)
+        if nxt.text in ("o", "&"):
+            second = self.declared(self.roles, "role")
             self.expect("<=")
-            sup = self.ident("role name")
-            if sup.text not in self.roles:
-                self.fail(sup, f"undeclared role {sup.text!r}")
-            self.expect(".")
-            rbox.append(RoleChain(first.text, second.text, sup.text))
-            return
-        if nxt.kind == "&":
-            second = self.ident("role name")
-            if second.text not in self.roles:
-                self.fail(second, f"undeclared role {second.text!r}")
-            self.expect("<=")
-            sup = self.ident("role name")
-            if sup.text not in self.roles:
-                self.fail(sup, f"undeclared role {sup.text!r}")
-            self.expect(".")
-            rbox.append(RoleConj(first.text, second.text, sup.text))
-            return
+            sup = self.declared(self.roles, "role")
+            return (RoleChain if nxt.text == "o" else RoleConj)(first, second, sup)
         if nxt.kind == "<=":
+            # no concept starts with a role name
             after = self.peek()
-            if after.kind == "ident" and after.text in self.roles and self.peek(1).kind == ".":
-                sup = self.next()
-                self.expect(".")
-                rbox.append(RoleIncl(first.text, sup.text))
-                return
+            if after.kind == "ident" and after.text in self.roles:
+                return RoleIncl(first, self.next().text)
             left = self.concept()
             self.expect_keyword("x")
-            right = self.concept()
-            self.expect(".")
-            rbox.append(RoleToProduct(first.text, left, right))
-            return
+            return RoleToProduct(first, left, self.concept())
         shown = nxt.text if nxt.kind != "eof" else "end of input"
         self.fail(nxt, f"expected '(', 'o', '&' or '<=' after role, found {shown!r}")
 
@@ -344,7 +331,17 @@ def parse_kb(text: str, filename: str = "<input>") -> KnowledgeBase:
     rbox: list[RBoxAxiom] = []
     abox: list[ABoxAxiom] = []
     while p.peek().kind != "eof":
-        p.statement(tbox, rbox, abox)
+        ax = p.statement()
+        p.expect(".")
+        match ax:
+            case None:
+                pass
+            case GCI():
+                tbox.append(ax)
+            case ConceptAssertion() | RoleAssertion():
+                abox.append(ax)
+            case _:
+                rbox.append(ax)
     sig = Signature(
         concept_names=frozenset(p.concepts),
         role_names=frozenset(p.roles),
@@ -354,69 +351,50 @@ def parse_kb(text: str, filename: str = "<input>") -> KnowledgeBase:
     return KnowledgeBase(sig, tuple(tbox), tuple(rbox), tuple(abox))
 
 
-def parse_concept(text: str, kb: KnowledgeBase, filename: str = "<concept>") -> ConceptExpr:
-    """Parse a single concept expression against a KB's signature."""
+def _parse_one(text: str, kb: KnowledgeBase, filename: str, what: str, parse):
+    """parse() one `what` against kb's signature; then an optional period
+    and the end of the input."""
     p = _Parser(tokenize(text, filename), filename)
     p.concepts = set(kb.signature.concept_names)
     p.roles = set(kb.signature.role_names)
     p.individuals = set(kb.signature.individual_names)
-    c = p.concept()
+    out = parse(p)
     if p.peek().kind == ".":
         p.next()
     if p.peek().kind != "eof":
-        p.fail(p.peek(), f"trailing input after concept: {p.peek().text!r}")
-    return c
+        p.fail(p.peek(), f"trailing input after {what}: {p.peek().text!r}")
+    return out
+
+
+def parse_concept(text: str, kb: KnowledgeBase, filename: str = "<concept>") -> ConceptExpr:
+    """Parse a single concept expression against a KB's signature."""
+    return _parse_one(text, kb, filename, "concept", _Parser.concept)
+
+
+def _query(p: _Parser) -> Query:
+    start = p.peek()
+    match p.axiom():
+        case ConceptAssertion(Typicality(arg), individual):
+            return TypicalInstanceOf(arg, individual)
+        case ConceptAssertion(concept, individual):
+            return InstanceOf(concept, individual)
+        case RoleAssertion(role, subject, target):
+            return RoleHolds(role, subject, target)
+        case GCI(Typicality(arg), rhs):
+            return TypSubsumes(arg, rhs)
+        case GCI(lhs, rhs):
+            return Subsumes(lhs, rhs)
+    p.fail(start, "a role axiom is not a query; ask C(a), T(C)(a), r(a, b), C <= D or T(C) <= D")
 
 
 def parse_query(text: str, kb: KnowledgeBase, filename: str = "<query>") -> Query:
     """Parse a query against an existing KB's signature.
 
-    Forms:  C(a)   r(a, b)   C <= D   T(C)(a)   T(C) <= D
-    A trailing period is optional.
+    A query is one assertion or concept inclusion in .kbt syntax, read as
+    the question whether the KB entails it: C(a), T(C)(a), r(a, b), C <= D
+    or T(C) <= D.  The period is optional.  query_axiom inverts this.
     """
-    p = _Parser(tokenize(text, filename), filename)
-    p.concepts = set(kb.signature.concept_names)
-    p.roles = set(kb.signature.role_names)
-    p.individuals = set(kb.signature.individual_names)
-    t = p.peek()
-    if t.kind == "ident" and t.text in p.roles:
-        role = p.ident("role name")
-        p.expect("(")
-        subject = p.ident("individual name")
-        if subject.text not in p.individuals:
-            p.fail(subject, f"undeclared individual {subject.text!r}")
-        p.expect(",")
-        target = p.ident("individual name")
-        if target.text not in p.individuals:
-            p.fail(target, f"undeclared individual {target.text!r}")
-        p.expect(")")
-        query: Query = RoleHolds(role.text, subject.text, target.text)
-    else:
-        lhs = p.concept()
-        nxt = p.next()
-        if nxt.kind == "<=":
-            rhs = p.concept()
-            if isinstance(lhs, Typicality):
-                query = TypSubsumes(lhs.arg, rhs)
-            else:
-                query = Subsumes(lhs, rhs)
-        elif nxt.kind == "(":
-            ind = p.ident("individual name")
-            if ind.text not in p.individuals:
-                p.fail(ind, f"undeclared individual {ind.text!r}")
-            p.expect(")")
-            if isinstance(lhs, Typicality):
-                query = TypicalInstanceOf(lhs.arg, ind.text)
-            else:
-                query = InstanceOf(lhs, ind.text)
-        else:
-            shown = nxt.text if nxt.kind != "eof" else "end of input"
-            p.fail(nxt, f"expected '<=' or '(' in query, found {shown!r}")
-    if p.peek().kind == ".":
-        p.next()
-    if p.peek().kind != "eof":
-        p.fail(p.peek(), f"trailing input after query: {p.peek().text!r}")
-    return query
+    return _parse_one(text, kb, filename, "query", _query)
 
 
 def axiom_text(ax) -> str:
@@ -459,18 +437,5 @@ def print_kb(kb: KnowledgeBase) -> str:
 
 
 def query_text(q: Query) -> str:
-    match q:
-        case InstanceOf(concept, individual):
-            c = concept_text(concept)
-            if not isinstance(concept, Name):
-                c = f"({c})"
-            return f"{c}({individual})"
-        case TypicalInstanceOf(concept, individual):
-            return f"T({concept_text(concept)})({individual})"
-        case RoleHolds(role, subject, target):
-            return f"{role}({subject}, {target})"
-        case Subsumes(lhs, rhs):
-            return f"{concept_text(lhs)} <= {concept_text(rhs)}"
-        case TypSubsumes(lhs, rhs):
-            return f"T({concept_text(lhs)}) <= {concept_text(rhs)}"
-    raise TypeError(f"not a query: {q!r}")
+    """Render a query as the axiom it asks about; parse_query reads it back."""
+    return axiom_text(query_axiom(q))

@@ -50,7 +50,10 @@ from .kb import (
     KnowledgeBase,
     TypSubsumes,
     Typicality,
+    concept_text,
+    contains_typicality,
     first_non_simple_axiom,
+    subconcepts,
 )
 from .materialize import (
     DERIVED_PREDS,
@@ -203,16 +206,12 @@ class RcVerdict:
 
 def t_occurrence_count(kb: KnowledgeBase) -> int:
     """Syntactic T occurrences in the TBox, the bound on rank stages."""
-
-    def count(c: ConceptExpr) -> int:
-        n = 1 if isinstance(c, Typicality) else 0
-        for attr in ("arg", "left", "right", "filler"):
-            sub = getattr(c, attr, None)
-            if isinstance(sub, ConceptExpr):
-                n += count(sub)
-        return n
-
-    return sum(count(ax.lhs) + count(ax.rhs) for ax in kb.tbox)
+    return sum(
+        isinstance(part, Typicality)
+        for ax in kb.tbox
+        for side in (ax.lhs, ax.rhs)
+        for part in subconcepts(side)
+    )
 
 
 def build_rc_program(
@@ -319,6 +318,9 @@ def compute_ranks(
     kb: KnowledgeBase, query_concepts: tuple[ConceptExpr, ...] = ()
 ) -> RankAssignment:
     """Rank every T-argument of the KB plus the given query concepts."""
+    for c in query_concepts:
+        if contains_typicality(c):
+            raise ValueError(f"cannot rank {concept_text(c)}: a ranked concept may not contain T")
     _require_simple(kb)
     program, nkb, _ = closure_program(kb, concepts=query_concepts, inject_ranks=False)
     return _read_assignment(_ranked_store(program), nkb)

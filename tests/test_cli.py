@@ -159,6 +159,12 @@ def test_rc_ranks_query_concept(capsys):
     assert "D 1" in out.strip().splitlines()
 
 
+def test_rc_ranks_rejects_a_concept_with_t(capsys):
+    code, out, err = run(capsys, "rc-ranks", EX1_AF, "--concept", "T(Student)")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot rank T(Student): a ranked concept may not contain T\n"
+
+
 def test_rc_ranks_records(capsys):
     code, out, _ = run(capsys, "rc-ranks", EX1_AF, "--format", "records")
     assert code == 0
@@ -271,19 +277,38 @@ def test_nesting_at_the_limit_gets_a_verdict(capsys, tmp_path):
     deep = _nested_kb(tmp_path, "some r." * MAX_NESTING + "A")
     code, out, _ = run(capsys, "check", deep, "(some r.top)(a)")
     assert (code, out.strip()) == (0, "entailed")
+    # each "and" is one level, and so are the query's parentheses
+    wide = _nested_kb(tmp_path, " and ".join(["A"] * (MAX_NESTING + 1)))
+    query = "(%s)(a)" % " and ".join(["A"] * MAX_NESTING)
+    for command, verdict in (("check", "entailed"), ("refute", "none-found")):
+        code, out, _ = run(capsys, command, wide, query)
+        assert (code, out.strip()) == (0, verdict)
 
 
 @pytest.mark.parametrize(
-    "concept",
-    ["some r." * (MAX_NESTING + 1) + "A", "some r.(" * 2000 + "A" + ")" * 2000],
-    ids=["limit+1", "2000-deep"],
+    "concept, in_query",
+    [
+        ("some r." * (MAX_NESTING + 1) + "A", False),
+        ("some r.(" * 2000 + "A" + ")" * 2000, False),
+        (" and ".join(["A"] * 990), False),
+        (" and ".join(["A"] * 5000), False),
+        (" and ".join(["A"] * 990), True),
+        (" and ".join(["A"] * 5000), True),
+    ],
+    ids=["limit+1", "2000-deep", "990-conjuncts", "5000-conjuncts", "990-conjuncts-query", "5000-conjuncts-query"],
 )
-def test_nesting_past_the_limit_is_a_located_error(capsys, tmp_path, concept):
-    deep = _nested_kb(tmp_path, concept)
-    code, out, err = run(capsys, "check", deep, "A(a)")
-    assert code == 2
-    assert out == ""
-    assert re.fullmatch(rf"error: {re.escape(deep)}:3:\d+: .*nested deeper than {MAX_NESTING} levels\n", err)
+def test_nesting_past_the_limit_is_a_located_error(capsys, tmp_path, concept, in_query):
+    if in_query:
+        kb = _nested_kb(tmp_path, "A")
+        query, where = f"({concept})(a)", "<query>:1"
+    else:
+        kb = _nested_kb(tmp_path, concept)
+        query, where = "A(a)", f"{kb}:3"
+    for command in ("check", "refute"):
+        code, out, err = run(capsys, command, kb, query)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(rf"error: {re.escape(where)}:\d+: .*nested deeper than {MAX_NESTING} levels\n", err)
 
 
 def test_undeclared_query_name_is_usage_error(capsys):

@@ -29,6 +29,8 @@ from typel.kb import (
     TypSubsumes,
     TypicalInstanceOf,
     Typicality,
+    query_axiom,
+    subconcepts,
 )
 from typel.parser import (
     ParseError,
@@ -101,6 +103,48 @@ def test_print_parse_round_trip(kb):
 @given(queries)
 def test_query_text_round_trip(q):
     assert parse_query(query_text(q), EMPTY_SIG_KB) == q
+
+
+rbox_axioms = st.one_of(
+    st.builds(RoleIncl, role_names, role_names),
+    st.builds(RoleChain, role_names, role_names, role_names),
+    st.builds(RoleConj, role_names, role_names, role_names),
+    st.builds(ProductToRole, tfree_concepts, tfree_concepts, role_names),
+    st.builds(RoleToProduct, role_names, tfree_concepts, tfree_concepts),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kbs, st.lists(rbox_axioms, max_size=3))
+def test_a_query_is_the_axiom_it_asks_about(kb, rbox):
+    for ax in (*kb.tbox, *kb.abox):
+        assert query_axiom(parse_query(axiom_text(ax), kb)) == ax
+    for ax in rbox:
+        with pytest.raises(ParseError, match=r"^<query>:1:1: a role axiom is not a query"):
+            parse_query(axiom_text(ax), kb)
+
+
+def _preorder(c):
+    match c:
+        case Conj(left, right):
+            return [c, *_preorder(left), *_preorder(right)]
+        case Exists(_, part) | Typicality(part):
+            return [c, *_preorder(part)]
+    return [c]
+
+
+# T anywhere outside another T
+concepts = st.recursive(
+    top_level_concepts,
+    lambda kids: st.one_of(st.builds(Conj, kids, kids), st.builds(Exists, role_names, kids)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(concepts)
+def test_subconcepts_is_the_preorder_walk(c):
+    assert list(subconcepts(c)) == _preorder(c)
 
 
 @settings(max_examples=150, deadline=None)
