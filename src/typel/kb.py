@@ -71,6 +71,13 @@ class Typicality(ConceptExpr):
 TOP = Top()
 BOT = Bot()
 
+# how many levels of some-fillers, parentheses, T(...) and conjunctions a
+# concept may have: the parser bounds the text, and validate a KB built in
+# code.  The parser recurses up to four frames per level and the passes
+# after it about one, so a concept at the bound needs about 415 of
+# Python's default 1,000 frames
+MAX_NESTING = 100
+
 
 def subconcepts(c: ConceptExpr) -> Iterator[ConceptExpr]:
     """c and every concept inside it, in pre-order: a concept before its
@@ -85,6 +92,24 @@ def subconcepts(c: ConceptExpr) -> Iterator[ConceptExpr]:
                 stack.append(left)
             case Exists(_, part) | Typicality(part):
                 stack.append(part)
+
+
+def concept_height(c: ConceptExpr) -> int:
+    """Levels of `and`, `some` and T(...) in c, counted as the parser counts
+    them: each of these is one level above its tallest part."""
+    height = 0
+    stack = [(c, 0)]
+    while stack:
+        c, depth = stack.pop()
+        match c:
+            case Conj(left, right):
+                stack.append((left, depth + 1))
+                stack.append((right, depth + 1))
+            case Exists(_, part) | Typicality(part):
+                stack.append((part, depth + 1))
+            case _:
+                height = max(height, depth)
+    return height
 
 
 def contains_typicality(c: ConceptExpr) -> bool:
@@ -311,7 +336,8 @@ def compute_simple_roles(sig_roles: frozenset[str], rbox: tuple[RBoxAxiom, ...])
 
 
 def validate(kb: KnowledgeBase) -> list[Violation]:
-    """Check declaredness, sort disjointness, box placement, simple-role usage.
+    """Check declaredness, sort disjointness, box placement, simple-role
+    usage and concept height (at most MAX_NESTING).
 
     Returns an empty list for a well-formed KB.
     """
@@ -333,6 +359,9 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
 
     def check_concept(c: ConceptExpr, where: str) -> None:
         parts = list(subconcepts(c))
+        # a concept is shorter than its count of parts
+        if len(parts) > MAX_NESTING and concept_height(c) > MAX_NESTING:
+            out.append(Violation(where, f"concept nested deeper than {MAX_NESTING} levels"))
         concepts = {p.name for p in parts if isinstance(p, Name)}
         roles = {p.role for p in parts if isinstance(p, (Exists, SelfRestriction))}
         individuals = {p.individual for p in parts if isinstance(p, Nominal)}

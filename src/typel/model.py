@@ -3,14 +3,17 @@
 A ranked interpretation is a classical interpretation plus an integer rank
 per element; typicality denotes the minimal-rank members of a concept's
 extension.  `extension` and `satisfies` evaluate concepts and axioms
-directly.  `refute` searches for a model of a KB that falsifies a query,
-grounding each (domain size, rank profile) candidate to propositional
-clauses and running a small DPLL solver; a found counter-model proves
-non-entailment, while "none found" proves nothing beyond the bounds.
+directly.  `refute` searches for a model of a KB that falsifies a query:
+it grounds the KB and the query's negation to propositional clauses once
+per domain size, adds the typicality clauses of each rank profile, and runs
+a conflict-driven clause-learning solver on every (domain size, rank
+profile) candidate in turn.  A found counter-model proves non-entailment,
+while "none found" proves nothing beyond the bounds.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -39,8 +42,8 @@ from .kb import (
     TypSubsumes,
     TypicalInstanceOf,
     Typicality,
-    concept_text,
     query_axiom,
+    validate,
 )
 
 
@@ -168,19 +171,23 @@ def render_model(m: RankedInterpretation) -> str:
 
 @dataclass
 class _Encoder:
-    """Grounds one (domain size, rank profile) candidate to clauses.
+    """Grounds every candidate of one domain size to clauses.
 
     Variables cover concept-name membership, role pairs, and individual
-    placement; every composite concept gets a defined variable per element.
+    placement; every composite concept, typicality included, gets a defined
+    variable per element.  Only which lower-ranked elements a typical
+    element must beat depends on the rank profile, so `clauses` holds all
+    the rest and `typicality_clauses` adds those per profile.
     """
 
     kb: KnowledgeBase
     n: int
-    ranks: tuple[int, ...]
     nvars: int = 0
     clauses: list[tuple[int, ...]] = field(default_factory=list)
     _base: dict[tuple, int] = field(default_factory=dict)
-    _concept_vars: dict[tuple[str, int], int] = field(default_factory=dict)
+    _concept_vars: dict[ConceptExpr, list[int]] = field(default_factory=dict)
+    # (T(C) variables, C variables) per element, for each T(C) grounded
+    _typical: list[tuple[list[int], list[int]]] = field(default_factory=list)
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -209,13 +216,10 @@ class _Encoder:
         """Variable per element for c, with defining clauses added once."""
         if isinstance(c, Name):
             return [self.cvar(c.name, e) for e in range(self.n)]
-        key = concept_text(c)
-        cached = [self._concept_vars.get((key, e)) for e in range(self.n)]
-        if all(v is not None for v in cached):
-            return cached  # type: ignore[return-value]
-        out = [self.new_var() for _ in range(self.n)]
-        for e in range(self.n):
-            self._concept_vars[(key, e)] = out[e]
+        out = self._concept_vars.get(c)
+        if out is not None:
+            return out
+        out = self._concept_vars[c] = [self.new_var() for _ in range(self.n)]
         match c:
             case Top():
                 for v in out:
@@ -255,13 +259,21 @@ class _Encoder:
             case Typicality(arg):
                 av = self.concept(arg)
                 for e, v in enumerate(out):
-                    lower = [f for f in range(self.n) if self.ranks[f] < self.ranks[e]]
                     self.add(-v, av[e])
-                    for f in lower:
-                        self.add(-v, -av[f])
-                    self.add(v, -av[e], *[av[f] for f in lower])
+                self._typical.append((out, av))
             case _:
                 raise TypeError(f"not a concept: {c!r}")
+        return out
+
+    def typicality_clauses(self, ranks: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The rank-dependent half of each T(C): under ranks, a typical C
+        has no C below it, and a C with no C below it is typical."""
+        out = []
+        for tv, av in self._typical:
+            for e, v in enumerate(tv):
+                lower = [av[f] for f in range(self.n) if ranks[f] < ranks[e]]
+                out.extend((-v, -a) for a in lower)
+                out.append((v, -av[e], *lower))
         return out
 
     def encode_kb(self) -> None:
@@ -372,7 +384,7 @@ class _Encoder:
             case _:
                 raise TypeError(f"not a query: {q!r}")
 
-    def decode(self, assign: list[int]) -> RankedInterpretation:
+    def decode(self, assign: list[int], ranks: tuple[int, ...]) -> RankedInterpretation:
         sig = self.kb.signature
         n = self.n
 
@@ -400,14 +412,18 @@ class _Encoder:
                     break
         return RankedInterpretation(
             domain=tuple(range(n)),
-            rank={e: self.ranks[e] for e in range(n)},
+            rank={e: ranks[e] for e in range(n)},
             concept_ext=concept_ext,
             role_ext=role_ext,
             individual_map=individual_map,
         )
 
 
-# --- DPLL search ---
+# --- conflict-driven search ---
+
+# the activity increment grows by this factor per conflict, so recent
+# conflicts outweigh old ones
+_DECAY = 1 / 0.95
 
 
 def _solve(
@@ -417,93 +433,162 @@ def _solve(
 ) -> list[int] | None:
     """Satisfying assignment (index = var, value +1/-1) or None.
 
+    Conflict-driven clause learning (GRASP, MiniSat): two watched literals
+    per clause, a first-UIP clause learned from each conflict, a backjump
+    to the second-highest decision level in it, and decisions on the most
+    active unassigned variable, ties to the lowest index, in its saved
+    phase.  There are no restarts, no clause deletion and no randomness, so
+    equal input gives an equal assignment.
+
     budget is a single-cell decision counter shared across calls; exhausting
     it raises BoundOverflow.
     """
-    occ_when_false: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
-
-    def slot(lit: int) -> int:
-        # literal -> index of the list of clauses to revisit when it turns false
-        return lit if lit > 0 else nvars - lit
-
-    for ci, cl in enumerate(clauses):
-        for lit in cl:
-            occ_when_false[slot(lit)].append(ci)
-
-    assign = [0] * (nvars + 1)
+    # value and watches are indexed by literal: Python's negative indexes
+    # put -v at the tail, so one list of 2 * nvars + 1 serves both signs
+    value = [0] * (2 * nvars + 1)
+    watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
+    db: list[list[int]] = []  # clauses of two or more literals
     trail: list[int] = []
-
-    def push(lit: int) -> None:
-        assign[abs(lit)] = 1 if lit > 0 else -1
-        trail.append(abs(lit))
-
-    def propagate(head: int) -> bool:
-        while head < len(trail):
-            v = trail[head]
-            head += 1
-            falsified = v if assign[v] < 0 else -v
-            for ci in occ_when_false[slot(falsified)]:
-                cl = clauses[ci]
-                unit = 0
-                unassigned = 0
-                sat = False
-                for lit in cl:
-                    a = assign[abs(lit)]
-                    if a == 0:
-                        unassigned += 1
-                        if unassigned > 1:
-                            break
-                        unit = lit
-                    elif (a > 0) == (lit > 0):
-                        sat = True
-                        break
-                if sat or unassigned > 1:
-                    continue
-                if unassigned == 0:
-                    return False
-                val = assign[abs(unit)]
-                if val == 0:
-                    push(unit)
-                elif (val > 0) != (unit > 0):
-                    return False
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            assign[trail.pop()] = 0
-
-    def dfs() -> bool:
-        v = 0
-        for i in range(1, nvars + 1):
-            if assign[i] == 0:
-                v = i
-                break
-        if v == 0:
-            return True
-        for sign in (1, -1):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise BoundOverflow("model search decision budget exceeded")
-            mark = len(trail)
-            push(sign * v)
-            if propagate(mark) and dfs():
-                return True
-            undo(mark)
-        return False
-
     for cl in clauses:
-        if len(cl) == 1:
-            lit = cl[0]
-            a = assign[abs(lit)]
-            if a == 0:
-                push(lit)
-            elif (a > 0) != (lit > 0):
+        if len(set(map(abs, cl))) == len(cl):
+            lits = list(cl)
+        else:
+            # drop repeated literals, and the clause if it has x and -x
+            lits = list(dict.fromkeys(cl))
+            if len(set(map(abs, lits))) < len(lits):
+                continue
+        if len(lits) > 1:
+            watches[lits[0]].append(len(db))
+            watches[lits[1]].append(len(db))
+            db.append(lits)
+        elif not lits or value[lits[0]] < 0:
+            return None
+        elif value[lits[0]] == 0:
+            value[lits[0]], value[-lits[0]] = 1, -1
+            trail.append(lits[0])
+
+    level = [0] * (nvars + 1)
+    reason = [-1] * (nvars + 1)  # index in db of the clause that implied a var
+    phase = [1] * (nvars + 1)  # a var's last literal; decisions start true
+    activity = [0.0] * (nvars + 1)
+    seen = [False] * (nvars + 1)
+    heap = [(0.0, v) for v in range(1, nvars + 1)]  # (-activity, var), lazily
+    limits: list[int] = []  # trail length at each decision
+    inc = 1.0
+    head = 0
+    while True:
+        conflict = -1
+        while head < len(trail) and conflict < 0:
+            false_lit = -trail[head]
+            head += 1
+            ws = watches[false_lit]
+            kept: list[int] = []
+            watches[false_lit] = kept
+            for i, ci in enumerate(ws):
+                c = db[ci]
+                # keep the falsified watch second
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                first = c[0]
+                if value[first] > 0:
+                    kept.append(ci)
+                    continue
+                for k in range(2, len(c)):
+                    lit = c[k]
+                    if value[lit] >= 0:
+                        c[1], c[k] = lit, false_lit
+                        watches[lit].append(ci)
+                        break
+                else:
+                    kept.append(ci)
+                    if value[first] < 0:
+                        kept.extend(ws[i + 1 :])
+                        conflict = ci
+                        break
+                    value[first], value[-first] = 1, -1
+                    v = abs(first)
+                    level[v] = len(limits)
+                    reason[v] = ci
+                    trail.append(first)
+
+        if conflict >= 0:
+            if not limits:
                 return None
-    if not propagate(0):
-        return None
-    if not dfs():
-        return None
-    return list(assign)
+            # resolve the conflict back to the first unique implication
+            # point of the current level
+            current = len(limits)
+            learnt = [0]
+            pending = 0
+            index = len(trail)
+            c = db[conflict]
+            p = 0
+            while True:
+                for lit in c:
+                    v = abs(lit)
+                    if lit != p and not seen[v] and level[v] > 0:
+                        seen[v] = True
+                        if level[v] == current:
+                            pending += 1
+                        else:
+                            learnt.append(lit)
+                index -= 1
+                while not seen[abs(trail[index])]:
+                    index -= 1
+                p = trail[index]
+                seen[abs(p)] = False
+                pending -= 1
+                if pending == 0:
+                    break
+                c = db[reason[abs(p)]]
+            learnt[0] = -p
+            for lit in learnt:
+                v = abs(lit)
+                seen[v] = False
+                activity[v] += inc
+            inc *= _DECAY
+            if inc > 1e100:
+                activity = [a * 1e-100 for a in activity]
+                inc *= 1e-100
+                heap = [(-activity[v], v) for v in range(1, nvars + 1) if value[v] == 0]
+                heapq.heapify(heap)
+            back = 0
+            if len(learnt) > 1:
+                # the literal of the highest remaining level is the second watch
+                j = max(range(1, len(learnt)), key=lambda k: level[abs(learnt[k])])
+                learnt[1], learnt[j] = learnt[j], learnt[1]
+                back = level[abs(learnt[1])]
+                watches[learnt[0]].append(len(db))
+                watches[learnt[1]].append(len(db))
+                db.append(learnt)
+            mark = limits[back]
+            for lit in trail[mark:]:
+                v = abs(lit)
+                phase[v] = lit
+                value[lit] = value[-lit] = 0
+                heapq.heappush(heap, (-activity[v], v))
+            del trail[mark:], limits[back:]
+            head = mark
+            asserted = learnt[0]
+            value[asserted], value[-asserted] = 1, -1
+            level[abs(asserted)] = back
+            reason[abs(asserted)] = len(db) - 1 if len(learnt) > 1 else -1
+            trail.append(asserted)
+            continue
+
+        while heap and value[heap[0][1]] != 0:
+            heapq.heappop(heap)
+        if not heap:
+            return value[: nvars + 1]
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise BoundOverflow("model search decision budget exceeded")
+        v = heapq.heappop(heap)[1]
+        lit = v if phase[v] > 0 else -v
+        limits.append(len(trail))
+        value[lit], value[-lit] = 1, -1
+        level[v] = len(limits)
+        reason[v] = -1
+        trail.append(lit)
 
 
 def _rank_profiles(n: int, max_rank: int):
@@ -528,6 +613,21 @@ def _rank_profiles(n: int, max_rank: int):
 _DEFAULT_BUDGET = 2_000_000
 
 
+def _check_names(kb: KnowledgeBase, q: Query) -> None:
+    """Raise ValueError unless kb is valid and q uses only kb's names."""
+    bad = validate(kb)
+    if bad:
+        raise ValueError("invalid knowledge base: " + "; ".join(str(v) for v in bad))
+    ax = query_axiom(q)
+    if isinstance(ax, GCI):
+        alone = KnowledgeBase(kb.signature, tbox=(ax,), rbox=kb.rbox)
+    else:
+        alone = KnowledgeBase(kb.signature, rbox=kb.rbox, abox=(ax,))
+    bad = validate(alone)
+    if bad:
+        raise ValueError(f"invalid query: {bad[0].message}")
+
+
 def refute(
     kb: KnowledgeBase,
     q: Query,
@@ -539,18 +639,22 @@ def refute(
 
     A returned interpretation is a verified counter-model; None means no
     counter-model exists with at most max_domain elements and ranks bounded
-    by max_rank, which proves nothing about larger models.
+    by max_rank, which proves nothing about larger models.  Candidates are
+    tried by domain size, then rank profile; each domain size is grounded
+    once.  An invalid kb, or a query naming what kb does not declare, is a
+    ValueError.
     """
+    _check_names(kb, q)
     cell = [budget]
     for n in range(1, max_domain + 1):
+        enc = _Encoder(kb, n)
+        enc.encode_kb()
+        enc.encode_query_negation(q)
         for ranks in _rank_profiles(n, max_rank):
-            enc = _Encoder(kb, n, ranks)
-            enc.encode_kb()
-            enc.encode_query_negation(q)
-            sol = _solve(enc.nvars, enc.clauses, cell)
+            sol = _solve(enc.nvars, enc.clauses + enc.typicality_clauses(ranks), cell)
             if sol is None:
                 continue
-            m = enc.decode(sol)
+            m = enc.decode(sol, ranks)
             if not is_model(m, kb) or satisfies_query(m, q):
                 raise AssertionError(
                     "decoded counter-model failed direct evaluation; "
@@ -558,4 +662,3 @@ def refute(
                 )
             return m
     return None
-

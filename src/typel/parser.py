@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from .kb import (
     BOT,
+    MAX_NESTING,
     TOP,
     ABoxAxiom,
     ConceptAssertion,
@@ -58,12 +59,6 @@ from .kb import (
 KEYWORDS = frozenset({"class", "role", "individual", "top", "bot", "and", "some", "self", "T", "x", "o"})
 
 _PUNCT = {"<=", "(", ")", "{", "}", ".", ",", "&"}
-
-# how many levels of some-fillers, parentheses, T(...) and conjunctions a
-# concept may have.  The parser recurses up to four frames per level and
-# the passes after it about one, so a concept at the bound needs about 415
-# of Python's default 1,000 frames
-MAX_NESTING = 100
 
 
 class ParseError(ValueError):

@@ -226,6 +226,11 @@ def test_refute_none_found(capsys):
     assert (code, out.strip()) == (0, "none-found")
 
 
+def test_refute_trivially_true_subsumption_is_none_found(capsys):
+    code, out, _ = run(capsys, "refute", EX1_AF, "MathHater <= MathHater")
+    assert (code, out.strip()) == (0, "none-found")
+
+
 def test_refute_prints_counter_model(capsys):
     code, out, _ = run(capsys, "refute", EX1, "(some hasHair.{Black})(luigi)")
     assert code == 1

@@ -5,11 +5,13 @@ import pytest
 
 from typel.kb import (
     BOT,
+    MAX_NESTING,
     TOP,
     ConceptAssertion,
     Conj,
     Exists,
     GCI,
+    InstanceOf,
     KnowledgeBase,
     Name,
     Nominal,
@@ -24,6 +26,7 @@ from typel.kb import (
     TypicalInstanceOf,
     Typicality,
     compute_simple_roles,
+    concept_height,
     concept_text,
     conj_of,
     conjuncts,
@@ -32,6 +35,7 @@ from typel.kb import (
     is_simple,
     validate,
 )
+from typel.materialize import check_instance
 
 
 def sig(concepts=(), roles=(), individuals=(), simple=None):
@@ -116,6 +120,39 @@ def test_validate_reports_undeclared_names():
     assert any("'B'" in m and "concept" in m for m in messages)
     assert any("'s'" in m and "role" in m for m in messages)
     assert any("'b'" in m and "individual" in m for m in messages)
+
+
+def test_concept_height_counts_and_some_and_t():
+    assert concept_height(Name("A")) == 0
+    assert concept_height(Conj(Name("A"), Exists("r", Name("B")))) == 2
+    assert concept_height(Typicality(Conj(Name("A"), Name("B")))) == 2
+    # a left-deep chain of k conjunctions is k levels, as the parser counts
+    # "A and ... and A"
+    assert concept_height(conj_of([Name("A")] * 1000)) == 999
+
+
+def test_validate_bounds_concept_height():
+    def kb_with(lhs):
+        return KnowledgeBase(signature=sig({"A", "B"}, {"r"}), tbox=(GCI(lhs, Name("B")),))
+
+    assert validate(kb_with(conj_of([Name("A")] * (MAX_NESTING + 1)))) == []
+    deep = Name("A")
+    for _ in range(MAX_NESTING):
+        deep = Exists("r", deep)
+    assert validate(kb_with(deep)) == []
+    for too_tall in (conj_of([Name("A")] * 1000), Exists("r", deep)):
+        messages = [str(v) for v in validate(kb_with(too_tall))]
+        assert messages == [f"tbox[0]: concept nested deeper than {MAX_NESTING} levels"]
+
+
+def test_too_tall_library_kb_is_a_value_error_not_a_recursion_error():
+    kb = KnowledgeBase(
+        signature=sig({"A", "B"}, (), {"a"}),
+        tbox=(GCI(conj_of([Name("A")] * 1000), Name("B")),),
+        abox=(ConceptAssertion(Name("A"), "a"),),
+    )
+    with pytest.raises(ValueError, match="nested deeper"):
+        check_instance(kb, InstanceOf(Name("B"), "a"))
 
 
 def test_validate_rejects_sort_clash():

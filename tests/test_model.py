@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from typel.kb import (
     ConceptAssertion,
@@ -20,10 +21,12 @@ from typel.kb import (
     TypSubsumes,
     TypicalInstanceOf,
     Typicality,
+    conj_of,
 )
 from typel.model import (
     BoundOverflow,
     RankedInterpretation,
+    _solve,
     extension,
     is_model,
     refute,
@@ -158,7 +161,123 @@ def test_refuted_model_respects_abox(example1):
     assert luigi in extension(m, Typicality(Conj(Name("Student"), Name("Italian"))))
 
 
+def test_trivially_true_queries_are_none_found_quickly():
+    import conftest
+
+    for name, text in (
+        ("example1-af.kbt", "MathHater <= MathHater"),
+        ("rc_inconsistent.kbt", "T(Student) <= MathHater"),
+        ("rc_still_consistent.kbt", "T(Student) <= Young"),
+    ):
+        kb = conftest.load_fixture(name)
+        # a budget far below the default: these need only a few decisions
+        assert refute(kb, parse_query(text, kb), budget=5_000) is None, name
+
+
+@pytest.mark.parametrize(
+    "query, undeclared",
+    [
+        (InstanceOf(Name("Young"), "nobody"), "'nobody'"),
+        (InstanceOf(Name("Nobody"), "mario"), "'Nobody'"),
+        (RoleHolds("likes", "mario", "luigi"), "'likes'"),
+        (Subsumes(Name("Young"), Exists("hasHair", Nominal("Green"))), "'Green'"),
+    ],
+)
+def test_refute_rejects_undeclared_query_names(example1, query, undeclared):
+    with pytest.raises(ValueError, match=f"invalid query: undeclared .*{undeclared}"):
+        refute(example1, query)
+
+
+def test_refute_rejects_a_too_tall_kb():
+    kb = KnowledgeBase(
+        signature=sig({"A", "B"}, (), {"a"}),
+        tbox=(GCI(conj_of([Name("A")] * 1000), Name("B")),),
+    )
+    with pytest.raises(ValueError, match="nested deeper"):
+        refute(kb, InstanceOf(Name("B"), "a"))
+
+
 def test_budget_overflow_raises():
     kb = KnowledgeBase(signature=sig({"A", "B"}), tbox=(GCI(Name("A"), Name("B")),))
     with pytest.raises(BoundOverflow):
         refute(kb, Subsumes(Name("A"), Name("B")), max_domain=4, max_rank=3, budget=3)
+
+
+# --- the solver against brute force ------------------------------------------
+
+
+def _brute_force_sat(nvars: int, clauses) -> bool:
+    masks = []
+    for cl in clauses:
+        pos = sum(1 << lit for lit in set(cl) if lit > 0)
+        neg = sum(1 << -lit for lit in set(cl) if lit < 0)
+        masks.append((pos, neg))
+    # bit v of bits is the value of var v; bit 0 stays clear
+    return any(
+        all(bits & pos or ~bits & neg for pos, neg in masks)
+        for bits in range(0, 1 << (nvars + 1), 2)
+    )
+
+
+@st.composite
+def cnfs(draw):
+    nvars = draw(st.integers(1, 12))
+    lit = st.integers(1, nvars).flatmap(lambda v: st.sampled_from((v, -v)))
+    # short clauses make unsatisfiable draws common; drawing literals with
+    # replacement gives duplicate literals and tautologies, as the encoder's
+    # r o r <= s does
+    clause = st.lists(lit, min_size=1, max_size=4).map(tuple)
+    return nvars, draw(st.lists(clause, max_size=6 * nvars))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnfs())
+def test_solve_agrees_with_brute_force(cnf):
+    nvars, clauses = cnf
+    sol = _solve(nvars, clauses, [10_000])
+    assert (sol is not None) == _brute_force_sat(nvars, clauses)
+    if sol is not None:
+        assert len(sol) == nvars + 1
+        assert all(sol[v] in (1, -1) for v in range(1, nvars + 1))
+        for cl in clauses:
+            assert any(sol[abs(lit)] == (1 if lit > 0 else -1) for lit in cl), cl
+    # no randomness: the same clauses give the same answer
+    assert _solve(nvars, clauses, [10_000]) == sol
+
+
+@st.composite
+def planted_3cnfs(draw):
+    """3-CNFs near the satisfiability threshold that a drawn assignment
+    satisfies: larger than brute force allows, and satisfiable by
+    construction."""
+    nvars = draw(st.integers(10, 40))
+    plant = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
+    rnd = draw(st.randoms(use_true_random=False))
+    clauses = []
+    for _ in range(int(4.2 * nvars)):
+        cl = [rnd.choice((1, -1)) * rnd.randint(1, nvars) for _ in range(3)]
+        if not any((lit > 0) == plant[abs(lit) - 1] for lit in cl):
+            cl[0] = -cl[0]
+        clauses.append(tuple(cl))
+    return nvars, clauses
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_3cnfs())
+def test_solve_finds_planted_models(cnf):
+    # long learned clauses and deep backjumps happen here, rarely below
+    # 12 variables
+    nvars, clauses = cnf
+    sol = _solve(nvars, clauses, [100_000])
+    assert sol is not None
+    for cl in clauses:
+        assert any(sol[abs(lit)] == (1 if lit > 0 else -1) for lit in cl), cl
+
+
+def test_solve_counts_decisions_in_the_shared_cell():
+    # x1 or x2, with nothing forced: at least one decision
+    cell = [5]
+    assert _solve(2, [(1, 2)], cell) is not None
+    assert cell[0] < 5
+    with pytest.raises(BoundOverflow):
+        _solve(2, [(1, 2)], [0])
