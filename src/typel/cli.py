@@ -7,6 +7,11 @@ records emits one JSON object per line with keys {mode, query, verdict} in
 stable order, so repeated runs are byte-identical.  --dump-program writes
 the program the command's entry point evaluates, as query_program and
 closure_program return it, once the entry point has accepted the KB.
+
+check and subsumes take several queries and answer them in order from one
+process, which prepares the KB once.  Every query is parsed before the
+first is answered; the exit code is 2 if some query erred, else 1 if some
+verdict was negative, else 0.
 """
 
 from __future__ import annotations
@@ -101,33 +106,55 @@ _ENTAILED = ("entailed", "not-entailed")
 _CONSISTENT = ("consistent", "inconsistent")
 
 
+# the commands that take several queries
+_BATCH = ("check", "subsumes")
+
+# what main reports as an error with exit code 2
+_INPUT_ERRORS = (OSError, ValueError, DatalogError, BoundOverflow)
+
+
+def _verdict(command: str, kb: KnowledgeBase, q: Query | None) -> tuple[bool, tuple[str, str]]:
+    match command:
+        case "check":
+            return check_instance(kb, q).entailed, _ENTAILED
+        case "subsumes":
+            return check_subsumption(kb, q).entailed, _ENTAILED
+        case "consistent":
+            return check_consistency(kb), _CONSISTENT
+        case "rc-check":
+            return rc_entails(kb, q).in_closure, ("in-closure", "not-in-closure")
+        case _:  # rc-consistent
+            return rc_consistent(kb), _CONSISTENT
+
+
 def _cmd_query(args) -> int:
+    texts = args.query if args.command in _BATCH else [getattr(args, "query", None)]
+    if args.dump_program and len(texts) > 1:
+        raise UsageError("--dump-program takes a single query")
     kb = _load_kb(args.kb)
-    q = None
+    queries: list[Query | None] = [None]
     if args.command in _QUERY_KINDS:
         kinds, usage = _QUERY_KINDS[args.command]
-        q = parse_query(args.query, kb)
-        if not isinstance(q, kinds):
+        queries = [parse_query(text, kb) for text in texts]
+        if not all(isinstance(q, kinds) for q in queries):
             raise UsageError(usage)
-    match args.command:
-        case "check":
-            holds, verdicts = check_instance(kb, q).entailed, _ENTAILED
-        case "subsumes":
-            holds, verdicts = check_subsumption(kb, q).entailed, _ENTAILED
-        case "consistent":
-            holds, verdicts = check_consistency(kb), _CONSISTENT
-        case "rc-check":
-            holds, verdicts = rc_entails(kb, q).in_closure, ("in-closure", "not-in-closure")
-        case _:  # rc-consistent
-            holds, verdicts = rc_consistent(kb), _CONSISTENT
-    if args.dump_program:
-        if args.command.startswith("rc-"):
-            program = closure_program(kb, q, inject_ranks=args.command == "rc-consistent")[0]
-        else:
-            program = query_program(kb, q)[0]
-        _dump(args.dump_program, program)
-    _emit(args, verdicts[0] if holds else verdicts[1], q)
-    return 0 if holds else 1
+    code = 0
+    for q in queries:
+        try:
+            holds, verdicts = _verdict(args.command, kb, q)
+        except _INPUT_ERRORS as e:
+            print(f"error: {e}", file=sys.stderr)
+            code = 2
+            continue
+        if args.dump_program:
+            if args.command.startswith("rc-"):
+                program = closure_program(kb, q, inject_ranks=args.command == "rc-consistent")[0]
+            else:
+                program = query_program(kb, q)[0]
+            _dump(args.dump_program, program)
+        _emit(args, verdicts[0] if holds else verdicts[1], q)
+        code = max(code, 0 if holds else 1)
+    return code
 
 
 def _cmd_rc_ranks(args) -> int:
@@ -160,9 +187,13 @@ def _cmd_refute(args) -> int:
     return 1
 
 
-def _add_common(sp, query: bool, fmt: bool = True, dump: bool = True):
+def _add_common(sp, query: bool, fmt: bool = True, dump: bool = True, batch: bool = False):
     sp.add_argument("kb", help=".kbt knowledge base file")
-    if query:
+    if batch:
+        sp.add_argument(
+            "query", nargs="+", help="query text, e.g. 'C(a)'; several are answered in order"
+        )
+    elif query:
         sp.add_argument("query", help="query text, e.g. 'C(a)' or 'C <= D'")
     if fmt:
         sp.add_argument(
@@ -201,7 +232,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ("rc-consistent", "consistency of the rational closure"),
     ):
         sp = sub.add_parser(command, help=help_text)
-        _add_common(sp, query=command in _QUERY_KINDS)
+        _add_common(sp, query=command in _QUERY_KINDS, batch=command in _BATCH)
         sp.set_defaults(fn=_cmd_query)
 
     sp = sub.add_parser("rc-ranks", help="rational-closure concept ranks")
@@ -225,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, DatalogError, BoundOverflow) as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

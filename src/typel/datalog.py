@@ -35,6 +35,11 @@ them with plain dict lookups; it writes only to its output set, and the
 evaluator inserts each output set afterwards with one add_all, whose
 return value, the facts not stored yet, is the next delta.
 
+A program without negation is one stratum and monotone, so Saturation
+keeps its least model and extends it by more facts: the facts are the
+first delta of the same semi-naive loop, run on a private copy of the
+store.
+
 Terms are Python strings (symbolic constants), ints, variables, or ?v - k
 decrements.  A decrement in a positive body atom unifies in both
 directions: with v bound it denotes the value v - k, with v unbound it
@@ -335,6 +340,20 @@ class FactStore:
     def _index_new(self, pred: str, facts) -> None:
         for index in self._indexes.get(pred, {}).values():
             _fill(index, facts)
+
+    def copy(self) -> FactStore:
+        """A store with the same facts and indexes that shares no set, index
+        or bucket with this one."""
+        out = FactStore()
+        out._sets = {pred: set(s) for pred, s in self._sets.items()}
+        out._indexes = {
+            pred: {
+                positions: (key, dict(zip(buckets, map(list.copy, buckets.values()))))
+                for positions, (key, buckets) in per_pred.items()
+            }
+            for pred, per_pred in self._indexes.items()
+        }
+        return out
 
     def contains(self, pred: str, args: tuple[Const, ...]) -> bool:
         return args in self._sets.get(pred, ())
@@ -685,10 +704,17 @@ def _eval_stratum_seminaive(
         fresh = store.add_all(c.head_pred, produced)
         if fresh:
             delta.setdefault(c.head_pred, set()).update(fresh)
-    recursive = [c for c in compiled if any(p in idb for p in c.positive_preds)]
+    _seminaive(store, [c for c in compiled if any(p in idb for p in c.positive_preds)], delta)
+
+
+def _seminaive(
+    store: FactStore, compiled: list[_CompiledRule], delta: dict[str, set[tuple[Const, ...]]]
+) -> None:
+    """Join each rule's delta variants against the store until no delta is
+    left; delta holds facts already stored whose consequences may not be."""
     while delta:
         new_delta: dict[str, set[tuple[Const, ...]]] = {}
-        for c in recursive:
+        for c in compiled:
             for k, pred in enumerate(c.positive_preds):
                 d = delta.get(pred)
                 if not d:
@@ -846,13 +872,10 @@ def _prepare(rules: tuple[Rule, ...]):
 
 
 def _load_facts(
-    facts: tuple[Atom, ...], rule_arity: dict[str, int], rule_constants: frozenset[Const]
-) -> tuple[FactStore, int]:
-    """The facts, checked against the prepared rules, in a new store; and the
-    program's grounding bound."""
-    arity = dict(rule_arity)
-    constants = set(rule_constants)
-    store = FactStore()
+    store: FactStore, facts: tuple[Atom, ...], arity: dict[str, int], constants: set[Const]
+) -> None:
+    """Store the facts, checked against the arities so far, and add their
+    predicates and constants to arity and constants."""
     for f in facts:
         if arity.setdefault(f.pred, len(f.args)) != len(f.args):
             raise DatalogError(f"fact {f.pred}: predicate {f.pred!r} used with two arities")
@@ -860,7 +883,6 @@ def _load_facts(
             _check_const(t, f"fact {f.pred}")
         constants.update(f.args)
         store.add(f.pred, f.args)  # type: ignore[arg-type]
-    return store, _bound(arity, constants)
 
 
 def evaluate(program: DatalogProgram) -> FactStore:
@@ -869,18 +891,68 @@ def evaluate(program: DatalogProgram) -> FactStore:
     The rule table is prepared once per process (_prepare); each call checks
     only the facts against it.
     """
+    store = FactStore()
     try:
         arity, constants, strata = _prepare(program.rules)
-        store, bound = _load_facts(program.facts, arity, constants)
+        arity, constants = dict(arity), set(constants)
+        _load_facts(store, program.facts, arity, constants)
     except DatalogError:
         # validate_program reports the first fault in program order, facts
         # before rules, which neither check above alone can
         validate_program(program)
         raise
+    bound = _bound(arity, constants)
     for idb, compiled in strata:
         _eval_stratum_seminaive(store, compiled, idb)
         _check_bound(store, bound)
     return store
+
+
+class Saturation:
+    """A program without negation, saturated once and then extended by more
+    facts any number of times.
+
+    Such a program is one stratum and monotone, so the least model of the
+    program plus some facts is its own least model plus what semi-naive
+    evaluation derives from those facts alone (insertion-only maintenance,
+    Gupta, Mumick & Subrahmanian, SIGMOD 1993).  extend runs evaluate's
+    loop over the same compiled rules, on a private copy of the store, with
+    the new facts as the first delta, so a rule's variant joins the delta of
+    an input relation too.  A rule joining an input relation that is empty
+    is dropped, as at the start of a stratum, unless the new facts fill it.
+    The grounding bound counts the program's constants and the new facts'.
+    store is never written.
+    """
+
+    __slots__ = ("program", "store", "_arity", "_constants", "_compiled")
+
+    def __init__(self, program: DatalogProgram, store: FactStore):
+        """store is evaluate(program), which has validated the program."""
+        if any(isinstance(item, Neg) for rule in program.rules for item in rule.body):
+            raise DatalogError("only a program without negation can be extended")
+        strata = _prepare(program.rules)[2]
+        self.program = program
+        self.store = store
+        self._arity, self._constants = _symbols(program)
+        # each rule, with the input relations it joins that are empty here
+        self._compiled = [
+            (c, frozenset(p for p in c.positive_preds if p not in idb and not store.facts(p)))
+            for idb, compiled in strata
+            for c in compiled
+        ]
+
+    def extend(self, facts: tuple[Atom, ...]) -> FactStore:
+        """The least model of the program plus facts, in a new store."""
+        store = self.store.copy()
+        arity, constants = dict(self._arity), set(self._constants)
+        _load_facts(store, facts, arity, constants)
+        delta: dict[str, set[tuple[Const, ...]]] = {}
+        for f in facts:
+            if not self.store.contains(f.pred, f.args):  # type: ignore[arg-type]
+                delta.setdefault(f.pred, set()).add(f.args)  # type: ignore[arg-type]
+        _seminaive(store, [c for c, empty in self._compiled if empty <= delta.keys()], delta)
+        _check_bound(store, _bound(arity, constants))
+        return store
 
 
 def naive_evaluate(program: DatalogProgram) -> FactStore:

@@ -242,6 +242,21 @@ class KnowledgeBase:
     tbox: tuple[GCI, ...] = ()
     rbox: tuple[RBoxAxiom, ...] = ()
     abox: tuple[ABoxAxiom, ...] = ()
+    # a KB keys the cache of prepared KBs, and a frozen dataclass would
+    # rehash every axiom on each lookup.  The hash is taken on first use, not
+    # on construction: hashing recurses through each concept, so a KB built
+    # too tall for it must still reach validate.  String hashes differ
+    # between processes, so a pickle carries only the four fields.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            fields = (self.signature, self.tbox, self.rbox, self.abox)
+            object.__setattr__(self, "_hash", hash(fields))
+        return self._hash
+
+    def __reduce__(self):
+        return KnowledgeBase, (self.signature, self.tbox, self.rbox, self.abox)
 
 
 # --- queries ---
@@ -357,7 +372,37 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
     for n in sorted(sig.simple_roles - actual_simple):
         out.append(Violation("signature", f"role {n!r} flagged simple but a role chain flows into it"))
 
-    def check_concept(c: ConceptExpr, where: str) -> None:
+    rbox_kinds = (RoleIncl, RoleChain, RoleConj, ProductToRole, RoleToProduct)
+    for box, name, kinds, what in (
+        (kb.tbox, "tbox", GCI, "not a concept inclusion"),
+        (kb.rbox, "rbox", rbox_kinds, "not a role axiom"),
+        (kb.abox, "abox", (ConceptAssertion, RoleAssertion), "not an assertion"),
+    ):
+        for i, ax in enumerate(box):
+            where = f"{name}[{i}]"
+            if isinstance(ax, kinds):
+                out += _axiom_violations(ax, where, sig, actual_simple)
+            else:
+                out.append(Violation(where, f"{what}: {ax!r}"))
+    return out
+
+
+def validate_query(kb: KnowledgeBase, q: Query) -> list[Violation]:
+    """Check the axiom q asks about as validate checks kb's axioms: every
+    name declared in kb, self() over simple roles only and concept height.
+
+    Returns an empty list for a query well-formed over kb.
+    """
+    sig = kb.signature
+    simple = compute_simple_roles(sig.role_names, kb.rbox)
+    return _axiom_violations(query_axiom(q), "query", sig, simple)
+
+
+def _axiom_violations(ax, where: str, sig: Signature, simple: frozenset[str]) -> list[Violation]:
+    """What is wrong with one axiom over sig, whose simple roles are simple."""
+    out: list[Violation] = []
+
+    def check_concept(c: ConceptExpr) -> None:
         parts = list(subconcepts(c))
         # a concept is shorter than its count of parts
         if len(parts) > MAX_NESTING and concept_height(c) > MAX_NESTING:
@@ -372,64 +417,48 @@ def validate(kb: KnowledgeBase) -> list[Violation]:
             out.append(Violation(where, f"undeclared role name {n!r}"))
         for n in sorted(individuals - sig.individual_names):
             out.append(Violation(where, f"undeclared individual {n!r}"))
-        for n in sorted(self_roles - actual_simple):
+        for n in sorted(self_roles - simple):
             out.append(Violation(where, f"self() requires a simple role, {n!r} is not"))
 
-    def check_role(r: str, where: str) -> None:
+    def check_role(r: str) -> None:
         if r not in sig.role_names:
             out.append(Violation(where, f"undeclared role name {r!r}"))
 
-    def check_ind(i: str, where: str) -> None:
+    def check_ind(i: str) -> None:
         if i not in sig.individual_names:
             out.append(Violation(where, f"undeclared individual {i!r}"))
 
-    for i, ax in enumerate(kb.tbox):
-        where = f"tbox[{i}]"
-        if not isinstance(ax, GCI):
-            out.append(Violation(where, f"not a concept inclusion: {ax!r}"))
-            continue
-        check_concept(ax.lhs, where)
-        check_concept(ax.rhs, where)
-
-    for i, ax in enumerate(kb.rbox):
-        where = f"rbox[{i}]"
-        match ax:
-            case RoleIncl(sub, sup):
-                check_role(sub, where)
-                check_role(sup, where)
-            case RoleChain(first, second, sup):
-                for r in (first, second, sup):
-                    check_role(r, where)
-            case RoleConj(first, second, sup):
-                for r in (first, second, sup):
-                    check_role(r, where)
-                for r in (first, second):
-                    if r in sig.role_names and r not in actual_simple:
-                        out.append(Violation(where, f"role conjunction requires simple roles, {r!r} is not"))
-            case ProductToRole(left, right, sup):
-                check_concept(left, where)
-                check_concept(right, where)
-                check_role(sup, where)
-            case RoleToProduct(sub, left, right):
-                check_role(sub, where)
-                check_concept(left, where)
-                check_concept(right, where)
-            case _:
-                out.append(Violation(where, f"not a role axiom: {ax!r}"))
-
-    for i, ax in enumerate(kb.abox):
-        where = f"abox[{i}]"
-        match ax:
-            case ConceptAssertion(concept, individual):
-                check_concept(concept, where)
-                check_ind(individual, where)
-            case RoleAssertion(role, subject, target):
-                check_role(role, where)
-                check_ind(subject, where)
-                check_ind(target, where)
-            case _:
-                out.append(Violation(where, f"not an assertion: {ax!r}"))
-
+    match ax:
+        case GCI(lhs, rhs):
+            check_concept(lhs)
+            check_concept(rhs)
+        case RoleIncl(sub, sup):
+            check_role(sub)
+            check_role(sup)
+        case RoleChain(first, second, sup):
+            for r in (first, second, sup):
+                check_role(r)
+        case RoleConj(first, second, sup):
+            for r in (first, second, sup):
+                check_role(r)
+            for r in (first, second):
+                if r in sig.role_names and r not in simple:
+                    out.append(Violation(where, f"role conjunction requires simple roles, {r!r} is not"))
+        case ProductToRole(left, right, sup):
+            check_concept(left)
+            check_concept(right)
+            check_role(sup)
+        case RoleToProduct(sub, left, right):
+            check_role(sub)
+            check_concept(left)
+            check_concept(right)
+        case ConceptAssertion(concept, individual):
+            check_concept(concept)
+            check_ind(individual)
+        case RoleAssertion(role, subject, target):
+            check_role(role)
+            check_ind(subject)
+            check_ind(target)
     return out
 
 

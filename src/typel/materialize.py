@@ -9,8 +9,19 @@ class ?B with a hyp(?B) fact.  A query adds the single fact hyp(lhs), and
 every derived fact stays under the hypothesis of its body's derived facts,
 so the evaluation saturates only the query's own hypothesis.
 
-query_program builds the program each entry point evaluates and names
-its goal atom; the CLI dumps the same program.
+None of the three tables has negation, so each is one stratum and the
+least model of KB plus query is the KB's least model extended by what the
+query's facts alone derive.  Each KB is therefore prepared once per
+process and kept in a bounded cache keyed on the value-equal KB: it is
+normalized and translated with no query, and each table it is asked about
+is saturated once (datalog.Saturation).  A query is normalized on its own
+against the KB's normalization (normalize_queries), only its new axioms
+and names are translated, and its facts extend a private copy of the
+saturated store; consistency is read off the saturated base store.
+
+query_program builds the program each entry point evaluates, the prepared
+facts followed by the query's, and names its goal atom; the CLI dumps the
+same program.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from .datalog import (
     DatalogProgram,
     FactStore,
     Rule,
+    Saturation,
     Var,
     evaluate,
     load_program,
@@ -53,7 +65,7 @@ from .kb import (
     TypicalInstanceOf,
     Typicality,
 )
-from .normalize import NormalizedKB, normalize
+from .normalize import NormalizedKB, RankedConcept, normalize, normalize_queries
 
 TOP_CONST = "top"
 BOT_CONST = "bot"
@@ -154,10 +166,39 @@ def aux_for(ranked: str) -> str:
 
 def translate(nkb: NormalizedKB) -> InputTranslation:
     """Ground facts for a normalized KB: declarations, aux constants, axioms."""
+    body, has_bot = _axiom_facts(nkb.axioms, 0)
+    sig = nkb.signature
+    facts: list[Atom] = []
+    for a in sorted(sig.individual_names):
+        facts.append(Atom("nom", (a,)))
+        facts.append(Atom("cls", (a,)))
+    for c in sorted(sig.concept_names):
+        facts.append(Atom("cls", (c,)))
+    for r in sorted(sig.role_names):
+        facts.append(Atom("rol", (r,)))
+    facts.append(Atom("top", (TOP_CONST,)))
+    facts.append(Atom("cls", (TOP_CONST,)))
+    if has_bot:
+        facts += _BOT_FACTS
+    facts += _ranked_facts(nkb.aux_registry)
+    facts.append(Atom("auxc", (aux_for(TOP_CONST), TOP_CONST)))
+    return InputTranslation(tuple(facts + body))
+
+
+_BOT_FACTS = (Atom("bot", (BOT_CONST,)), Atom("cls", (BOT_CONST,)))
+
+
+def _ranked_facts(entries: tuple[RankedConcept, ...]) -> list[Atom]:
+    return [Atom("auxc", (aux_for(e.ranked), e.ranked)) for e in entries]
+
+
+def _axiom_facts(axioms, start: int) -> tuple[list[Atom], bool]:
+    """One fact per normal axiom, numbering existential witnesses from
+    start, and whether some axiom concludes bot."""
     body: list[Atom] = []
     has_bot = False
     # keyword patterns: positional ones look up __match_args__ on every test
-    for i, ax in enumerate(nkb.axioms):
+    for i, ax in enumerate(axioms, start):
         fact = None
         match ax:
             case GCI(lhs=Name(name=a), rhs=rhs):
@@ -206,24 +247,7 @@ def translate(nkb: NormalizedKB) -> InputTranslation:
         if fact is None:
             raise ValueError(f"not a normal axiom: {ax!r}")
         body.append(fact)
-    sig = nkb.signature
-    facts: list[Atom] = []
-    for a in sorted(sig.individual_names):
-        facts.append(Atom("nom", (a,)))
-        facts.append(Atom("cls", (a,)))
-    for c in sorted(sig.concept_names):
-        facts.append(Atom("cls", (c,)))
-    for r in sorted(sig.role_names):
-        facts.append(Atom("rol", (r,)))
-    facts.append(Atom("top", (TOP_CONST,)))
-    facts.append(Atom("cls", (TOP_CONST,)))
-    if has_bot:
-        facts.append(Atom("bot", (BOT_CONST,)))
-        facts.append(Atom("cls", (BOT_CONST,)))
-    for entry in nkb.aux_registry:
-        facts.append(Atom("auxc", (aux_for(entry.ranked), entry.ranked)))
-    facts.append(Atom("auxc", (aux_for(TOP_CONST), TOP_CONST)))
-    return InputTranslation(tuple(facts + body))
+    return body, has_bot
 
 
 def build_program(it: InputTranslation) -> DatalogProgram:
@@ -280,20 +304,81 @@ def _goal_atom(goal: Query) -> Atom:
     raise TypeError(f"not a goal: {goal!r}")
 
 
+# prepared KBs a process keeps; a KB not queried for a while is prepared
+# again.  Each keeps its saturated stores, so this bounds the memory held.
+_PREPARED_KBS = 8
+
+
+class _PreparedKB:
+    """A KB normalized and translated once, with no query, for any number
+    of queries.  Each rule table's saturation of it is built on first use."""
+
+    __slots__ = ("nkb", "facts", "_tables")
+
+    def __init__(self, kb: KnowledgeBase):
+        self.nkb, _ = normalize(kb, (), mode="general")
+        self.facts = translate(self.nkb).facts
+        self._tables: dict[tuple[Rule, ...], Saturation] = {}
+
+    def table(self, rules: tuple[Rule, ...]) -> Saturation:
+        sat = self._tables.get(rules)
+        if sat is None:
+            program = DatalogProgram(self.facts, rules)
+            sat = self._tables[rules] = Saturation(program, evaluate(program))
+        return sat
+
+
+@functools.lru_cache(maxsize=_PREPARED_KBS)
+def _prepared(kb: KnowledgeBase) -> _PreparedKB:
+    return _PreparedKB(kb)
+
+
+def _prepared_kb(kb: KnowledgeBase) -> _PreparedKB:
+    """kb prepared, from the cache when a value-equal KB was.  An invalid kb
+    is not cached and raises on every call."""
+    try:
+        return _prepared(kb)
+    except RecursionError:
+        # hashing recurses through each concept, so only a concept far taller
+        # than validate allows gets here; normalize reports it
+        normalize(kb)
+        raise
+
+
+def _query(kb: KnowledgeBase, query: Query) -> tuple[Saturation, tuple[Atom, ...], Atom]:
+    """The prepared saturation a query extends, the facts it adds and the
+    goal it reads.  Only the query is normalized and translated: its names,
+    ranked concepts and normal axioms, whose witnesses are numbered on from
+    the KB's, and for an inclusion the hypothesis of its left side."""
+    prep = _prepared_kb(kb)
+    nkb = prep.nkb
+    ext, (goal,) = normalize_queries(kb, nkb, (query,))
+    body, has_bot = _axiom_facts(ext.axioms[len(nkb.axioms) :], len(nkb.axioms))
+    facts = [Atom("cls", (f.name,)) for f in ext.fresh_name_log[len(nkb.fresh_name_log) :]]
+    rules = BASE_RULES
+    if isinstance(goal, (Subsumes, TypSubsumes)):
+        rules = subsumption_rules(isinstance(goal, TypSubsumes))
+        body.append(Atom("hyp", (goal.lhs.name,)))
+    table = prep.table(rules)
+    if has_bot and not table.store.contains("bot", (BOT_CONST,)):
+        facts += _BOT_FACTS
+    facts += _ranked_facts(ext.aux_registry[len(nkb.aux_registry) :])
+    return table, tuple(facts + body), _goal_atom(goal)
+
+
 def query_program(
     kb: KnowledgeBase, query: Query | None = None
 ) -> tuple[DatalogProgram, Atom | None]:
-    """The program an entry point evaluates, and the goal atom it reads.
+    """The program an entry point evaluates, and the goal atom it reads:
+    the prepared KB's facts, then the query's.
 
     No query asks for consistency: the base program and no goal.  An
     inclusion gets the subsumption program, any other query the base one.
     """
-    nkb, goals = normalize(kb, () if query is None else (query,), mode="general")
-    it = translate(nkb)
-    goal = _goal_atom(goals[0]) if goals else None
-    if isinstance(query, (Subsumes, TypSubsumes)):
-        return subsumption_program(it, isinstance(query, TypSubsumes), goals[0].lhs.name), goal
-    return build_program(it), goal
+    if query is None:
+        return build_program(InputTranslation(_prepared_kb(kb).facts)), None
+    table, facts, goal = _query(kb, query)
+    return DatalogProgram(table.program.facts + facts, table.program.rules), goal
 
 
 def _entailment(store: FactStore, goal: Atom) -> EntailmentVerdict:
@@ -308,13 +393,12 @@ def check_instance(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
     """Rational entailment of C(a), T(C)(a) or R(a,b)."""
     if isinstance(query, (Subsumes, TypSubsumes)):
         raise TypeError(f"not an assertion query: {query!r}")
-    program, goal = query_program(kb, query)
-    return _entailment(evaluate(program), goal)
+    table, facts, goal = _query(kb, query)
+    return _entailment(table.extend(facts), goal)
 
 
 def check_consistency(kb: KnowledgeBase) -> bool:
-    program, _ = query_program(kb)
-    return not store_inconsistent(evaluate(program))
+    return not store_inconsistent(_prepared_kb(kb).table(BASE_RULES).store)
 
 
 def check_subsumption(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
@@ -323,5 +407,5 @@ def check_subsumption(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
     typicality form, and only the facts that follow from it."""
     if not isinstance(query, (Subsumes, TypSubsumes)):
         raise TypeError(f"not a subsumption query: {query!r}")
-    program, goal = query_program(kb, query)
-    return _entailment(evaluate(program), goal)
+    table, facts, goal = _query(kb, query)
+    return _entailment(table.extend(facts), goal)

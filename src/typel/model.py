@@ -44,6 +44,7 @@ from .kb import (
     Typicality,
     query_axiom,
     validate,
+    validate_query,
 )
 
 
@@ -613,21 +614,6 @@ def _rank_profiles(n: int, max_rank: int):
 _DEFAULT_BUDGET = 2_000_000
 
 
-def _check_names(kb: KnowledgeBase, q: Query) -> None:
-    """Raise ValueError unless kb is valid and q uses only kb's names."""
-    bad = validate(kb)
-    if bad:
-        raise ValueError("invalid knowledge base: " + "; ".join(str(v) for v in bad))
-    ax = query_axiom(q)
-    if isinstance(ax, GCI):
-        alone = KnowledgeBase(kb.signature, tbox=(ax,), rbox=kb.rbox)
-    else:
-        alone = KnowledgeBase(kb.signature, rbox=kb.rbox, abox=(ax,))
-    bad = validate(alone)
-    if bad:
-        raise ValueError(f"invalid query: {bad[0].message}")
-
-
 def refute(
     kb: KnowledgeBase,
     q: Query,
@@ -644,7 +630,12 @@ def refute(
     once.  An invalid kb, or a query naming what kb does not declare, is a
     ValueError.
     """
-    _check_names(kb, q)
+    bad = validate(kb)
+    if bad:
+        raise ValueError("invalid knowledge base: " + "; ".join(str(v) for v in bad))
+    bad = validate_query(kb, q)
+    if bad:
+        raise ValueError("invalid query: " + "; ".join(v.message for v in bad))
     cell = [budget]
     for n in range(1, max_domain + 1):
         enc = _Encoder(kb, n)

@@ -20,8 +20,11 @@ no shape A <= T(B) is ever produced.  The structural pass then reduces all
 remaining axioms to the normal shapes, passing through the ones already in
 normal form.
 
-Queries are rewritten to the same queries over concept names before either
-pass, by adding bridge inclusions for their complex concepts.
+Queries are rewritten to the same queries over concept names, by adding
+bridge inclusions for their complex concepts.  They are normalized after
+the KB, against its result: normalize_queries extends a normalized KB by
+the names and normal axioms its queries add, which follow the KB's own, so
+one normalization of a KB serves any number of queries.
 
 All transformations are conservative: entailment over the original
 signature is unchanged.
@@ -65,6 +68,7 @@ from .kb import (
     is_simple,
     subconcepts,
     validate,
+    validate_query,
 )
 
 
@@ -145,21 +149,25 @@ def _is_empty(c: ConceptExpr) -> bool:
 
 
 class _Normalizer:
-    def __init__(self, kb: KnowledgeBase, simple_mode: bool):
-        self.kb = kb
+    """Extends base, a normalized KB, by what it normalizes: fresh names
+    avoid base's, ranked concepts and the top alias are shared with it."""
+
+    def __init__(self, base: NormalizedKB, simple_mode: bool):
+        self.base = base
         self.simple_mode = simple_mode
-        sig = kb.signature
+        sig = base.signature
         self.used: set[str] = set(sig.concept_names | sig.role_names | sig.individual_names)
-        self.new_concepts: set[str] = set()
         self.fresh_log: list[FreshName] = []
-        self.registry: dict[str, RankedConcept] = {}
+        self.registry: dict[str, RankedConcept] = {e.key: e for e in base.aux_registry}
         # phase-1 output boxes
         self.tbox: list[GCI] = []
         self.rbox: list = []
         self.abox: list = []
         # phase-2 output
         self.normal: list[GCI | RBoxAxiom | ABoxAxiom] = []
-        self._top_alias: Name | None = None
+        self._top_alias: Name | None = next(
+            (Name(f.name) for f in base.fresh_name_log if f.kind == "top-alias"), None
+        )
 
     # --- fresh names ---
 
@@ -173,7 +181,6 @@ class _Normalizer:
             width += 2
             name = base + digest[:width] if width <= 40 else name + "x"
         self.used.add(name)
-        self.new_concepts.add(name)
         self.fresh_log.append(FreshName(name, kind, source))
         return name
 
@@ -237,10 +244,10 @@ class _Normalizer:
             return
         self.tbox.append(GCI(self.replace_t(ax.lhs), self.replace_t(ax.rhs)))
 
-    def run_t_pass(self, extra_tbox: tuple[GCI, ...] = ()) -> None:
-        for ax in self.kb.tbox:
+    def run_t_pass(self, kb: KnowledgeBase) -> None:
+        for ax in kb.tbox:
             self.t_pass_gci(ax)
-        for ax in self.kb.rbox:
+        for ax in kb.rbox:
             match ax:
                 case ProductToRole(left, right, sup):
                     self.rbox.append(ProductToRole(self.replace_t(left), self.replace_t(right), sup))
@@ -248,14 +255,12 @@ class _Normalizer:
                     self.rbox.append(RoleToProduct(sub, self.replace_t(left), self.replace_t(right)))
                 case _:
                     self.rbox.append(ax)
-        for ax in self.kb.abox:
+        for ax in kb.abox:
             match ax:
                 case ConceptAssertion(concept, individual):
                     self.abox.append(ConceptAssertion(self.replace_t(concept), individual))
                 case _:
                     self.abox.append(ax)
-        for ax in extra_tbox:
-            self.t_pass_gci(ax)
 
     # --- structural pass ---
 
@@ -360,7 +365,21 @@ class _Normalizer:
             else:
                 self.normal.append(ax)
 
-    # --- query rewriting ---
+    # --- queries ---
+
+    def run_queries(
+        self, queries: tuple[Query, ...], extra_ranked: tuple[ConceptExpr, ...]
+    ) -> tuple[Query, ...]:
+        """Both passes over what queries and extra_ranked add: bridges,
+        aliases and typicality names."""
+        bridges: list[GCI] = []
+        rewritten = tuple(self.rewrite_query(q, bridges) for q in queries)
+        for ax in bridges:
+            self.t_pass_gci(ax)
+        for c in extra_ranked:
+            self.register(c)
+        self.run_structural_pass()
+        return rewritten
 
     def rewrite_query(self, q: Query, bridges: list[GCI]) -> Query:
         match q:
@@ -399,15 +418,15 @@ class _Normalizer:
     # --- assembly ---
 
     def result(self) -> NormalizedKB:
-        sig = self.kb.signature
-        new_sig = Signature(
-            concept_names=frozenset(sig.concept_names | self.new_concepts),
-            role_names=sig.role_names,
-            individual_names=sig.individual_names,
-            simple_roles=compute_simple_roles(sig.role_names, tuple(self.rbox)),
-        )
+        """base extended: every fresh name is a concept name, and the new
+        normal axioms follow base's, which numbers their witnesses on."""
+        base, fresh = self.base, tuple(self.fresh_log)
+        sig = base.signature
         return NormalizedKB(
-            new_sig, tuple(self.normal), tuple(self.registry.values()), tuple(self.fresh_log)
+            replace(sig, concept_names=sig.concept_names | {f.name for f in fresh}),
+            base.axioms + tuple(self.normal),
+            tuple(self.registry.values()),
+            base.fresh_name_log + fresh,
         )
 
 
@@ -433,18 +452,40 @@ def normalize(
     mode: str = "auto",
     extra_ranked: tuple[ConceptExpr, ...] = (),
 ) -> tuple[NormalizedKB, tuple[Query, ...]]:
-    """Full pipeline: rewrite queries, name typicality, reduce to shapes.
+    """Full pipeline: name typicality, reduce to shapes, then the same for
+    the queries (normalize_queries).
 
     extra_ranked concepts are registered as if T(C) occurred in a query,
     which makes the rank machinery track them without adding axioms beyond
     the alias bridges.
     """
     _check_valid(kb)
-    nz = _Normalizer(kb, _resolve_mode(kb, mode))
-    bridges: list[GCI] = []
-    rewritten = tuple(nz.rewrite_query(q, bridges) for q in queries)
-    nz.run_t_pass(extra_tbox=tuple(bridges))
-    for c in extra_ranked:
-        nz.register(c)
+    simple_mode = _resolve_mode(kb, mode)
+    sig = kb.signature
+    simple_roles = compute_simple_roles(sig.role_names, kb.rbox)
+    nz = _Normalizer(NormalizedKB(replace(sig, simple_roles=simple_roles), (), (), ()), simple_mode)
+    nz.run_t_pass(kb)
     nz.run_structural_pass()
+    return normalize_queries(kb, nz.result(), queries, simple_mode, extra_ranked)
+
+
+def normalize_queries(
+    kb: KnowledgeBase,
+    nkb: NormalizedKB,
+    queries: tuple[Query, ...],
+    simple_mode: bool = False,
+    extra_ranked: tuple[ConceptExpr, ...] = (),
+) -> tuple[NormalizedKB, tuple[Query, ...]]:
+    """nkb, the normalization of kb in the given mode, extended by the
+    queries: each is checked against kb's signature (validate_query) and
+    rewritten over names, and its bridges, aliases and typicality names
+    become normal axioms after nkb's own.  nkb itself is not changed."""
+    for q in queries:
+        bad = validate_query(kb, q)
+        if bad:
+            raise ValueError("invalid query: " + "; ".join(v.message for v in bad))
+    if not queries and not extra_ranked:
+        return nkb, ()
+    nz = _Normalizer(nkb, simple_mode)
+    rewritten = nz.run_queries(queries, extra_ranked)
     return nz.result(), rewritten

@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import test_parser
+import typel.cli
 import typel.materialize
 import typel.rc
 from typel.cli import main
-from typel.datalog import evaluate, load_program
+from typel.datalog import Saturation, evaluate, load_program
 from typel.materialize import query_program, store_inconsistent
 from typel.parser import MAX_NESTING, parse_concept, parse_query, print_kb, query_text
 from typel.rc import _read_assignment, closure_program
@@ -107,33 +108,48 @@ def test_translate_dump_round_trips(capsys, tmp_path):
 def test_dump_program_is_the_evaluated_program(
     capsys, tmp_path, monkeypatch, command, fixture, arg
 ):
-    evaluated = []
+    evaluated, extended = [], []
 
     def recording_evaluate(program):
-        evaluated.append(program)
-        return evaluate(program)
+        store = evaluate(program)
+        evaluated.append((program, store))
+        return store
 
+    def recording_extend(self, facts):
+        store = real_extend(self, facts)
+        extended.append(store)
+        return store
+
+    real_extend = Saturation.extend
     monkeypatch.setattr(typel.materialize, "evaluate", recording_evaluate)
     monkeypatch.setattr(typel.rc, "evaluate", recording_evaluate)
+    monkeypatch.setattr(Saturation, "extend", recording_extend)
+    # a prepared KB from an earlier test would hide its evaluations
+    typel.materialize._prepared.cache_clear()
     dump_file = tmp_path / "program.dl"
     extra = () if arg is None else ("--concept", arg) if command == "rc-ranks" else (arg,)
     kb_path = str(fixture_path(fixture))
     code, out, _ = run(capsys, command, kb_path, *extra, "--dump-program", str(dump_file))
     assert code in (0, 1)
-    # one evaluation per request; an inconsistent closure store costs
-    # rc-consistent a second one, of the base program, to tell a
-    # classically inconsistent KB from the verdict
-    assert len(evaluated) == (2 if fixture == "rc_inconsistent.kbt" else 1)
     dumped = load_program(dump_file.read_text())
-    assert dumped == evaluated[0]
+    store = evaluate(dumped)
     kb = load_fixture(fixture)
     if command.startswith("rc-"):
+        # one evaluation per request; an inconsistent closure store costs
+        # rc-consistent a second one, of the base program, to tell a
+        # classically inconsistent KB from the verdict
+        assert len(evaluated) == (2 if fixture == "rc_inconsistent.kbt" else 1)
+        assert dumped == evaluated[0][0]
         concepts = (parse_concept(arg, kb),) if command == "rc-ranks" else ()
         query = parse_query(arg, kb) if command == "rc-check" else None
         _, nkb, goal = closure_program(kb, query, concepts)
     else:
+        # the KB's own saturation, and a query's extension of it, hold the
+        # least model of the dumped program fact for fact
+        answered = evaluated[-1][1] if arg is None else extended[-1]
+        assert len(extended) == (0 if arg is None else 1)
+        assert store_facts(answered) == store_facts(store)
         _, goal = query_program(kb, None if arg is None else parse_query(arg, kb))
-    store = evaluate(dumped)
     if command == "rc-ranks":
         verdict = "\n".join(f"{name} {rank}" for name, rank in _read_assignment(store, nkb).rows())
     elif goal is None:
@@ -143,6 +159,10 @@ def test_dump_program_is_the_evaluated_program(
     else:
         verdict = "not-in-closure" if command == "rc-check" else "not-entailed"
     assert out.strip() == verdict
+
+
+def store_facts(store):
+    return {pred: store.facts(pred) for pred in store.preds() if store.facts(pred)}
 
 
 def test_rc_ranks_rows(capsys):
@@ -320,6 +340,50 @@ def test_undeclared_query_name_is_usage_error(capsys):
     code, _, err = run(capsys, "check", EX1, "Missing(mario)")
     assert code == 2
     assert "undeclared" in err
+
+
+def test_check_batch_answers_every_query_in_order(capsys):
+    code, out, _ = run(capsys, "check", EX1, "MathHater(paul)", "Nerd(paul)", "Young(mario)")
+    assert (code, out) == (1, "entailed\nnot-entailed\nentailed\n")
+    code, out, _ = run(capsys, "subsumes", EX1, "T(Student) <= Young", "Student <= Student")
+    assert (code, out) == (0, "entailed\nentailed\n")
+    code, out, _ = run(
+        capsys, "check", EX1, "T(Student)(mario)", "Italian(mary)", "--format", "records"
+    )
+    assert code == 1
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"mode": "check", "query": "T(Student)(mario)", "verdict": "entailed"},
+        {"mode": "check", "query": "Italian(mary)", "verdict": "not-entailed"},
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("check", EX1, "MathHater(paul)", "Nerd(paul"), "<query>:1:"),
+        (("check", EX1, "MathHater(paul)", "Missing(paul)"), "undeclared"),
+        (("check", EX1, "MathHater(paul)", "Student <= Young"), "use subsumes"),
+        (("subsumes", EX1, "Student <= Young", "Young(mario)"), "use check"),
+        (("check", EX1, "MathHater(paul)", "Nerd(paul)", "--dump-program", "x.dl"), "single query"),
+    ],
+)
+def test_check_batch_rejects_before_any_verdict(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and message in err
+
+
+def test_check_batch_error_in_one_query_exits_2_after_the_others(capsys, monkeypatch):
+    real = typel.cli.check_instance
+
+    def failing(kb, q):
+        if query_text(q) == "Nerd(paul)":
+            raise ValueError("grounding bound exceeded")
+        return real(kb, q)
+
+    monkeypatch.setattr(typel.cli, "check_instance", failing)
+    code, out, err = run(capsys, "check", EX1, "Nerd(paul)", "Italian(mary)", "MathHater(paul)")
+    assert (code, out, err) == (2, "not-entailed\nentailed\n", "error: grounding bound exceeded\n")
 
 
 def test_installed_entry_point():

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path, load_fixture
@@ -27,6 +27,7 @@ from typel.datalog import (
     Minus,
     Neg,
     Rule,
+    Saturation,
     Var,
     atom_vars,
     dump_program,
@@ -162,6 +163,53 @@ def test_warm_rule_cache_keeps_results(seed):
         rules = tuple(rng.sample(pool.rules, rng.randint(1, len(pool.rules))))
         program = DatalogProgram(facts=facts, rules=rules)
         assert store_dict(evaluate(program)) == store_dict(naive_evaluate(program))
+
+
+# --- extending a saturation ----------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_extension_is_the_least_model_of_program_plus_facts(seed):
+    """Saturating the program's facts, then extending by the rest, gives
+    the naive least model of all the facts, for each extension in turn,
+    and leaves the saturated store as it was."""
+    rng = random.Random(seed)
+    pool = random_stratified_program(rng)
+    rules = tuple(r for r in pool.rules if not any(isinstance(i, Neg) for i in r.body))
+    assume(rules)
+    base = DatalogProgram(tuple(f for f in pool.facts if rng.random() < 0.5), rules)
+    sat = Saturation(base, evaluate(base))
+    before = store_dict(sat.store)
+    for _ in range(3):
+        extra = tuple(rng.sample(pool.facts, rng.randint(0, len(pool.facts))))
+        expected = naive_evaluate(DatalogProgram(base.facts + extra, rules))
+        assert store_dict(sat.extend(extra)) == store_dict(expected)
+        assert store_dict(sat.store) == before
+
+
+def test_extension_refuses_negation_and_checks_its_facts():
+    p, q, r = (lambda *a: Atom("p", a)), (lambda *a: Atom("q", a)), (lambda *a: Atom("r", a))
+    # negation of an input relation only: one stratum, but not monotone
+    negated = DatalogProgram((q("a"),), (Rule(p(X), (q(X), Neg(r(X)))),))
+    with pytest.raises(DatalogError, match="without negation"):
+        Saturation(negated, evaluate(negated))
+    program = DatalogProgram((q("a"),), (Rule(p(X), (q(X),)),))
+    sat = Saturation(program, evaluate(program))
+    with pytest.raises(DatalogError, match="two arities"):
+        sat.extend((q("a", "b"),))
+    with pytest.raises(DatalogError, match="not a constant"):
+        sat.extend((q(1.5),))
+    # the bound is the whole program's, the new facts' constants and
+    # predicates included
+    extra = (q("b"), r("c", "d"))
+    bounds = []
+    check_bound = datalog._check_bound
+    with mock.patch.object(
+        datalog, "_check_bound", lambda store, bound: bounds.append(bound) or check_bound(store, bound)
+    ):
+        sat.extend(extra)
+    assert bounds == [grounding_bound(DatalogProgram(program.facts + extra, program.rules))]
 
 
 # --- stratification -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Concept AST, signature validation, and the simple-KB predicate."""
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from typel.kb import (
@@ -19,9 +21,11 @@ from typel.kb import (
     RoleAssertion,
     RoleChain,
     RoleConj,
+    RoleHolds,
     RoleIncl,
     SelfRestriction,
     Signature,
+    Subsumes,
     TypSubsumes,
     TypicalInstanceOf,
     Typicality,
@@ -34,6 +38,7 @@ from typel.kb import (
     first_non_simple_axiom,
     is_simple,
     validate,
+    validate_query,
 )
 from typel.materialize import check_instance
 
@@ -120,6 +125,35 @@ def test_validate_reports_undeclared_names():
     assert any("'B'" in m and "concept" in m for m in messages)
     assert any("'s'" in m and "role" in m for m in messages)
     assert any("'b'" in m and "individual" in m for m in messages)
+
+
+def test_kb_hash_is_by_value_and_pickles():
+    kb = KnowledgeBase(sig({"A", "B"}), tbox=(GCI(Name("A"), Name("B")),))
+    same = KnowledgeBase(sig({"A", "B"}), tbox=(GCI(Name("A"), Name("B")),))
+    assert hash(kb) == hash(same) and kb == same
+    again = pickle.loads(pickle.dumps(kb))
+    assert again == kb and hash(again) == hash(kb)
+
+
+def test_validate_query_checks_the_axiom_it_asks_about():
+    kb = KnowledgeBase(
+        signature=sig({"A"}, {"r", "t"}, {"a"}),
+        rbox=(RoleChain("r", "r", "t"),),
+    )
+    assert validate_query(kb, Subsumes(Exists("r", Name("A")), SelfRestriction("r"))) == []
+    assert [str(v) for v in validate_query(kb, InstanceOf(Name("B"), "b"))] == [
+        "query: undeclared concept name 'B'",
+        "query: undeclared individual 'b'",
+    ]
+    assert [v.message for v in validate_query(kb, RoleHolds("s", "a", "a"))] == [
+        "undeclared role name 's'"
+    ]
+    # t is not simple: a role chain flows into it
+    assert [v.message for v in validate_query(kb, TypSubsumes(Name("A"), SelfRestriction("t")))] == [
+        "self() requires a simple role, 't' is not"
+    ]
+    tall = validate_query(kb, TypicalInstanceOf(conj_of([Name("A")] * 1000), "a"))
+    assert [v.message for v in tall] == [f"concept nested deeper than {MAX_NESTING} levels"]
 
 
 def test_concept_height_counts_and_some_and_t():

@@ -2,13 +2,42 @@
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import test_parser
-from typel.datalog import Atom, DatalogProgram, Rule, Var, evaluate, rule_text, transform_rules
-from typel.kb import TOP, Name, Subsumes, TypSubsumes
+from typel.datalog import (
+    Atom,
+    DatalogProgram,
+    Rule,
+    Var,
+    dump_program,
+    evaluate,
+    load_program,
+    naive_evaluate,
+    rule_text,
+    transform_rules,
+)
+from typel.kb import (
+    BOT,
+    GCI,
+    TOP,
+    Conj,
+    Exists,
+    InstanceOf,
+    KnowledgeBase,
+    Name,
+    Nominal,
+    RoleHolds,
+    Subsumes,
+    TypSubsumes,
+    TypicalInstanceOf,
+    conj_of,
+    is_simple,
+    validate_query,
+)
 from typel.materialize import (
     BASE_RULES,
     BOT_CONST,
@@ -16,16 +45,24 @@ from typel.materialize import (
     IR_LABELED,
     RT_LABELED,
     TOP_CONST,
+    _entailment,
     _goal_atom,
+    _prepared,
+    _prepared_kb,
+    _query,
     aux_for,
     build_program,
     check_consistency,
     check_instance,
     check_subsumption,
     query_program,
+    store_inconsistent,
+    subsumption_program,
+    subsumption_rules,
     translate,
 )
 from typel.model import refute
+from typel.rc import rc_entails
 from typel.normalize import NormalizedKB, normalize
 from typel.parser import parse_kb, parse_query
 
@@ -444,3 +481,188 @@ def test_entailed_subsumptions_hold_in_bounded_models():
                         assert refute(kb, q, max_domain=3, max_rank=2) is None, (name, q)
                         checked += 1
     assert checked >= 138
+
+
+# --- prepared KBs: one saturation, one extension per query ------------------------
+
+
+def store_facts(store):
+    return {pred: set(store.facts(pred)) for pred in store.preds() if store.facts(pred)}
+
+
+def answer(kb, q):
+    """The entry point's verdict: from the prepared KB's extension."""
+    if isinstance(q, (Subsumes, TypSubsumes)):
+        return check_subsumption(kb, q).entailed
+    return check_instance(kb, q).entailed
+
+
+def scratch_answer(kb, q):
+    """The verdict from the whole program, evaluated from no store, which
+    holds the facts of a one-shot normalization and translation."""
+    program, goal = query_program(kb, q)
+    nkb, (rewritten,) = normalize(kb, (q,), mode="general")
+    it = translate(nkb)
+    if isinstance(q, (Subsumes, TypSubsumes)):
+        whole = subsumption_program(it, isinstance(q, TypSubsumes), rewritten.lhs.name)
+    else:
+        whole = build_program(it)
+    assert (Counter(program.facts), program.rules) == (Counter(whole.facts), whole.rules)
+    assert goal == _goal_atom(rewritten)
+    return _entailment(evaluate(program), goal).entailed
+
+
+# T(C) over a concept the KB never ranks, and inclusions whose hypothetical
+# witness is unsatisfiable, so rule 4 floods the hypothesis
+unsatisfiable = st.builds(Conj, test_parser.tfree_concepts, st.just(BOT))
+prepared_queries = st.one_of(
+    test_parser.queries,
+    st.builds(TypicalInstanceOf, test_parser.tfree_concepts, test_parser.individual_names),
+    st.builds(Subsumes, unsatisfiable, test_parser.tfree_concepts),
+    st.builds(TypSubsumes, unsatisfiable, test_parser.tfree_concepts),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(test_parser.kbs, st.lists(prepared_queries, min_size=1, max_size=4), st.randoms())
+def test_prepared_answers_equal_scratch_answers_in_any_order(kb, queries, rng):
+    """Each answer from the prepared KB equals the answer of its whole
+    program evaluated from scratch, whatever was asked before it."""
+    expected = {q: scratch_answer(kb, q) for q in queries}
+    asked = queries + rng.sample(queries, len(queries)) + queries[:1]
+    _prepared.cache_clear()
+    for q in asked:
+        assert answer(kb, q) == expected[q], q
+    assert check_consistency(kb) == (not store_inconsistent(evaluate(query_program(kb)[0])))
+
+
+def test_queries_leave_the_prepared_stores_unchanged(example1):
+    def snapshot(store):
+        indexes = {
+            pred: {positions: {k: list(b) for k, b in buckets.items()}
+                   for positions, (_, buckets) in per_pred.items()}
+            for pred, per_pred in store._indexes.items()
+        }
+        return store_facts(store), indexes
+
+    prep = _prepared_kb(example1)
+    texts = (
+        "MathHater(paul)",
+        "T(Student and Italian)(mario)",
+        "(some hasHair.{Black})(luigi)",
+        "friendOf(mario, mary)",
+        "T(Student and Nerd) <= MathLover",
+        "Student and bot <= Young",
+        "T(Young and Italian) <= some hasHair.{Black}",
+    )
+    queries = [parse_query(text, example1) for text in texts]
+    tables = [prep.table(rules) for rules in (BASE_RULES, subsumption_rules(False), subsumption_rules(True))]
+    before = [snapshot(t.store) for t in tables]
+    for q in queries + queries[::-1]:
+        answer(example1, q)
+    assert check_consistency(example1)
+    assert [snapshot(t.store) for t in tables] == before
+    assert _prepared_kb(example1) is prep
+
+
+def test_invalid_kb_raises_on_every_call():
+    kb = parse_kb("class A. individual a.\nA(a).\n")
+    bad = KnowledgeBase(kb.signature, tbox=(GCI(Name("Missing"), Name("A")),), abox=kb.abox)
+    for _ in range(3):
+        for call in (
+            lambda: check_instance(bad, InstanceOf(Name("A"), "a")),
+            lambda: check_subsumption(bad, Subsumes(Name("A"), Name("A"))),
+            lambda: check_consistency(bad),
+            lambda: query_program(bad),
+        ):
+            with pytest.raises(ValueError, match="invalid knowledge base: .*'Missing'"):
+                call()
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        InstanceOf(Name("Young"), "nobody"),
+        InstanceOf(Name("Nobody"), "mario"),
+        Subsumes(Name("Nobody"), Name("Young")),
+        TypSubsumes(Name("Young"), Name("Nobody")),
+    ],
+)
+def test_undeclared_query_names_are_value_errors(example1, query):
+    with pytest.raises(ValueError, match="invalid query: undeclared .*'[Nn]obody'"):
+        answer(example1, query)
+    with pytest.raises(ValueError, match="invalid query: undeclared"):
+        query_program(example1, query)
+
+
+def test_a_query_too_tall_is_a_value_error_not_a_recursion_error(example1):
+    tall = conj_of([Name("Young")] * 1000)
+    for query in (InstanceOf(tall, "mario"), Subsumes(tall, Name("Young"))):
+        with pytest.raises(ValueError, match="invalid query: concept nested deeper"):
+            answer(example1, query)
+
+
+# queries that may name what test_parser.kbs never declares, or be too tall
+loose_concepts = st.one_of(
+    test_parser.tfree_concepts,
+    st.builds(Name, st.just("Z")),
+    st.builds(Nominal, st.just("z")),
+    st.builds(Exists, st.just("u"), test_parser.tfree_concepts),
+    st.builds(lambda: conj_of([Name("A")] * 1000)),
+)
+loose_individuals = st.sampled_from(["a", "b", "z"])
+loose_queries = st.one_of(
+    st.builds(InstanceOf, loose_concepts, loose_individuals),
+    st.builds(TypicalInstanceOf, loose_concepts, loose_individuals),
+    st.builds(RoleHolds, st.sampled_from(["r", "u"]), loose_individuals, loose_individuals),
+    st.builds(Subsumes, loose_concepts, loose_concepts),
+    st.builds(TypSubsumes, loose_concepts, loose_concepts),
+)
+
+
+def outcome(call):
+    try:
+        call()
+    except (ValueError, TypeError) as e:
+        return type(e)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(test_parser.kbs, loose_queries)
+def test_every_entry_point_rejects_the_same_queries(kb, q):
+    """A query is a ValueError on the Datalog path, the closure and the
+    model search alike, or a verdict on each; nothing else escapes."""
+    rejected = bool(validate_query(kb, q))
+    assert outcome(lambda: answer(kb, q)) is (ValueError if rejected else None)
+    assert outcome(lambda: query_program(kb, q)) is (ValueError if rejected else None)
+    assert outcome(lambda: refute(kb, q, max_domain=1, max_rank=0)) is (ValueError if rejected else None)
+    if isinstance(q, TypSubsumes) and is_simple(kb):
+        # a classically inconsistent KB has no closure either: also a ValueError
+        assert outcome(lambda: rc_entails(kb, q)) in ((ValueError,) if rejected else (None, ValueError))
+
+
+FIXTURE_QUERIES = {
+    "example1.kbt": (
+        "MathHater(paul)",
+        "T(Student)(mario)",
+        "T(Student and Nerd) <= MathLover",
+        "some friendOf.{mary} <= Young",
+    ),
+    "example4.kbt": ("D <= A", "T(D) <= B"),
+    "rc_inconsistent.kbt": ("T(Student) <= MathHater",),
+    "rc_still_consistent.kbt": ("T(Student) <= Young",),
+}
+
+
+@pytest.mark.parametrize(
+    "name, text", [(name, text) for name, texts in FIXTURE_QUERIES.items() for text in texts]
+)
+def test_extension_is_the_naive_least_model_of_the_dumped_program(name, text):
+    import conftest
+
+    kb = conftest.load_fixture(name)
+    q = parse_query(text, kb)
+    table, facts, _ = _query(kb, q)
+    dumped = load_program(dump_program(query_program(kb, q)[0]))
+    assert store_facts(table.extend(facts)) == store_facts(naive_evaluate(dumped))
