@@ -846,8 +846,8 @@ def _check_bound(store: FactStore, bound: int) -> None:
         )
 
 
-# large enough to keep the five built-in rule tables (base, both subsumption
-# seeds, closure with and without its rank-injection rules) resident
+# large enough to keep the three built-in rule tables (base, closure with and
+# without its rank-injection rules) resident beside a caller's own
 @functools.lru_cache(maxsize=16)
 def _prepare(rules: tuple[Rule, ...]):
     """Validate, stratify and compile a rule table once per process.
@@ -921,7 +921,8 @@ class Saturation:
     an input relation too.  A rule joining an input relation that is empty
     is dropped, as at the start of a stratum, unless the new facts fill it.
     The grounding bound counts the program's constants and the new facts'.
-    store is never written.
+    Facts the store holds already derive nothing new, so extend by them
+    alone returns store, which is never written.
     """
 
     __slots__ = ("program", "store", "_arity", "_constants", "_compiled")
@@ -942,14 +943,17 @@ class Saturation:
         ]
 
     def extend(self, facts: tuple[Atom, ...]) -> FactStore:
-        """The least model of the program plus facts, in a new store."""
-        store = self.store.copy()
-        arity, constants = dict(self._arity), set(self._constants)
-        _load_facts(store, facts, arity, constants)
+        """The least model of the program plus facts: a new store, or store
+        itself when it holds every fact already.  The result is read only."""
         delta: dict[str, set[tuple[Const, ...]]] = {}
         for f in facts:
             if not self.store.contains(f.pred, f.args):  # type: ignore[arg-type]
                 delta.setdefault(f.pred, set()).add(f.args)  # type: ignore[arg-type]
+        if not delta:
+            return self.store
+        store = self.store.copy()
+        arity, constants = dict(self._arity), set(self._constants)
+        _load_facts(store, facts, arity, constants)
         _seminaive(store, [c for c, empty in self._compiled if empty <= delta.keys()], delta)
         _check_bound(store, _bound(arity, constants))
         return store

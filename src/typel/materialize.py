@@ -1,27 +1,29 @@
 """Materialization calculus: translate normal axioms to facts, evaluate a
 fixed rule set, read entailment off the least model.
 
-The base program answers instance checks (goal inst(a, C), typ(a, C) or
-triple(a, R, b)) and classical consistency.  Subsumption uses a variant
-where the six derived predicates carry one extra trailing parameter (the
-hypothesis class) plus a seed rule placing a hypothetical witness in each
-class ?B with a hyp(?B) fact.  A query adds the single fact hyp(lhs), and
-every derived fact stays under the hypothesis of its body's derived facts,
-so the evaluation saturates only the query's own hypothesis.
+One rule table, the base program, answers every query.  An assertion asks
+for its goal fact: inst(a, C), typ(a, C) or triple(a, R, b).  An inclusion
+is an instance check on a fresh individual w: a KB entails C <= D iff the
+KB plus C(w) entails D(w), and T(C) <= D iff the KB plus T(C)(w) entails
+D(w), since a ranked model may map a name the KB never uses to any of its
+elements.  The query adds nom(w), cls(w) and subClass(w, C), or
+supTyp(w, C) for T(C), and asks for inst(w, D).  Classical consistency is
+read off the same store.
 
-None of the three tables has negation, so each is one stratum and the
-least model of KB plus query is the KB's least model extended by what the
-query's facts alone derive.  Each KB is therefore prepared once per
-process and kept in a bounded cache keyed on the value-equal KB: it is
-normalized and translated with no query, and each table it is asked about
-is saturated once (datalog.Saturation).  A query is normalized on its own
-against the KB's normalization (normalize_queries), only its new axioms
-and names are translated, and its facts extend a private copy of the
-saturated store; consistency is read off the saturated base store.
+The base table has no negation, so it is one stratum and the least model
+of KB plus query is the KB's least model extended by what the query's
+facts alone derive.  Each KB is therefore prepared once per process and
+kept in a bounded cache keyed on the value-equal KB: it is normalized,
+translated and saturated once, with no query (datalog.Saturation).  A
+query is normalized on its own against the KB's normalization
+(normalize_queries), only its new axioms and names are translated, and
+its facts extend the saturated store: a private copy of it, or the store
+itself, read only, when the query adds no fact it lacks.
 
 query_program builds the program each entry point evaluates, the prepared
 facts followed by the query's, and names its goal atom; the CLI dumps the
-same program.
+same program.  subsumption_rules is the hypothesis-widened table that
+answered inclusions before the witness did, kept only as a reference.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ RT_LABELED: tuple[tuple[str, Rule], ...] = tuple(
     (label, rule) for (label, _), rule in zip(_RT_TEXT, RT_RULES)
 )
 
-# predicates that carry the hypothesis parameter in the subsumption variant
+# the predicates the rules derive, which a hypothesis-widened table widens
 DERIVED_PREDS = frozenset({"inst", "typ", "triple", "self", "sameRank", "leqRank"})
 
 
@@ -256,10 +258,11 @@ def build_program(it: InputTranslation) -> DatalogProgram:
 
 @functools.lru_cache(maxsize=2)
 def subsumption_rules(typ_seed: bool) -> tuple[Rule, ...]:
-    """The parameterized variant: every derived predicate carries the
-    hypothesis class; for each hyp(?B) the seed places a witness of ?B in
-    ?B itself (a typical one for typicality subsumption).  Built once per
-    seed kind."""
+    """The hypothesis-widened table, a reference that no entry point
+    evaluates: every derived predicate carries the hypothesis class, and for
+    each hyp(?B) the seed places a witness of ?B in ?B itself (a typical one
+    for typicality subsumption), so hyp(C) derives inst(C, D, C) exactly
+    when C <= D is entailed."""
     widened = transform_rules(
         BASE_RULES,
         targets=DERIVED_PREDS,
@@ -273,13 +276,6 @@ def subsumption_rules(typ_seed: bool) -> tuple[Rule, ...]:
     return widened + (seed,)
 
 
-def subsumption_program(it: InputTranslation, typ_seed: bool, lhs: str) -> DatalogProgram:
-    """The subsumption program saturating only the hypothesis of lhs."""
-    return DatalogProgram(
-        facts=it.facts + (Atom("hyp", (lhs,)),), rules=subsumption_rules(typ_seed)
-    )
-
-
 def store_inconsistent(store: FactStore) -> bool:
     """Classical inconsistency: something fell into a bottom class."""
     bots = {args[0] for args in store.facts("bot")}
@@ -288,44 +284,49 @@ def store_inconsistent(store: FactStore) -> bool:
     return any(args[1] in bots for args in store.facts("inst"))
 
 
-def _goal_atom(goal: Query) -> Atom:
-    """The fact a query rewritten over names asks for."""
+def _goal(goal: Query, w: str) -> tuple[tuple[Atom, ...], Atom]:
+    """The facts a query rewritten over names adds and the fact it asks
+    for; an inclusion places the fresh individual w in its left side."""
     match goal:
         case InstanceOf(concept=Name(name=c), individual=a):
-            return Atom("inst", (a, c))
+            return (), Atom("inst", (a, c))
         case TypicalInstanceOf(concept=Name(name=c), individual=a):
-            return Atom("typ", (a, c))
+            return (), Atom("typ", (a, c))
         case RoleHolds(role=r, subject=a, target=b):
-            return Atom("triple", (a, r, b))
-        case Subsumes(lhs=Name(name=lhs), rhs=Name(name=rhs)) | TypSubsumes(
-            lhs=Name(name=lhs), rhs=Name(name=rhs)
+            return (), Atom("triple", (a, r, b))
+        case Subsumes(lhs=Name(name=c), rhs=Name(name=d)) | TypSubsumes(
+            lhs=Name(name=c), rhs=Name(name=d)
         ):
-            return Atom("inst", (lhs, rhs, lhs))
+            seed = Atom("supTyp" if isinstance(goal, TypSubsumes) else "subClass", (w, c))
+            return (Atom("nom", (w,)), Atom("cls", (w,)), seed), Atom("inst", (w, d))
     raise TypeError(f"not a goal: {goal!r}")
 
 
 # prepared KBs a process keeps; a KB not queried for a while is prepared
-# again.  Each keeps its saturated stores, so this bounds the memory held.
+# again.  Each keeps its saturated store, so this bounds the memory held.
 _PREPARED_KBS = 8
 
 
 class _PreparedKB:
     """A KB normalized and translated once, with no query, for any number
-    of queries.  Each rule table's saturation of it is built on first use."""
-
-    __slots__ = ("nkb", "facts", "_tables")
+    of queries, and the individual each inclusion query places in its left
+    side: named by no name of the KB, nor by the query's fresh names or the
+    aux$ constants, which never start with w$.  The saturation of the base
+    table over the KB is built on first use."""
 
     def __init__(self, kb: KnowledgeBase):
         self.nkb, _ = normalize(kb, (), mode="general")
         self.facts = translate(self.nkb).facts
-        self._tables: dict[tuple[Rule, ...], Saturation] = {}
+        sig = self.nkb.signature
+        names = sig.concept_names | sig.role_names | sig.individual_names
+        self.witness = "w$"
+        while self.witness in names:
+            self.witness += "$"
 
-    def table(self, rules: tuple[Rule, ...]) -> Saturation:
-        sat = self._tables.get(rules)
-        if sat is None:
-            program = DatalogProgram(self.facts, rules)
-            sat = self._tables[rules] = Saturation(program, evaluate(program))
-        return sat
+    @functools.cached_property
+    def saturation(self) -> Saturation:
+        program = build_program(InputTranslation(self.facts))
+        return Saturation(program, evaluate(program))
 
 
 @functools.lru_cache(maxsize=_PREPARED_KBS)
@@ -349,36 +350,29 @@ def _query(kb: KnowledgeBase, query: Query) -> tuple[Saturation, tuple[Atom, ...
     """The prepared saturation a query extends, the facts it adds and the
     goal it reads.  Only the query is normalized and translated: its names,
     ranked concepts and normal axioms, whose witnesses are numbered on from
-    the KB's, and for an inclusion the hypothesis of its left side."""
+    the KB's, and for an inclusion the fresh individual in its left side."""
     prep = _prepared_kb(kb)
-    nkb = prep.nkb
+    nkb, sat = prep.nkb, prep.saturation
     ext, (goal,) = normalize_queries(kb, nkb, (query,))
     body, has_bot = _axiom_facts(ext.axioms[len(nkb.axioms) :], len(nkb.axioms))
     facts = [Atom("cls", (f.name,)) for f in ext.fresh_name_log[len(nkb.fresh_name_log) :]]
-    rules = BASE_RULES
-    if isinstance(goal, (Subsumes, TypSubsumes)):
-        rules = subsumption_rules(isinstance(goal, TypSubsumes))
-        body.append(Atom("hyp", (goal.lhs.name,)))
-    table = prep.table(rules)
-    if has_bot and not table.store.contains("bot", (BOT_CONST,)):
+    if has_bot and not sat.store.contains("bot", (BOT_CONST,)):
         facts += _BOT_FACTS
     facts += _ranked_facts(ext.aux_registry[len(nkb.aux_registry) :])
-    return table, tuple(facts + body), _goal_atom(goal)
+    seed, goal_atom = _goal(goal, prep.witness)
+    return sat, tuple(facts + body) + seed, goal_atom
 
 
 def query_program(
     kb: KnowledgeBase, query: Query | None = None
 ) -> tuple[DatalogProgram, Atom | None]:
     """The program an entry point evaluates, and the goal atom it reads:
-    the prepared KB's facts, then the query's.
-
-    No query asks for consistency: the base program and no goal.  An
-    inclusion gets the subsumption program, any other query the base one.
-    """
+    the base rules over the prepared KB's facts, then the query's.  No
+    query asks for consistency and has no goal."""
     if query is None:
         return build_program(InputTranslation(_prepared_kb(kb).facts)), None
-    table, facts, goal = _query(kb, query)
-    return DatalogProgram(table.program.facts + facts, table.program.rules), goal
+    sat, facts, goal = _query(kb, query)
+    return DatalogProgram(sat.program.facts + facts, sat.program.rules), goal
 
 
 def _entailment(store: FactStore, goal: Atom) -> EntailmentVerdict:
@@ -389,23 +383,25 @@ def _entailment(store: FactStore, goal: Atom) -> EntailmentVerdict:
     return EntailmentVerdict(True, goal) if entailed else EntailmentVerdict(False, None)
 
 
+def _check(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
+    sat, facts, goal = _query(kb, query)
+    return _entailment(sat.extend(facts), goal)
+
+
 def check_instance(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
     """Rational entailment of C(a), T(C)(a) or R(a,b)."""
     if isinstance(query, (Subsumes, TypSubsumes)):
         raise TypeError(f"not an assertion query: {query!r}")
-    table, facts, goal = _query(kb, query)
-    return _entailment(table.extend(facts), goal)
+    return _check(kb, query)
 
 
 def check_consistency(kb: KnowledgeBase) -> bool:
-    return not store_inconsistent(_prepared_kb(kb).table(BASE_RULES).store)
+    return not store_inconsistent(_prepared_kb(kb).saturation.store)
 
 
 def check_subsumption(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
-    """Rational entailment of C <= D or T(C) <= D via the parameterized
-    calculus: one hypothetical witness of C, a typical one for the
-    typicality form, and only the facts that follow from it."""
+    """Rational entailment of C <= D or T(C) <= D: whether a fresh
+    individual placed in C, or in T(C), is in D."""
     if not isinstance(query, (Subsumes, TypSubsumes)):
         raise TypeError(f"not a subsumption query: {query!r}")
-    table, facts, goal = _query(kb, query)
-    return _entailment(table.extend(facts), goal)
+    return _check(kb, query)

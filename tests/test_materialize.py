@@ -1,13 +1,15 @@
 """Materialization calculus: translation facts, rule table, entailment checks."""
 from __future__ import annotations
 
+import dataclasses
 import re
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import test_parser
+from typel import datalog
 from typel.datalog import (
     Atom,
     DatalogProgram,
@@ -24,6 +26,7 @@ from typel.kb import (
     BOT,
     GCI,
     TOP,
+    ConceptAssertion,
     Conj,
     Exists,
     InstanceOf,
@@ -36,6 +39,7 @@ from typel.kb import (
     TypicalInstanceOf,
     conj_of,
     is_simple,
+    validate,
     validate_query,
 )
 from typel.materialize import (
@@ -46,7 +50,7 @@ from typel.materialize import (
     RT_LABELED,
     TOP_CONST,
     _entailment,
-    _goal_atom,
+    _goal,
     _prepared,
     _prepared_kb,
     _query,
@@ -57,12 +61,11 @@ from typel.materialize import (
     check_subsumption,
     query_program,
     store_inconsistent,
-    subsumption_program,
     subsumption_rules,
     translate,
 )
 from typel.model import refute
-from typel.rc import rc_entails
+from typel.rc import InconsistentKBError, rc_entails
 from typel.normalize import NormalizedKB, normalize
 from typel.parser import parse_kb, parse_query
 
@@ -263,7 +266,7 @@ def test_translate_rejects_axioms_outside_the_normal_shapes(axiom):
 def test_goal_atom_rejects_queries_over_complex_concepts(query):
     kb = parse_kb("class A. class B. class C. role r. individual a.")
     with pytest.raises(TypeError, match="not a goal"):
-        _goal_atom(parse_query(query, kb))
+        _goal(parse_query(query, kb), "w$")
 
 
 # --- instance checking -----------------------------------------------------------
@@ -356,19 +359,23 @@ def all_pairs_program(facts, typ_seed):
     test_parser.tfree_concepts,
 )
 def test_demand_subsumption_agrees_with_all_pairs(kb, kind, lhs, rhs):
-    """The hyp(lhs) seed derives exactly the all-pairs facts under the
-    query's hypothesis, so the two programs give the same verdict."""
+    """The fresh individual in the query's left side falls into exactly the
+    classes that the all-pairs program places the hypothetical witness of
+    that left side in, typically or not, so the two give the same verdict."""
     program, goal = query_program(kb, kind(lhs, rhs))
     # the oracle saturates one hypothesis per class; bound its cost
     assume(sum(f.pred == "cls" for f in program.facts) <= MAX_ORACLE_CLASSES)
-    hyp = goal.args[0]
-    demand = evaluate(program)
-    input_facts = tuple(f for f in program.facts if f.pred != "hyp")
+    w, _ = goal.args
+    (seed,) = (f for f in program.facts if f.args[0] == w and f.pred in ("subClass", "supTyp"))
+    hyp = seed.args[1]
+    store = evaluate(program)
+    input_facts = tuple(f for f in program.facts if w not in f.args)
     oracle = evaluate(all_pairs_program(input_facts, kind is TypSubsumes))
-    for pred in sorted(DERIVED_PREDS):
-        expected = {args for args in oracle.facts(pred) if args[-1] == hyp}
-        assert set(demand.facts(pred)) == expected, pred
-    assert demand.contains(goal.pred, goal.args) == oracle.contains(goal.pred, goal.args)
+    classes = {c for (c,) in oracle.facts("cls")}
+    for pred in ("inst", "typ"):
+        expected = {c for x, c, q in oracle.facts(pred) if x == q == hyp}
+        assert {c for x, c in store.facts(pred) if x == w and c in classes} == expected, pred
+    assert store.contains(goal.pred, goal.args) == oracle.contains("inst", (hyp, goal.args[1], hyp))
 
 
 # --- store-level closure properties ---------------------------------------------------
@@ -483,6 +490,118 @@ def test_entailed_subsumptions_hold_in_bounded_models():
     assert checked >= 138
 
 
+# --- subsumption as an instance check on a fresh individual ------------------------
+
+
+def reference_subsumes(kb, q):
+    """The verdict of the hypothesis-widened table: the KB's facts plus
+    hyp(lhs), evaluated from scratch."""
+    nkb, (rewritten,) = normalize(kb, (q,), mode="general")
+    lhs, rhs = rewritten.lhs.name, rewritten.rhs.name
+    facts = translate(nkb).facts + (Atom("hyp", (lhs,)),)
+    store = evaluate(DatalogProgram(facts, subsumption_rules(isinstance(q, TypSubsumes))))
+    return store.contains("inst", (lhs, rhs, lhs))
+
+
+def fixture_pairs(name):
+    import conftest
+
+    kb = conftest.load_fixture(name)
+    names = [Name(c) for c in sorted(kb.signature.concept_names)] + [TOP]
+    return kb, [kind(c, d) for kind in (Subsumes, TypSubsumes) for c in names for d in names]
+
+
+@pytest.mark.parametrize("name", SWEEP_FIXTURES)
+def test_fixture_pair_verdicts_equal_the_reference_table(name):
+    kb, pairs = fixture_pairs(name)
+    for q in pairs:
+        assert check_subsumption(kb, q).entailed == reference_subsumes(kb, q), q
+
+
+@pytest.mark.parametrize("name", SWEEP_FIXTURES)
+def test_an_inclusion_extends_the_store_as_an_assertion_on_a_new_individual(name):
+    """C <= C adds exactly what declaring the fresh individual w and
+    asserting C(w) adds to the KB: the same least model, fact for fact."""
+    kb, _ = fixture_pairs(name)
+    w = _prepared_kb(kb).witness
+    sig = kb.signature
+    with_w = dataclasses.replace(sig, individual_names=sig.individual_names | {w})
+    for c in sorted(sig.concept_names):
+        sat, facts, goal = _query(kb, Subsumes(Name(c), Name(c)))
+        abox = kb.abox + (ConceptAssertion(Name(c), w),)
+        asserted = evaluate(query_program(KnowledgeBase(with_w, kb.tbox, kb.rbox, abox))[0])
+        assert store_facts(sat.extend(facts)) == store_facts(asserted), c
+        assert goal == Atom("inst", (w, c))
+
+
+# left sides that are unsatisfiable outright or may be, over a KB that may
+# be classically inconsistent
+witness_lhs = st.one_of(
+    test_parser.tfree_concepts,
+    st.builds(Conj, test_parser.tfree_concepts, st.just(BOT)),
+    st.builds(Conj, test_parser.tfree_concepts, test_parser.tfree_concepts),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    test_parser.kbs,
+    st.sampled_from((Subsumes, TypSubsumes)),
+    witness_lhs,
+    test_parser.tfree_concepts,
+)
+def test_witness_verdict_equals_the_reference_table(kb, kind, lhs, rhs):
+    q = kind(lhs, rhs)
+    assert check_subsumption(kb, q).entailed == reference_subsumes(kb, q)
+
+
+def test_subsumption_queries_evaluate_the_base_rules_only(monkeypatch, example1):
+    """No hyp fact is emitted, and every join generated while answering
+    inclusions from a fresh process state is one of the base rules."""
+    generated = []
+    gen_fn = datalog._gen_fn
+    monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv.rule) or gen_fn(cv))
+    datalog._prepare.cache_clear()
+    _prepared.cache_clear()
+    for text in (
+        "T(Student and Nerd) <= MathLover",
+        "Student <= Young",
+        "MathLover and MathHater <= Young",
+    ):
+        q = parse_query(text, example1)
+        check_subsumption(example1, q)
+        program, _ = query_program(example1, q)
+        assert program.rules == BASE_RULES
+        assert not any(f.pred == "hyp" for f in program.facts)
+    assert generated and set(generated) <= set(BASE_RULES)
+
+
+def renamed(x, names):
+    """x with every name in it replaced as names says."""
+    if isinstance(x, str):
+        return names.get(x, x)
+    if isinstance(x, (tuple, frozenset)):
+        return type(x)(renamed(y, names) for y in x)
+    if dataclasses.is_dataclass(x):
+        fields = (f.name for f in dataclasses.fields(x) if f.init)
+        return dataclasses.replace(x, **{f: renamed(getattr(x, f), names) for f in fields})
+    return x
+
+
+def test_names_shaped_like_the_witness_keep_every_verdict():
+    # a library KB may declare any name, the ones the witness is drawn from too
+    kb, pairs = fixture_pairs("example1.kbt")
+    names = {"Student": "w$", "friendOf": "w$$", "mario": "w$$$", "Young": "w$$$$"}
+    clashing = renamed(kb, names)
+    assert validate(clashing) == []
+    assert _prepared_kb(clashing).witness == "w$$$$$"
+    for q in pairs:
+        assert answer(clashing, renamed(q, names)) == answer(kb, q), q
+    for text in ("T(Student)(mario)", "MathHater(paul)", "friendOf(mario, mary)"):
+        q = parse_query(text, kb)
+        assert answer(clashing, renamed(q, names)) == answer(kb, q), text
+
+
 # --- prepared KBs: one saturation, one extension per query ------------------------
 
 
@@ -502,13 +621,10 @@ def scratch_answer(kb, q):
     holds the facts of a one-shot normalization and translation."""
     program, goal = query_program(kb, q)
     nkb, (rewritten,) = normalize(kb, (q,), mode="general")
-    it = translate(nkb)
-    if isinstance(q, (Subsumes, TypSubsumes)):
-        whole = subsumption_program(it, isinstance(q, TypSubsumes), rewritten.lhs.name)
-    else:
-        whole = build_program(it)
-    assert (Counter(program.facts), program.rules) == (Counter(whole.facts), whole.rules)
-    assert goal == _goal_atom(rewritten)
+    seed, scratch_goal = _goal(rewritten, _prepared_kb(kb).witness)
+    whole = build_program(translate(nkb))
+    assert (Counter(program.facts), program.rules) == (Counter(whole.facts + seed), whole.rules)
+    assert goal == scratch_goal
     return _entailment(evaluate(program), goal).entailed
 
 
@@ -556,13 +672,17 @@ def test_queries_leave_the_prepared_stores_unchanged(example1):
         "T(Young and Italian) <= some hasHair.{Black}",
     )
     queries = [parse_query(text, example1) for text in texts]
-    tables = [prep.table(rules) for rules in (BASE_RULES, subsumption_rules(False), subsumption_rules(True))]
-    before = [snapshot(t.store) for t in tables]
+    before = snapshot(prep.saturation.store)
     for q in queries + queries[::-1]:
         answer(example1, q)
     assert check_consistency(example1)
-    assert [snapshot(t.store) for t in tables] == before
+    assert snapshot(prep.saturation.store) == before
     assert _prepared_kb(example1) is prep
+    # a query whose facts the store holds already is read off the store
+    sat, facts, _ = _query(example1, queries[0])
+    assert sat.extend(facts) is sat.store
+    sat, facts, _ = _query(example1, queries[4])
+    assert sat.extend(facts) is not sat.store
 
 
 def test_invalid_kb_raises_on_every_call():
@@ -630,6 +750,10 @@ def outcome(call):
 
 @settings(max_examples=80, deadline=None)
 @given(test_parser.kbs, loose_queries)
+@example(
+    kb=parse_kb("class A. class B. individual a.\nA <= bot.\nA(a).\n"),
+    q=TypSubsumes(Name("A"), Name("B")),
+)
 def test_every_entry_point_rejects_the_same_queries(kb, q):
     """A query is a ValueError on the Datalog path, the closure and the
     model search alike, or a verdict on each; nothing else escapes."""
@@ -638,8 +762,13 @@ def test_every_entry_point_rejects_the_same_queries(kb, q):
     assert outcome(lambda: query_program(kb, q)) is (ValueError if rejected else None)
     assert outcome(lambda: refute(kb, q, max_domain=1, max_rank=0)) is (ValueError if rejected else None)
     if isinstance(q, TypSubsumes) and is_simple(kb):
-        # a classically inconsistent KB has no closure either: also a ValueError
-        assert outcome(lambda: rc_entails(kb, q)) in ((ValueError,) if rejected else (None, ValueError))
+        # a classically inconsistent KB has no closure: a valid query on it
+        # is an InconsistentKBError
+        if rejected:
+            expected = ValueError
+        else:
+            expected = None if check_consistency(kb) else InconsistentKBError
+        assert outcome(lambda: rc_entails(kb, q)) is expected
 
 
 FIXTURE_QUERIES = {
