@@ -11,161 +11,49 @@ check for small KBs.
 """
 from __future__ import annotations
 
-from .datalog import (
-    Atom,
-    Compare,
-    DatalogError,
-    DatalogProgram,
-    FactStore,
-    Minus,
-    Neg,
-    Rule,
-    Var,
-    dump_program,
-    evaluate,
-    load_program,
-    naive_evaluate,
-    stratify,
-)
-from .kb import (
-    BOT,
-    TOP,
-    Bot,
-    ConceptAssertion,
-    ConceptExpr,
-    Conj,
-    Exists,
-    GCI,
-    InstanceOf,
-    KnowledgeBase,
-    Name,
-    Nominal,
-    ProductToRole,
-    RoleAssertion,
-    RoleChain,
-    RoleConj,
-    RoleHolds,
-    RoleIncl,
-    RoleToProduct,
-    SelfRestriction,
-    Signature,
-    Subsumes,
-    Top,
-    TypSubsumes,
-    TypicalInstanceOf,
-    Typicality,
-    concept_text,
-    is_simple,
-    validate,
-)
-from .materialize import (
-    build_program,
-    check_consistency,
-    check_instance,
-    check_subsumption,
-    query_program,
-    translate,
-)
-from .model import (
-    BoundOverflow,
-    RankedInterpretation,
-    is_model,
-    refute,
-    render_model,
-    satisfies_query,
-)
-from .normalize import NormalizedKB, normalize
-from .parser import (
-    ParseError,
-    axiom_text,
-    parse_concept,
-    parse_kb,
-    parse_query,
-    print_kb,
-    query_text,
-)
-from .rc import (
-    InconsistentKBError,
-    NotSimpleError,
-    RankAssignment,
-    build_rc_program,
-    closure_program,
-    compute_ranks,
-    rc_consistent,
-    rc_entails,
-)
+import sys
+from importlib import import_module
 
-__all__ = [
-    "Atom",
-    "BOT",
-    "Bot",
-    "BoundOverflow",
-    "Compare",
-    "ConceptAssertion",
-    "ConceptExpr",
-    "Conj",
-    "DatalogError",
-    "DatalogProgram",
-    "Exists",
-    "FactStore",
-    "GCI",
-    "InconsistentKBError",
-    "InstanceOf",
-    "KnowledgeBase",
-    "Minus",
-    "Name",
-    "Neg",
-    "Nominal",
-    "NormalizedKB",
-    "NotSimpleError",
-    "ParseError",
-    "ProductToRole",
-    "RankAssignment",
-    "RankedInterpretation",
-    "RoleAssertion",
-    "RoleChain",
-    "RoleConj",
-    "RoleHolds",
-    "RoleIncl",
-    "RoleToProduct",
-    "Rule",
-    "SelfRestriction",
-    "Signature",
-    "Subsumes",
-    "TOP",
-    "Top",
-    "TypSubsumes",
-    "TypicalInstanceOf",
-    "Typicality",
-    "Var",
-    "axiom_text",
-    "build_program",
-    "build_rc_program",
-    "check_consistency",
-    "check_instance",
-    "check_subsumption",
-    "closure_program",
-    "compute_ranks",
-    "concept_text",
-    "dump_program",
-    "evaluate",
-    "is_model",
-    "is_simple",
-    "load_program",
-    "naive_evaluate",
-    "normalize",
-    "parse_concept",
-    "parse_kb",
-    "parse_query",
-    "print_kb",
-    "query_program",
-    "query_text",
-    "rc_consistent",
-    "rc_entails",
-    "refute",
-    "render_model",
-    "satisfies_query",
-    "stratify",
-    "translate",
-    "validate",
-]
+# the module each public name is imported from, on first access: importing
+# typel loads no submodule, and a command loads only the modules it uses
+_SOURCES = {
+    "datalog": "Atom Compare DatalogError DatalogProgram FactStore Minus Neg Rule Var"
+    " dump_program evaluate load_program naive_evaluate stratify",
+    "kb": "BOT TOP Bot ConceptAssertion ConceptExpr Conj Exists GCI InstanceOf"
+    " KnowledgeBase Name Nominal ProductToRole RoleAssertion RoleChain RoleConj RoleHolds"
+    " RoleIncl RoleToProduct SelfRestriction Signature Subsumes Top TypSubsumes"
+    " TypicalInstanceOf Typicality concept_text is_simple validate",
+    "materialize": "build_program check_consistency check_instance check_subsumption"
+    " query_program translate",
+    "model": "BoundOverflow RankedInterpretation is_model refute render_model satisfies_query",
+    "normalize": "NormalizedKB normalize",
+    "parser": "ParseError axiom_text parse_concept parse_kb parse_query print_kb query_text",
+    "rc": "InconsistentKBError NotSimpleError RankAssignment build_rc_program closure_program"
+    " compute_ranks rc_consistent rc_entails",
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
+_SUBMODULES = frozenset(_SOURCES) | {"cli", "record", "_families"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+class _Package(type(sys)):
+    def __setattr__(self, name: str, value) -> None:
+        # importing a submodule binds it on the package, and the normalize
+        # module would hide the normalize function the package exports
+        if name not in _MODULE_OF or not isinstance(value, type(sys)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

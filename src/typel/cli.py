@@ -36,15 +36,27 @@ from .materialize import (
     check_subsumption,
     query_program,
 )
-from .model import BoundOverflow, refute, render_model
 from .normalize import normalize
 from .parser import parse_concept, parse_kb, parse_query, print_kb, query_text
-from .rc import (
-    closure_program,
-    compute_ranks,
-    rc_consistent,
-    rc_entails,
+
+# what the commands take from rc and model, resolved through the package
+# on first access so that check, subsumes and consistent load neither.
+# Commands call these as attributes of this module (_cli), which honours a
+# rebinding here, as a tracer or a test makes one.
+_LAZY = frozenset(
+    {"closure_program", "compute_ranks", "rc_consistent", "rc_entails", "refute", "render_model"}
 )
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(sys.modules[__package__], name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class UsageError(ValueError):
@@ -110,7 +122,14 @@ _CONSISTENT = ("consistent", "inconsistent")
 _BATCH = ("check", "subsumes")
 
 # what main reports as an error with exit code 2
-_INPUT_ERRORS = (OSError, ValueError, DatalogError, BoundOverflow)
+_INPUT_ERRORS = (OSError, ValueError, DatalogError)
+
+
+def _input_errors() -> tuple[type[Exception], ...]:
+    """_INPUT_ERRORS, and the model search's budget overflow once model is
+    loaded: only refute raises it."""
+    model = sys.modules.get("typel.model")
+    return _INPUT_ERRORS if model is None else _INPUT_ERRORS + (model.BoundOverflow,)
 
 
 def _verdict(command: str, kb: KnowledgeBase, q: Query | None) -> tuple[bool, tuple[str, str]]:
@@ -122,9 +141,9 @@ def _verdict(command: str, kb: KnowledgeBase, q: Query | None) -> tuple[bool, tu
         case "consistent":
             return check_consistency(kb), _CONSISTENT
         case "rc-check":
-            return rc_entails(kb, q).in_closure, ("in-closure", "not-in-closure")
+            return _cli.rc_entails(kb, q).in_closure, ("in-closure", "not-in-closure")
         case _:  # rc-consistent
-            return rc_consistent(kb), _CONSISTENT
+            return _cli.rc_consistent(kb), _CONSISTENT
 
 
 def _cmd_query(args) -> int:
@@ -142,13 +161,14 @@ def _cmd_query(args) -> int:
     for q in queries:
         try:
             holds, verdicts = _verdict(args.command, kb, q)
-        except _INPUT_ERRORS as e:
+        except _input_errors() as e:
             print(f"error: {e}", file=sys.stderr)
             code = 2
             continue
         if args.dump_program:
             if args.command.startswith("rc-"):
-                program = closure_program(kb, q, inject_ranks=args.command == "rc-consistent")[0]
+                inject = args.command == "rc-consistent"
+                program = _cli.closure_program(kb, q, inject_ranks=inject)[0]
             else:
                 program = query_program(kb, q)[0]
             _dump(args.dump_program, program)
@@ -160,9 +180,9 @@ def _cmd_query(args) -> int:
 def _cmd_rc_ranks(args) -> int:
     kb = _load_kb(args.kb)
     extra = tuple(parse_concept(text, kb) for text in (args.concept or ()))
-    ra = compute_ranks(kb, query_concepts=extra)
+    ra = _cli.compute_ranks(kb, query_concepts=extra)
     if args.dump_program:
-        _dump(args.dump_program, closure_program(kb, concepts=extra, inject_ranks=False)[0])
+        _dump(args.dump_program, _cli.closure_program(kb, concepts=extra, inject_ranks=False)[0])
     if args.format == "records":
         for name, rank in ra.rows():
             print(json.dumps({"mode": "rc-ranks", "query": name, "verdict": rank}, sort_keys=True))
@@ -175,7 +195,7 @@ def _cmd_rc_ranks(args) -> int:
 def _cmd_refute(args) -> int:
     kb = _load_kb(args.kb)
     q = parse_query(args.query, kb)
-    m = refute(kb, q, max_domain=args.max_domain, max_rank=args.max_rank)
+    m = _cli.refute(kb, q, max_domain=args.max_domain, max_rank=args.max_rank)
     if m is None:
         _emit(args, "none-found", q)
         return 0
@@ -183,7 +203,7 @@ def _cmd_refute(args) -> int:
         _emit(args, "counter-model", q)
     else:
         print("counter-model:")
-        print(render_model(m))
+        print(_cli.render_model(m))
     return 1
 
 
@@ -256,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except _INPUT_ERRORS as e:
+    except _input_errors() as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -56,21 +56,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from operator import itemgetter
+
+from .record import Record, record
 
 
 class DatalogError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+@record
+class Var(Record):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Minus:
+@record
+class Minus(Record):
     """The term ?var - amount; amount must be positive."""
 
     var: Var
@@ -81,19 +82,19 @@ Const = str | int
 Term = Const | Var | Minus
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+@record
+class Atom(Record):
     pred: str
     args: tuple[Term, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+@record
+class Neg(Record):
     atom: Atom
 
 
-@dataclass(frozen=True, slots=True)
-class Compare:
+@record
+class Compare(Record):
     op: str  # "<" or ">"
     left: Term
     right: Term
@@ -102,28 +103,25 @@ class Compare:
 BodyItem = Atom | Neg | Compare
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+@record
+class Rule(Record):
     head: Atom
     body: tuple[BodyItem, ...]
-    # a rule table keys the _prepare cache, and a frozen dataclass would
+    # a rule table keys the _prepare cache, and hashing the fields would
     # rehash every atom of every rule on each lookup.  String hashes differ
     # between processes, so a pickle carries only head and body and the
     # hash is computed again on load.
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("_hash",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+        object.__setattr__(self, "_hash", hash(self._values))
 
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return Rule, (self.head, self.body)
 
-
-@dataclass(frozen=True, slots=True)
-class DatalogProgram:
+@record
+class DatalogProgram(Record):
     facts: tuple[Atom, ...] = ()
     rules: tuple[Rule, ...] = ()
 
@@ -409,17 +407,17 @@ def _fill(index: tuple, facts) -> None:
 # --- evaluation ---
 
 
-@dataclass(frozen=True, slots=True)
-class _Variant:
+@record
+class _Variant(Record):
     """One rule body with its positive atoms joined in a fixed order."""
 
     rule: Rule
     atoms: tuple[Atom, ...]
     # the first atom reads the delta, not the store
     delta_first: bool
-    # the join as a function (store, delta, out); _variant sets a stub that
-    # generates the real function on the first call and replaces itself
-    fn: object = field(default=None, compare=False, repr=False)
+    # fn, the join as a function (store, delta, out): _variant sets a stub
+    # that generates the real function on the first call and replaces itself
+    __slots__ = ("fn",)
 
 
 def _variant(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
@@ -672,8 +670,8 @@ def _greedy_order(positives: list[Atom], first: int, derived: frozenset[str]) ->
     return order
 
 
-@dataclass(frozen=True, slots=True)
-class _CompiledRule:
+@record
+class _CompiledRule(Record):
     head_pred: str
     positive_preds: tuple[str, ...]
     base: _Variant

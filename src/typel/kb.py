@@ -5,59 +5,63 @@ restriction, nominals, local reflexivity (Self), role chains, role
 conjunction, concept products, and a non-nestable typicality operator T.
 T(C) denotes the most normal members of C under a ranked interpretation.
 
-All values here are immutable; sharing across threads is safe.
+Concepts, axioms, queries, signatures and KBs are immutable records
+(typel.record): equal when of one class with equal fields, hashable,
+printable as Name(name='A') and usable in class patterns.  Sharing them
+across threads is safe.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+
+from .record import Record, record
 
 
-class ConceptExpr:
+class ConceptExpr(Record):
     """Base class for concept expressions."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Top(ConceptExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Bot(ConceptExpr):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Name(ConceptExpr):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Nominal(ConceptExpr):
     individual: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Conj(ConceptExpr):
     left: ConceptExpr
     right: ConceptExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Exists(ConceptExpr):
     role: str
     filler: ConceptExpr
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SelfRestriction(ConceptExpr):
     role: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Typicality(ConceptExpr):
     """T(arg): the minimal-rank members of arg.  Nesting is rejected."""
 
@@ -165,34 +169,34 @@ def concept_text(c: ConceptExpr) -> str:
 # --- axioms ---
 
 
-@dataclass(frozen=True, slots=True)
-class GCI:
+@record
+class GCI(Record):
     lhs: ConceptExpr
     rhs: ConceptExpr
 
 
-@dataclass(frozen=True, slots=True)
-class RoleIncl:
+@record
+class RoleIncl(Record):
     sub: str
     sup: str
 
 
-@dataclass(frozen=True, slots=True)
-class RoleChain:
+@record
+class RoleChain(Record):
     first: str
     second: str
     sup: str
 
 
-@dataclass(frozen=True, slots=True)
-class RoleConj:
+@record
+class RoleConj(Record):
     first: str
     second: str
     sup: str
 
 
-@dataclass(frozen=True, slots=True)
-class ProductToRole:
+@record
+class ProductToRole(Record):
     """left x right <= sup: every left-instance is sup-related to every right-instance."""
 
     left: ConceptExpr
@@ -200,8 +204,8 @@ class ProductToRole:
     sup: str
 
 
-@dataclass(frozen=True, slots=True)
-class RoleToProduct:
+@record
+class RoleToProduct(Record):
     """sub <= left x right: sub only relates left-instances to right-instances."""
 
     sub: str
@@ -212,14 +216,14 @@ class RoleToProduct:
 RBoxAxiom = RoleIncl | RoleChain | RoleConj | ProductToRole | RoleToProduct
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptAssertion:
+@record
+class ConceptAssertion(Record):
     concept: ConceptExpr
     individual: str
 
 
-@dataclass(frozen=True, slots=True)
-class RoleAssertion:
+@record
+class RoleAssertion(Record):
     role: str
     subject: str
     target: str
@@ -228,48 +232,44 @@ class RoleAssertion:
 ABoxAxiom = ConceptAssertion | RoleAssertion
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+@record
+class Signature(Record):
     concept_names: frozenset[str]
     role_names: frozenset[str]
     individual_names: frozenset[str]
     simple_roles: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True, slots=True)
-class KnowledgeBase:
+@record
+class KnowledgeBase(Record):
     signature: Signature
     tbox: tuple[GCI, ...] = ()
     rbox: tuple[RBoxAxiom, ...] = ()
     abox: tuple[ABoxAxiom, ...] = ()
-    # a KB keys the cache of prepared KBs, and a frozen dataclass would
+    # a KB keys the cache of prepared KBs, and hashing its fields would
     # rehash every axiom on each lookup.  The hash is taken on first use, not
     # on construction: hashing recurses through each concept, so a KB built
     # too tall for it must still reach validate.  String hashes differ
-    # between processes, so a pickle carries only the four fields.
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    # between processes, and a pickle carries only the four fields.
+    __slots__ = ("_hash",)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            fields = (self.signature, self.tbox, self.rbox, self.abox)
-            object.__setattr__(self, "_hash", hash(fields))
+        if not hasattr(self, "_hash"):
+            object.__setattr__(self, "_hash", hash(self._values))
         return self._hash
-
-    def __reduce__(self):
-        return KnowledgeBase, (self.signature, self.tbox, self.rbox, self.abox)
 
 
 # --- queries ---
 
 
-@dataclass(frozen=True, slots=True)
-class InstanceOf:
+@record
+class InstanceOf(Record):
     concept: ConceptExpr
     individual: str
 
 
-@dataclass(frozen=True, slots=True)
-class TypicalInstanceOf:
+@record
+class TypicalInstanceOf(Record):
     """Is the individual a typical instance of the (T-free) concept?"""
 
     concept: ConceptExpr
@@ -280,21 +280,21 @@ class TypicalInstanceOf:
             raise ValueError("nested typicality in typical-instance query")
 
 
-@dataclass(frozen=True, slots=True)
-class RoleHolds:
+@record
+class RoleHolds(Record):
     role: str
     subject: str
     target: str
 
 
-@dataclass(frozen=True, slots=True)
-class Subsumes:
+@record
+class Subsumes(Record):
     lhs: ConceptExpr
     rhs: ConceptExpr
 
 
-@dataclass(frozen=True, slots=True)
-class TypSubsumes:
+@record
+class TypSubsumes(Record):
     """T(lhs) <= rhs with lhs T-free."""
 
     lhs: ConceptExpr
@@ -327,8 +327,8 @@ def query_axiom(q: Query) -> GCI | ABoxAxiom:
 # --- validation ---
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+@record
+class Violation(Record):
     where: str
     message: str
 

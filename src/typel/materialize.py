@@ -29,7 +29,6 @@ answered inclusions before the witness did, kept only as a reference.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .datalog import (
     Atom,
@@ -68,6 +67,7 @@ from .kb import (
     Typicality,
 )
 from .normalize import NormalizedKB, RankedConcept, normalize, normalize_queries
+from .record import Record, record
 
 TOP_CONST = "top"
 BOT_CONST = "bot"
@@ -150,13 +150,13 @@ RT_LABELED: tuple[tuple[str, Rule], ...] = tuple(
 DERIVED_PREDS = frozenset({"inst", "typ", "triple", "self", "sameRank", "leqRank"})
 
 
-@dataclass(frozen=True, slots=True)
-class InputTranslation:
+@record
+class InputTranslation(Record):
     facts: tuple[Atom, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class EntailmentVerdict:
+@record
+class EntailmentVerdict(Record):
     entailed: bool
     witness: Atom | None = None
 

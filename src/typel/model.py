@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 
 from .kb import (
     Bot,
@@ -46,14 +45,15 @@ from .kb import (
     validate,
     validate_query,
 )
+from .record import Record, record
 
 
 class BoundOverflow(RuntimeError):
     """The bounded model search exceeded its decision budget."""
 
 
-@dataclass(frozen=True, slots=True)
-class RankedInterpretation:
+@record
+class RankedInterpretation(Record):
     domain: tuple[int, ...]
     rank: dict[int, int]
     concept_ext: dict[str, frozenset[int]]
@@ -170,7 +170,6 @@ def render_model(m: RankedInterpretation) -> str:
 # --- propositional grounding ---
 
 
-@dataclass
 class _Encoder:
     """Grounds every candidate of one domain size to clauses.
 
@@ -181,14 +180,15 @@ class _Encoder:
     the rest and `typicality_clauses` adds those per profile.
     """
 
-    kb: KnowledgeBase
-    n: int
-    nvars: int = 0
-    clauses: list[tuple[int, ...]] = field(default_factory=list)
-    _base: dict[tuple, int] = field(default_factory=dict)
-    _concept_vars: dict[ConceptExpr, list[int]] = field(default_factory=dict)
-    # (T(C) variables, C variables) per element, for each T(C) grounded
-    _typical: list[tuple[list[int], list[int]]] = field(default_factory=list)
+    def __init__(self, kb: KnowledgeBase, n: int) -> None:
+        self.kb = kb
+        self.n = n
+        self.nvars = 0
+        self.clauses: list[tuple[int, ...]] = []
+        self._base: dict[tuple, int] = {}
+        self._concept_vars: dict[ConceptExpr, list[int]] = {}
+        # (T(C) variables, C variables) per element, for each T(C) grounded
+        self._typical: list[tuple[list[int], list[int]]] = []
 
     def new_var(self) -> int:
         self.nvars += 1

@@ -33,7 +33,6 @@ signature is unchanged.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
 
 from .kb import (
     TOP,
@@ -70,20 +69,21 @@ from .kb import (
     validate,
     validate_query,
 )
+from .record import Record, record
 
 
 # --- results ---
 
 
-@dataclass(frozen=True, slots=True)
-class FreshName:
+@record
+class FreshName(Record):
     name: str
     kind: str
     source: str
 
 
-@dataclass(frozen=True, slots=True)
-class RankedConcept:
+@record
+class RankedConcept(Record):
     """One registered T-argument: its canonical key, display text, the name
     the rank machinery tracks (ranked), and the occurrence name if any."""
 
@@ -93,8 +93,8 @@ class RankedConcept:
     x_name: str | None
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedKB:
+@record
+class NormalizedKB(Record):
     """axioms keeps the normal axioms of all three boxes in one order, the
     order translate numbers existential witnesses by."""
 
@@ -212,7 +212,7 @@ class _Normalizer:
         if entry.x_name is None:
             x_name = self.fresh("X", "typicality-embedded", entry.key)
             self.tbox.append(GCI(Typicality(Name(entry.ranked)), Name(x_name)))
-            entry = self.registry[entry.key] = replace(entry, x_name=x_name)
+            entry = self.registry[entry.key] = entry._replace(x_name=x_name)
         return entry.x_name
 
     def replace_t(self, c: ConceptExpr) -> ConceptExpr:
@@ -423,7 +423,7 @@ class _Normalizer:
         base, fresh = self.base, tuple(self.fresh_log)
         sig = base.signature
         return NormalizedKB(
-            replace(sig, concept_names=sig.concept_names | {f.name for f in fresh}),
+            sig._replace(concept_names=sig.concept_names | {f.name for f in fresh}),
             base.axioms + tuple(self.normal),
             tuple(self.registry.values()),
             base.fresh_name_log + fresh,
@@ -463,7 +463,7 @@ def normalize(
     simple_mode = _resolve_mode(kb, mode)
     sig = kb.signature
     simple_roles = compute_simple_roles(sig.role_names, kb.rbox)
-    nz = _Normalizer(NormalizedKB(replace(sig, simple_roles=simple_roles), (), (), ()), simple_mode)
+    nz = _Normalizer(NormalizedKB(sig._replace(simple_roles=simple_roles), (), (), ()), simple_mode)
     nz.run_t_pass(kb)
     nz.run_structural_pass()
     return normalize_queries(kb, nz.result(), queries, simple_mode, extra_ranked)

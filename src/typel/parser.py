@@ -20,8 +20,6 @@ axiom is not a query.  A concept may be MAX_NESTING levels deep: each
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .kb import (
     BOT,
     MAX_NESTING,
@@ -55,6 +53,7 @@ from .kb import (
     concept_text,
     query_axiom,
 )
+from .record import Record, record
 
 KEYWORDS = frozenset({"class", "role", "individual", "top", "bot", "and", "some", "self", "T", "x", "o"})
 
@@ -65,8 +64,8 @@ class ParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+@record
+class Token(Record):
     kind: str  # "ident", "keyword", or the punct text itself
     text: str
     line: int

@@ -32,8 +32,6 @@ back; the CLI dumps the same program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .datalog import (
     Atom,
     DatalogProgram,
@@ -65,6 +63,7 @@ from .materialize import (
 )
 from .normalize import NormalizedKB, normalize
 from .parser import axiom_text
+from .record import Record, record
 
 
 class NotSimpleError(ValueError):
@@ -173,8 +172,8 @@ RANK_RULES: tuple[Rule, ...] = RC_BASE_RULES + H_RULES + tuple(
 CLOSURE_RULES: tuple[Rule, ...] = RANK_RULES + INJECTION_RULES
 
 
-@dataclass(frozen=True, slots=True)
-class RankAssignment:
+@record
+class RankAssignment(Record):
     """Rank per tracked concept name; names missing from ranks are in
     infinite.  display maps tracked names back to user-facing concepts."""
 
@@ -199,8 +198,8 @@ class RankAssignment:
         return list(dict.fromkeys(out))
 
 
-@dataclass(frozen=True, slots=True)
-class RcVerdict:
+@record
+class RcVerdict(Record):
     in_closure: bool
 
 

@@ -386,6 +386,49 @@ def test_check_batch_error_in_one_query_exits_2_after_the_others(capsys, monkeyp
     assert (code, out, err) == (2, "not-entailed\nentailed\n", "error: grounding bound exceeded\n")
 
 
+def test_model_search_budget_overflow_is_an_input_error(capsys, monkeypatch):
+    # the CLI imports model only for refute, and still reports its overflow
+    # with exit 2, not as an internal error
+    from typel.model import BoundOverflow
+
+    def overflowing(kb, q, max_domain, max_rank):
+        raise BoundOverflow("decision budget exceeded")
+
+    monkeypatch.setattr(typel.cli, "refute", overflowing)
+    code, out, err = run(capsys, "refute", EX1, "Young(mario)")
+    assert (code, out) == (2, "")
+    assert err == "error: decision budget exceeded\n"
+
+
+# each command and the entry point it calls
+ENTRY_CALLS = [
+    (["check", EX1, "MathHater(paul)"], "check_instance"),
+    (["subsumes", EX1, "Student <= Young"], "check_subsumption"),
+    (["consistent", EX1], "check_consistency"),
+    (["rc-ranks", EX1_AF], "compute_ranks"),
+    (["rc-check", EX1_AF, "T(Student and Italian) <= Young"], "rc_entails"),
+    (["rc-consistent", EX1_AF], "rc_consistent"),
+    (["refute", EX1, "MathHater(paul)"], "refute"),
+]
+
+
+@pytest.mark.parametrize("argv, entry", ENTRY_CALLS, ids=[e for _, e in ENTRY_CALLS])
+def test_commands_call_entry_points_as_cli_attributes(capsys, monkeypatch, argv, entry):
+    """A wrapper bound in typel.cli is what the command calls, as a tracer
+    that rebinds the CLI's entry points needs, including those the CLI
+    imports only on first use."""
+    real = getattr(typel.cli, entry)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(typel.cli, entry, counting)
+    assert run(capsys, *argv)[0] in (0, 1)
+    assert len(calls) == 1
+
+
 def test_installed_entry_point():
     # the child imports typel from wherever this process did
     src = str(Path(typel.__file__).resolve().parent.parent)

@@ -1,7 +1,6 @@
 """Engine behavior: stratification, evaluation, oracle agreement, round trips."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import pickle
@@ -507,11 +506,11 @@ def fired(monkeypatch):
                 calls.append((v.rule, None if delta is None else frozenset(delta)))
                 v.fn(store, delta, out)
 
-            return dataclasses.replace(v, fn=fn)
+            recorded = v._replace()
+            object.__setattr__(recorded, "fn", fn)
+            return recorded
 
-        return dataclasses.replace(
-            c, base=record(c.base), variants=tuple(map(record, c.variants))
-        )
+        return c._replace(base=record(c.base), variants=tuple(map(record, c.variants)))
 
     monkeypatch.setattr(datalog, "_compile_rule", recording)
     datalog._prepare.cache_clear()

@@ -1,7 +1,6 @@
 """Materialization calculus: translation facts, rule table, entailment checks."""
 from __future__ import annotations
 
-import dataclasses
 import re
 from collections import Counter
 
@@ -68,6 +67,7 @@ from typel.model import refute
 from typel.rc import InconsistentKBError, rc_entails
 from typel.normalize import NormalizedKB, normalize
 from typel.parser import parse_kb, parse_query
+from typel.record import Record
 
 # --- reference rule table ----------------------------------------------------
 #
@@ -525,7 +525,7 @@ def test_an_inclusion_extends_the_store_as_an_assertion_on_a_new_individual(name
     kb, _ = fixture_pairs(name)
     w = _prepared_kb(kb).witness
     sig = kb.signature
-    with_w = dataclasses.replace(sig, individual_names=sig.individual_names | {w})
+    with_w = sig._replace(individual_names=sig.individual_names | {w})
     for c in sorted(sig.concept_names):
         sat, facts, goal = _query(kb, Subsumes(Name(c), Name(c)))
         abox = kb.abox + (ConceptAssertion(Name(c), w),)
@@ -582,9 +582,8 @@ def renamed(x, names):
         return names.get(x, x)
     if isinstance(x, (tuple, frozenset)):
         return type(x)(renamed(y, names) for y in x)
-    if dataclasses.is_dataclass(x):
-        fields = (f.name for f in dataclasses.fields(x) if f.init)
-        return dataclasses.replace(x, **{f: renamed(getattr(x, f), names) for f in fields})
+    if isinstance(x, Record):
+        return x._replace(**{f: renamed(getattr(x, f), names) for f in x.__match_args__})
     return x
 
 
