@@ -31,9 +31,17 @@ Facts live in a FactStore: one set per predicate plus hash indexes, each
 on a sorted tuple of argument positions and keyed by the bare value for
 one position, by the tuple of values for more.  A generated join looks up
 every fact set and index dict it reads once per call and then probes
-them with plain dict lookups; it writes only to its output set, and the
-evaluator inserts each output set afterwards with one add_all, whose
-return value, the facts not stored yet, is the next delta.
+them with plain dict lookups; a probe that binds every position of its
+atom is a membership test on the fact set, with no index built or kept
+for it.  A join writes only to its output set, never to the store.
+
+Semi-naive evaluation runs in batched rounds (Bancilhon & Ramakrishnan,
+SIGMOD 1986): every join of a round reads the store as the last round
+left it and writes into one output set per head predicate, and the round
+ends with one add_all per head predicate, whose return value, the facts
+not stored yet, is the next delta.  A round calls only the delta variants
+whose first atom's relation has new facts, looked up in a map from
+predicate to variants built once per stratum.
 
 A program without negation is one stratum and monotone, so Saturation
 keeps its least model and extends it by more facts: the facts are the
@@ -467,6 +475,7 @@ def _gen_fn(cv: _Variant):
     an index on the positions ground before it is joined, is looked up once
     at the top; the function writes only to out, never to the store, so
     those stay current while it runs, and each probe is one dict lookup.
+    An atom ground at every position is probed on the fact set.
     The naive oracle reads the rules directly and shares no code with this
     one, so the two paths cross-check each other.
     """
@@ -556,6 +565,11 @@ def _gen_fn(cv: _Variant):
         # cand: the facts to join; empty: true when there are none
         if from_delta:
             cand, empty = "delta", "not delta"
+        elif kp and len(kp) == len(a.args):
+            # every position is ground: a membership test on the fact set,
+            # which needs no index.  It binds nothing and checks nothing.
+            kexprs = [value(t, guards) for t in a.args]
+            cand, empty = None, f"({', '.join(kexprs)},) not in {rel(a.pred)}"
         elif kp:
             kexprs = [value(a.args[j], guards) for j in kp]
             # keyed like FactStore.index: the bare value for one position
@@ -695,34 +709,50 @@ def _eval_stratum_seminaive(
     # a relation this stratum does not derive is final; if it is empty, no
     # rule joining it can fire
     compiled = [c for c in compiled if all(p in idb or store.facts(p) for p in c.positive_preds)]
-    delta: dict[str, set[tuple[Const, ...]]] = {}
+    out: dict[str, set[tuple[Const, ...]]] = {}
     for c in compiled:
-        produced: set[tuple[Const, ...]] = set()
-        c.base.fn(store, None, produced)
-        fresh = store.add_all(c.head_pred, produced)
+        c.base.fn(store, None, out.setdefault(c.head_pred, set()))
+    _seminaive(store, _dispatch(compiled), _store_round(store, out))
+
+
+def _dispatch(compiled) -> dict[str, list[tuple[_Variant, str]]]:
+    """Each body predicate's delta variants, with the head each writes."""
+    joins: dict[str, list[tuple[_Variant, str]]] = {}
+    for c in compiled:
+        for v, pred in zip(c.variants, c.positive_preds):
+            joins.setdefault(pred, []).append((v, c.head_pred))
+    return joins
+
+
+def _store_round(
+    store: FactStore, out: dict[str, set[tuple[Const, ...]]]
+) -> dict[str, set[tuple[Const, ...]]]:
+    """Store a round's output, one add_all per head; the facts that were new."""
+    delta = {}
+    for pred, facts in out.items():
+        fresh = store.add_all(pred, facts)
         if fresh:
-            delta.setdefault(c.head_pred, set()).update(fresh)
-    _seminaive(store, [c for c in compiled if any(p in idb for p in c.positive_preds)], delta)
+            delta[pred] = fresh
+    return delta
 
 
 def _seminaive(
-    store: FactStore, compiled: list[_CompiledRule], delta: dict[str, set[tuple[Const, ...]]]
+    store: FactStore,
+    joins: dict[str, list[tuple[_Variant, str]]],
+    delta: dict[str, set[tuple[Const, ...]]],
 ) -> None:
-    """Join each rule's delta variants against the store until no delta is
-    left; delta holds facts already stored whose consequences may not be."""
+    """Semi-naive rounds until no delta is left.
+
+    delta holds facts already stored whose consequences may not be.  A
+    round calls the variants that join each delta first, all against the
+    store as the last round left it, and then stores their output.
+    """
     while delta:
-        new_delta: dict[str, set[tuple[Const, ...]]] = {}
-        for c in compiled:
-            for k, pred in enumerate(c.positive_preds):
-                d = delta.get(pred)
-                if not d:
-                    continue
-                produced = set()
-                c.variants[k].fn(store, d, produced)
-                fresh = store.add_all(c.head_pred, produced)
-                if fresh:
-                    new_delta.setdefault(c.head_pred, set()).update(fresh)
-        delta = new_delta
+        out: dict[str, set[tuple[Const, ...]]] = {}
+        for pred, d in delta.items():
+            for v, head in joins.get(pred, ()):
+                v.fn(store, d, out.setdefault(head, set()))
+        delta = _store_round(store, out)
 
 
 def _unify(args: tuple[Term, ...], fact: tuple[Const, ...], subst: dict) -> dict | None:
@@ -923,7 +953,7 @@ class Saturation:
     alone returns store, which is never written.
     """
 
-    __slots__ = ("program", "store", "_arity", "_constants", "_compiled")
+    __slots__ = ("program", "store", "_arity", "_constants", "_rules", "_gated", "_joins")
 
     def __init__(self, program: DatalogProgram, store: FactStore):
         """store is evaluate(program), which has validated the program."""
@@ -933,12 +963,17 @@ class Saturation:
         self.program = program
         self.store = store
         self._arity, self._constants = _symbols(program)
-        # each rule, with the input relations it joins that are empty here
-        self._compiled = [
-            (c, frozenset(p for p in c.positive_preds if p not in idb and not store.facts(p)))
-            for idb, compiled in strata
-            for c in compiled
-        ]
+        self._rules: list[_CompiledRule] = []
+        # each rule joining input relations that are empty here, with those
+        self._gated: list[tuple[_CompiledRule, frozenset[str]]] = []
+        for idb, compiled in strata:
+            for c in compiled:
+                empty = frozenset(p for p in c.positive_preds if p not in idb and not store.facts(p))
+                if empty:
+                    self._gated.append((c, empty))
+                else:
+                    self._rules.append(c)
+        self._joins = _dispatch(self._rules)
 
     def extend(self, facts: tuple[Atom, ...]) -> FactStore:
         """The least model of the program plus facts: a new store, or store
@@ -952,7 +987,9 @@ class Saturation:
         store = self.store.copy()
         arity, constants = dict(self._arity), set(self._constants)
         _load_facts(store, facts, arity, constants)
-        _seminaive(store, [c for c, empty in self._compiled if empty <= delta.keys()], delta)
+        opened = [c for c, empty in self._gated if empty <= delta.keys()]
+        joins = _dispatch(self._rules + opened) if opened else self._joins
+        _seminaive(store, joins, delta)
         _check_bound(store, _bound(arity, constants))
         return store
 
