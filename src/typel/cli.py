@@ -166,12 +166,8 @@ def _cmd_query(args) -> int:
             code = 2
             continue
         if args.dump_program:
-            if args.command.startswith("rc-"):
-                inject = args.command == "rc-consistent"
-                program = _cli.closure_program(kb, q, inject_ranks=inject)[0]
-            else:
-                program = query_program(kb, q)[0]
-            _dump(args.dump_program, program)
+            make = _cli.closure_program if args.command.startswith("rc-") else query_program
+            _dump(args.dump_program, make(kb, q)[0])
         _emit(args, verdicts[0] if holds else verdicts[1], q)
         code = max(code, 0 if holds else 1)
     return code
@@ -182,7 +178,7 @@ def _cmd_rc_ranks(args) -> int:
     extra = tuple(parse_concept(text, kb) for text in (args.concept or ()))
     ra = _cli.compute_ranks(kb, query_concepts=extra)
     if args.dump_program:
-        _dump(args.dump_program, _cli.closure_program(kb, concepts=extra, inject_ranks=False)[0])
+        _dump(args.dump_program, _cli.closure_program(kb, concepts=extra)[0])
     if args.format == "records":
         for name, rank in ra.rows():
             print(json.dumps({"mode": "rc-ranks", "query": name, "verdict": rank}, sort_keys=True))

@@ -874,8 +874,9 @@ def _check_bound(store: FactStore, bound: int) -> None:
         )
 
 
-# large enough to keep the three built-in rule tables (base, closure with and
-# without its rank-injection rules) resident beside a caller's own
+# large enough to keep the two built-in rule tables (base and closure)
+# resident beside a caller's own; every rc entry point evaluates the one
+# closure table, so a process generates each of its joins at most once
 @functools.lru_cache(maxsize=16)
 def _prepare(rules: tuple[Rule, ...]):
     """Validate, stratify and compile a rule table once per process.

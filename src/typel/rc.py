@@ -14,17 +14,14 @@ it stays exceptional: stage(C, i) holds for i = 0 and when C was
 exceptional at i - 1, and guards every staged rule.
 
 Only simple KBs qualify: typicality may appear in inclusion left sides
-only, so the defeasible part is a set of T(C) <= D axioms.  Ranks mean
-nothing on a classically inconsistent KB, and each entry point reads that
-off its own closure store, with one evaluation per request:
-
-- compute_ranks and rc_entails evaluate RANK_RULES, the closure table
-  without the injection rules.  Nothing else writes to the base calculus,
-  so the store's base part is the classical saturation of the KB.
-- rc_consistent evaluates the full CLOSURE_RULES.  The injection rules only
-  add facts, so a consistent store is also classically consistent; only an
-  inconsistent one needs check_consistency to tell a classically
-  inconsistent KB from the verdict.
+only, so the defeasible part is a set of T(C) <= D axioms.  compute_ranks,
+rc_entails and rc_consistent all evaluate CLOSURE_RULES, once per request,
+and read their answer off the one store.  No rank, stage or hypothesis-copy
+rule reads a base-calculus predicate, so the rank and inrc facts are the
+same with or without the injection rules.  Those only add facts, so a
+consistent store is also classically consistent; only an inconsistent one
+needs check_consistency to tell a classically inconsistent KB, on which
+ranks mean nothing, from an inconsistent closure.
 
 closure_program builds the program each entry point evaluates and reads
 back; the CLI dumps the same program.
@@ -54,6 +51,7 @@ from .kb import (
     subconcepts,
 )
 from .materialize import (
+    BASE_RULES,
     DERIVED_PREDS,
     IR_RULES,
     RT_LABELED,
@@ -78,17 +76,11 @@ class InconsistentKBError(ValueError):
 _INCONSISTENT = "classically inconsistent KB: ranks are undefined"
 
 
-# base rule set for closure work: the structural rules plus the typicality
-# rules without SupTyp, which simple KBs never need
-RC_BASE_RULES: tuple[Rule, ...] = IR_RULES + tuple(
-    rule for label, rule in RT_LABELED if label != "SupTyp"
-)
-
 # hypothesis copies: the positive calculus re-derived under the assumption
 # that constant D is a typical-top instance of itself, at each stage I of D;
 # SubTyp is excluded because the staged subTypRC below replaces it
 _H_SOURCE: tuple[Rule, ...] = IR_RULES + tuple(
-    rule for label, rule in RT_LABELED if label not in ("SupTyp", "SubTyp")
+    rule for label, rule in RT_LABELED if label != "SubTyp"
 )
 _H_RENAME = {p: f"{p}_h" for p in DERIVED_PREDS}
 
@@ -157,19 +149,14 @@ def _parse_rc_rules() -> tuple[tuple[str, Rule], ...]:
 RC_LABELED: tuple[tuple[str, Rule], ...] = _parse_rc_rules()
 RC_RULES: tuple[Rule, ...] = tuple(rule for _, rule in RC_LABELED)
 
-# the two rules feeding computed ranks back into the base calculus; only
-# the closure-consistency test reads what they derive
-INJECTION_RULES: tuple[Rule, ...] = tuple(
-    rule for label, rule in RC_LABELED if label in ("SameRank_rc1", "LeqRank_rc2")
-)
+# the closure program's one rule table.  A simple-mode normalization emits
+# no supTyp fact, so both SupTyp copies fall to the empty-input gate of
+# their stratum before any join is generated
+CLOSURE_RULES: tuple[Rule, ...] = BASE_RULES + H_RULES + RC_RULES
 
-# the closure program's rule tables, one tuple each for every request:
-# without the injection rules for ranks and membership, with them for
-# closure consistency
-RANK_RULES: tuple[Rule, ...] = RC_BASE_RULES + H_RULES + tuple(
-    rule for rule in RC_RULES if rule not in INJECTION_RULES
-)
-CLOSURE_RULES: tuple[Rule, ...] = RANK_RULES + INJECTION_RULES
+# the base part of CLOSURE_RULES, under the name the benchmark's floor probe
+# (perfbench/run.py) imports
+RC_BASE_RULES = BASE_RULES
 
 
 @record
@@ -215,17 +202,15 @@ def t_occurrence_count(kb: KnowledgeBase) -> int:
 
 def build_rc_program(
     nkb: NormalizedKB,
-    def_subs_pairs: tuple[tuple[str, str], ...] = (),
-    t_occurrences: int | None = None,
-    rules: tuple[Rule, ...] = CLOSURE_RULES,
+    def_subs_pairs: tuple[tuple[str, str], ...],
+    t_occurrences: int,
 ) -> DatalogProgram:
     """Assemble a closure program over a simple-mode normalization.
 
     def_subs_pairs gate which inrc pairs the program may derive; each pair's
     left-hand side has its auxc fact already, as simple-mode normalization
-    ranks every query's left-hand side.  t_occurrences overrides the stage
-    bound with the original TBox occurrence count (the normalized count is
-    never larger).  rules is the rule table, CLOSURE_RULES or RANK_RULES.
+    ranks every query's left-hand side.  t_occurrences, the T occurrence
+    count of the original TBox, bounds the stages.
     """
     for ax in nkb.axioms:
         if isinstance(ax, GCI) and isinstance(ax.rhs, Typicality):
@@ -233,42 +218,28 @@ def build_rc_program(
                 f"not a simple KB: an axiom places typicality on the right ({axiom_text(ax)})"
             )
     it = translate(nkb)
-    if t_occurrences is None:
-        t_occurrences = sum(
-            1 for ax in nkb.axioms if isinstance(ax, GCI) and isinstance(ax.lhs, Typicality)
-        )
     facts = list(it.facts)
     facts += [Atom("possrank", (i,)) for i in range(t_occurrences + 2)]
     for c, d in def_subs_pairs:
         facts.append(Atom("def_subs", (c, d)))
-    return DatalogProgram(facts=tuple(facts), rules=rules)
+    return DatalogProgram(facts=tuple(facts), rules=CLOSURE_RULES)
 
 
 def closure_program(
     kb: KnowledgeBase,
     query: TypSubsumes | None = None,
     concepts: tuple[ConceptExpr, ...] = (),
-    inject_ranks: bool = True,
 ) -> tuple[DatalogProgram, NormalizedKB, Atom | None]:
     """The closure program an entry point evaluates, the normalization its
     ranks are read against, and the inrc goal of a T(C) <= D query.
 
     concepts are extra concepts to rank.  A query's C gets a rank too, and
     its pair is the only one the program may put in the closure.
-    inject_ranks selects the table: CLOSURE_RULES, which rc_consistent
-    evaluates, or without it RANK_RULES, which compute_ranks and rc_entails
-    evaluate and whose store is classically inconsistent exactly when the
-    KB is.
     """
     queries = () if query is None else (query,)
     nkb, goals = normalize(kb, queries, mode="simple", extra_ranked=concepts)
     pairs = tuple((goal.lhs.name, goal.rhs.name) for goal in goals)
-    program = build_rc_program(
-        nkb,
-        def_subs_pairs=pairs,
-        t_occurrences=t_occurrence_count(kb),
-        rules=CLOSURE_RULES if inject_ranks else RANK_RULES,
-    )
+    program = build_rc_program(nkb, pairs, t_occurrence_count(kb))
     return program, nkb, Atom("inrc", pairs[0]) if pairs else None
 
 
@@ -278,11 +249,11 @@ def _require_simple(kb: KnowledgeBase) -> None:
         raise NotSimpleError(f"not a simple KB: {axiom_text(bad)}")
 
 
-def _ranked_store(program: DatalogProgram) -> FactStore:
-    """Evaluate a RANK_RULES program; its base part is the classical
-    saturation, so an inconsistent store means an inconsistent KB."""
+def _closure_store(kb: KnowledgeBase, program: DatalogProgram) -> FactStore:
+    """Evaluate a closure program.  The injection rules only add facts, so
+    only an inconsistent store can mean an inconsistent KB."""
     store = evaluate(program)
-    if store_inconsistent(store):
+    if store_inconsistent(store) and not check_consistency(kb):
         raise InconsistentKBError(_INCONSISTENT)
     return store
 
@@ -321,8 +292,8 @@ def compute_ranks(
         if contains_typicality(c):
             raise ValueError(f"cannot rank {concept_text(c)}: a ranked concept may not contain T")
     _require_simple(kb)
-    program, nkb, _ = closure_program(kb, concepts=query_concepts, inject_ranks=False)
-    return _read_assignment(_ranked_store(program), nkb)
+    program, nkb, _ = closure_program(kb, concepts=query_concepts)
+    return _read_assignment(_closure_store(kb, program), nkb)
 
 
 def rc_entails(kb: KnowledgeBase, q: TypSubsumes) -> RcVerdict:
@@ -330,8 +301,8 @@ def rc_entails(kb: KnowledgeBase, q: TypSubsumes) -> RcVerdict:
     if not isinstance(q, TypSubsumes):
         raise TypeError(f"rational closure membership needs a T(C) <= D query, got {q!r}")
     _require_simple(kb)
-    program, _, goal = closure_program(kb, q, inject_ranks=False)
-    return RcVerdict(in_closure=_ranked_store(program).contains(goal.pred, goal.args))
+    program, _, goal = closure_program(kb, q)
+    return RcVerdict(in_closure=_closure_store(kb, program).contains(goal.pred, goal.args))
 
 
 def rc_consistent(kb: KnowledgeBase) -> bool:
@@ -339,15 +310,8 @@ def rc_consistent(kb: KnowledgeBase) -> bool:
 
     The injection rules force the base calculus to treat equally ranked
     concepts' representatives as equally ranked elements; if that floods a
-    bottom class, no model matches the assignment.  The injection rules
-    only add facts, so a consistent closure store settles classical
-    consistency too; an inconsistent one is the verdict only for a
-    classically consistent KB.
+    bottom class, no model matches the assignment.
     """
     _require_simple(kb)
     program, _, _ = closure_program(kb)
-    if not store_inconsistent(evaluate(program)):
-        return True
-    if not check_consistency(kb):
-        raise InconsistentKBError(_INCONSISTENT)
-    return False
+    return not store_inconsistent(_closure_store(kb, program))

@@ -41,7 +41,7 @@ from typel.datalog import (
 )
 from typel.materialize import BASE_RULES, IR_LABELED, query_program
 from typel.parser import parse_kb, parse_query
-from typel.rc import CLOSURE_RULES, H_RULES, RANK_RULES, closure_program
+from typel.rc import CLOSURE_RULES, H_RULES, closure_program
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
@@ -313,7 +313,7 @@ def test_stratify_is_least_on_random_stratified_programs(seed):
     assert_least_stratification(random_stratified_program(random.Random(seed)).rules)
 
 
-@pytest.mark.parametrize("rules", [BASE_RULES, RANK_RULES, CLOSURE_RULES])
+@pytest.mark.parametrize("rules", [BASE_RULES, CLOSURE_RULES])
 def test_stratify_is_least_on_builtin_rules(rules):
     assert_least_stratification(rules)
 
@@ -587,7 +587,7 @@ def test_recursive_variant_is_fed_each_fact_once(fired):
     assert sum(map(len, deltas)) == n * (n + 1) // 2
 
 
-BUILTIN_RULE_SETS = (BASE_RULES, CLOSURE_RULES, RANK_RULES)
+BUILTIN_RULE_SETS = (BASE_RULES, CLOSURE_RULES)
 
 
 def builtin_table_programs():
@@ -598,7 +598,6 @@ def builtin_table_programs():
         _query("example1.kbt", "T(Student) <= MathHater"),
         _query("example4.kbt", "A and B <= D"),
         closure_program(load_fixture("example4.kbt"))[0],
-        closure_program(load_fixture("example4.kbt"), inject_ranks=False)[0],
     )
 
 

@@ -7,15 +7,22 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from typel import datalog
 from typel._families import chain_kb
 from typel.datalog import Atom, DatalogProgram, Neg, Rule, evaluate, stratify
 from typel.kb import Conj, Name, TypSubsumes, first_non_simple_axiom, is_simple
-from typel.materialize import BOT_CONST, check_consistency, store_inconsistent, translate
+from typel.materialize import (
+    BASE_RULES,
+    BOT_CONST,
+    check_consistency,
+    store_inconsistent,
+    translate,
+)
 from typel.normalize import normalize
 from typel.parser import axiom_text, parse_concept, parse_kb, parse_query
 from typel.rc import (
+    CLOSURE_RULES,
     H_RULES,
-    RC_BASE_RULES,
     RC_LABELED,
     RC_RULES,
     InconsistentKBError,
@@ -39,6 +46,9 @@ SIMPLE_FIXTURES = (
     "rc_still_consistent.kbt",
     "rc_inconsistent.kbt",
 )
+
+# the two rules that feed computed ranks back into the base calculus
+INJECTION = {rule for label, rule in RC_LABELED if label in ("SameRank_rc1", "LeqRank_rc2")}
 
 
 def ranks_by_display(assignment):
@@ -162,7 +172,7 @@ def test_closure_program_rejects_a_normal_form_with_typicality_on_the_right():
     kb = parse_kb("class A. class B.\nA <= T(B).\n")
     nkb, _ = normalize(kb, (), mode="general")
     with pytest.raises(NotSimpleError, match=r"<= T\(B\)\)$"):
-        build_rc_program(nkb)
+        build_rc_program(nkb, (), t_occurrence_count(kb))
 
 
 @pytest.mark.parametrize(
@@ -247,13 +257,12 @@ def test_ranked_rule_partition_is_a_valid_stratification(example1_af):
     # computed ranks back into the base calculus and rely on the engine's
     # own finer stratification.
     program, _, _ = closure_program(example1_af)
-    injection = {rule for label, rule in RC_LABELED if label in ("SameRank_rc1", "LeqRank_rc2")}
     group = {"rank": 1, "newNonEx": 1, "fixp": 2, "inf_rank": 2, "inrc": 2}
 
     def g(pred):
         return group.get(pred, 0)
 
-    for rule in [rule for rule in program.rules if rule not in injection]:
+    for rule in [rule for rule in program.rules if rule not in INJECTION]:
         for item in rule.body:
             if isinstance(item, Atom):
                 assert g(rule.head.pred) >= g(item.pred), rule
@@ -298,7 +307,7 @@ def test_exceptionality_matches_plain_reconstruction(fixture):
             ]
             plain = DatalogProgram(
                 facts=tuple(base_facts + staged_subtyp + hypothesis),
-                rules=RC_BASE_RULES,
+                rules=BASE_RULES,
             )
             derived_bot = evaluate(plain).contains("inst", (concept, BOT_CONST))
             assert derived_bot == store.contains("exceptional", (concept, stage)), (
@@ -364,7 +373,7 @@ def _one_shot(rule: Rule) -> Rule:
     return Rule(rule.head, tuple(body))
 
 
-ONE_SHOT_RULES = RC_BASE_RULES + tuple(
+ONE_SHOT_RULES = BASE_RULES + tuple(
     _one_shot(rule) for rule in H_RULES + RC_RULES if rule.head.pred != "stage"
 )
 
@@ -437,19 +446,19 @@ def _gated(kb):
 
 def _gated_ranks(kb, concepts):
     _gated(kb)
-    program, nkb, _ = closure_program(kb, concepts=concepts, inject_ranks=True)
+    program, nkb, _ = closure_program(kb, concepts=concepts)
     return _read_assignment(evaluate(program), nkb)
 
 
 def _gated_entails(kb, q):
     _gated(kb)
-    program, _, goal = closure_program(kb, q, inject_ranks=True)
+    program, _, goal = closure_program(kb, q)
     return RcVerdict(in_closure=evaluate(program).contains(goal.pred, goal.args))
 
 
 def _gated_consistent(kb):
     _gated(kb)
-    return not store_inconsistent(evaluate(closure_program(kb, inject_ranks=True)[0]))
+    return not store_inconsistent(evaluate(closure_program(kb)[0]))
 
 
 def _name_queries(kb):
@@ -517,3 +526,48 @@ def test_entry_points_agree_with_the_gate_first_composition(kb_and_query):
     )
     assert _outcome(lambda: rc_entails(kb, q)) == _outcome(lambda: _gated_entails(kb, q))
     assert _outcome(lambda: rc_consistent(kb)) == _outcome(lambda: _gated_consistent(kb))
+
+
+# --- one closure table for every entry point ---------------------------------------------
+
+
+# the reference for ranks and membership: the closure table without the two
+# rules that inject computed ranks into the base calculus
+RANK_REFERENCE_RULES = tuple(rule for rule in CLOSURE_RULES if rule not in INJECTION)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kbs_with_queries)
+@example((load_fixture("rc_inconsistent.kbt"), TypSubsumes(Name("Student"), Name("Young"))))
+@example((load_fixture("example1-af.kbt"), TypSubsumes(Name("Student"), Name("Young"))))
+@example((parse_kb(_nominal_conflict_text(2, frozenset({(0, 1)}))), TypSubsumes(Name("C0"), Name("C1"))))
+def test_closure_table_ranks_and_membership_match_the_rank_table(kb_and_query):
+    """No rank, stage or hypothesis-copy rule reads a base-calculus
+    predicate, so on a classically consistent simple KB the injection rules
+    change neither the ranks nor the inrc verdict, even where they make the
+    closure inconsistent."""
+    kb, q = kb_and_query
+    if first_non_simple_axiom(kb) is not None or not check_consistency(kb):
+        return
+    program, nkb, goal = closure_program(kb, q)
+    reference = evaluate(DatalogProgram(facts=program.facts, rules=RANK_REFERENCE_RULES))
+    assert not store_inconsistent(reference)
+    assert compute_ranks(kb, (q.lhs,)) == _read_assignment(reference, nkb)
+    assert rc_entails(kb, q) == RcVerdict(in_closure=reference.contains(goal.pred, goal.args))
+
+
+def test_rc_entry_points_prepare_one_table(example1_af, monkeypatch):
+    """compute_ranks, rc_entails and rc_consistent evaluate the same table,
+    so a process generates each of its joins once."""
+    generated = []
+    gen_fn = datalog._gen_fn
+    monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
+    datalog._prepare.cache_clear()
+    compute_ranks(example1_af)
+    assert generated
+    generated.clear()
+    assert rc_consistent(example1_af)
+    assert generated == []
+    rc_entails(example1_af, parse_query("T(Student and Italian) <= Young", example1_af))
+    info = datalog._prepare.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
