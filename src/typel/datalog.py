@@ -39,9 +39,12 @@ Semi-naive evaluation runs in batched rounds (Bancilhon & Ramakrishnan,
 SIGMOD 1986): every join of a round reads the store as the last round
 left it and writes into one output set per head predicate, and the round
 ends with one add_all per head predicate, whose return value, the facts
-not stored yet, is the next delta.  A round calls only the delta variants
-whose first atom's relation has new facts, looked up in a map from
-predicate to variants built once per stratum.
+not stored yet, is the next delta.  Every join reads its first atom from
+the delta, and a round calls only the variants whose first relation has
+new facts, looked up in a map built once per stratum.  The first round
+calls each rule whose relations all hold facts, with its first relation
+whole as the delta; any other derivation has a newest fact, and the next
+round's delta brings it to the variant joining its atom first.
 
 A program without negation is one stratum and monotone, so Saturation
 keeps its least model and extends it by more facts: the facts are the
@@ -417,20 +420,18 @@ def _fill(index: tuple, facts) -> None:
 
 @record
 class _Variant(Record):
-    """One rule body with its positive atoms joined in a fixed order."""
+    """One rule body with its positive atoms joined in a fixed order, the first from the delta."""
 
     rule: Rule
     atoms: tuple[Atom, ...]
-    # the first atom reads the delta, not the store
-    delta_first: bool
     # fn, the join as a function (store, delta, out): _variant sets a stub
     # that generates the real function on the first call and replaces itself
     __slots__ = ("fn",)
 
 
-def _variant(rule: Rule, order: list[int], delta_first: bool) -> _Variant:
+def _variant(rule: Rule, order: list[int]) -> _Variant:
     positives = [item for item in rule.body if isinstance(item, Atom)]
-    cv = _Variant(rule, tuple(positives[i] for i in order), delta_first)
+    cv = _Variant(rule, tuple(positives[i] for i in order))
 
     def first_call(store, delta, out):
         fn = _gen_fn(cv)
@@ -558,12 +559,11 @@ def _gen_fn(cv: _Variant):
         emit_constraint(item, "return")
 
     for i, a in enumerate(atoms):
-        from_delta = i == 0 and cv.delta_first
-        kp = () if from_delta else _key_positions(a, before[i])
+        kp = () if i == 0 else _key_positions(a, before[i])
         exit_stmt = "continue" if ind != "    " else "return"
         guards: list[str] = []
         # cand: the facts to join; empty: true when there are none
-        if from_delta:
+        if i == 0:
             cand, empty = "delta", "not delta"
         elif kp and len(kp) == len(a.args):
             # every position is ground: a membership test on the fact set,
@@ -688,19 +688,17 @@ def _greedy_order(positives: list[Atom], first: int, derived: frozenset[str]) ->
 class _CompiledRule(Record):
     head_pred: str
     positive_preds: tuple[str, ...]
-    base: _Variant
-    # variants[k] joins positive occurrence k first, fed by the delta set
+    # variants[k] joins positive occurrence k first, fed by the delta set; a
+    # rule without a positive atom has one variant, which joins nothing
     variants: tuple[_Variant, ...]
 
 
 def _compile_rule(rule: Rule, derived: frozenset[str]) -> _CompiledRule:
     positives = [item for item in rule.body if isinstance(item, Atom)]
-    base = _variant(rule, list(range(len(positives))), False)
     variants = tuple(
-        _variant(rule, _greedy_order(positives, k, derived), True)
-        for k in range(len(positives))
-    )
-    return _CompiledRule(rule.head.pred, tuple(a.pred for a in positives), base, variants)
+        _variant(rule, _greedy_order(positives, k, derived)) for k in range(len(positives))
+    ) or (_variant(rule, []),)
+    return _CompiledRule(rule.head.pred, tuple(a.pred for a in positives), variants)
 
 
 def _eval_stratum_seminaive(
@@ -711,7 +709,9 @@ def _eval_stratum_seminaive(
     compiled = [c for c in compiled if all(p in idb or store.facts(p) for p in c.positive_preds)]
     out: dict[str, set[tuple[Const, ...]]] = {}
     for c in compiled:
-        c.base.fn(store, None, out.setdefault(c.head_pred, set()))
+        if all(map(store.facts, c.positive_preds)):
+            delta = store.facts(c.positive_preds[0]) if c.positive_preds else None
+            c.variants[0].fn(store, delta, out.setdefault(c.head_pred, set()))
     _seminaive(store, _dispatch(compiled), _store_round(store, out))
 
 

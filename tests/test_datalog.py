@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import fixture_path, load_fixture
 
 import typel
-from typel import datalog
+from typel import datalog, materialize
 from typel._families import chain_kb
 from typel.datalog import (
     Atom,
@@ -39,9 +39,9 @@ from typel.datalog import (
     transform_rules,
     validate_program,
 )
-from typel.materialize import BASE_RULES, IR_LABELED, query_program
+from typel.materialize import BASE_RULES, IR_LABELED, check_instance, query_program
 from typel.parser import parse_kb, parse_query
-from typel.rc import CLOSURE_RULES, H_RULES, closure_program
+from typel.rc import CLOSURE_RULES, H_RULES, closure_program, rc_entails
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 
@@ -489,8 +489,7 @@ def test_positive_programs_monotone_in_facts(seed):
 
 @pytest.fixture
 def fired(monkeypatch):
-    """(rule, delta) of each join the semi-naive evaluator runs, in order;
-    the delta is None for a rule's first join over the whole store.
+    """(rule, delta) of each join the semi-naive evaluator runs, in order.
 
     A prepared rule table keeps the compiled rules it was built with, so the
     cache is cleared on both sides: the test's tables compile through the
@@ -511,7 +510,7 @@ def fired(monkeypatch):
             object.__setattr__(recorded, "fn", fn)
             return recorded
 
-        return c._replace(base=record(c.base), variants=tuple(map(record, c.variants)))
+        return c._replace(variants=tuple(map(record, c.variants)))
 
     monkeypatch.setattr(datalog, "_compile_rule", recording)
     datalog._prepare.cache_clear()
@@ -538,7 +537,11 @@ def test_relation_derived_in_the_stratum_fires_though_empty_at_its_start(fired):
         ),
     )
     assert evaluate_like_oracle(program).facts("s") == {("a", "c")}
-    assert "s" in heads(fired)
+    # every join reads a delta: the first round joins e whole into t, and s
+    # waits for t's first facts
+    assert all(delta is not None for _, delta in fired)
+    s_deltas = [delta for rule, delta in fired if rule.head.pred == "s"]
+    assert s_deltas[0] == {("a", "b"), ("b", "c")}
 
 
 def test_empty_relation_from_a_lower_stratum_disables_the_rule(fired):
@@ -557,6 +560,21 @@ def test_empty_relation_from_a_lower_stratum_disables_the_rule(fired):
     assert "q" in heads(fired) and "high" not in heads(fired)
 
 
+def test_rules_without_a_positive_atom_fire_once(fired):
+    # v's negated p is derived a stratum below, and holds p(a)
+    program = load_program(
+        "q(b). p(a) :- not q(a). r(a) :- 1 < 2. t(c) :- not r(c), 2 > 1. v(d) :- not p(a)."
+    )
+    store = evaluate_like_oracle(program)
+    assert store_dict(store) == {
+        "q": {("b",)},
+        "p": {("a",)},
+        "r": {("a",)},
+        "t": {("c",)},
+    }
+    assert sorted(rule.head.pred for rule, _ in fired) == ["p", "r", "t", "v"]
+
+
 def test_negated_empty_relation_never_disables_the_rule(fired):
     program = DatalogProgram(
         facts=(Atom("p", ("a",)), Atom("n", (1,))),
@@ -572,9 +590,7 @@ def test_negated_empty_relation_never_disables_the_rule(fired):
 
 def test_recursive_variant_is_fed_each_fact_once(fired):
     # nodes 0..n joined by the n edges i -> i + 1 reach every later node:
-    # n(n + 1)/2 path facts, each new once, so fed once as delta.  The
-    # recursive rule's first join derives the paths of length 2, so its
-    # first delta variant derives them again.
+    # n(n + 1)/2 path facts, each new once, so fed once as delta
     n = 8
     edges = [(i, i + 1) for i in range(n)]
     step = Rule(Atom("path", (X, Z)), (Atom("path", (X, Y)), Atom("edge", (Y, Z))))
@@ -583,7 +599,7 @@ def test_recursive_variant_is_fed_each_fact_once(fired):
         rules=(Rule(Atom("path", (X, Y)), (Atom("edge", (X, Y)),)), step),
     )
     assert len(evaluate_like_oracle(program).facts("path")) == n * (n + 1) // 2
-    deltas = [delta for rule, delta in fired if rule == step and delta is not None]
+    deltas = [delta for rule, delta in fired if rule == step]
     assert sum(map(len, deltas)) == n * (n + 1) // 2
 
 
@@ -724,6 +740,35 @@ def test_cold_check_generates_only_the_joins_it_calls():
     code, generated, called = map(int, proc.stdout.splitlines()[-1].split())
     assert code == 0
     assert 0 < generated <= called
+
+
+@pytest.mark.parametrize(
+    "fixture, ask, at_most",
+    [
+        ("example1.kbt", lambda kb: check_instance(kb, parse_query("Young(mario)", kb)), 39),
+        (
+            "example1-af.kbt",
+            lambda kb: rc_entails(kb, parse_query("T(Student and Italian) <= Young", kb)),
+            120,
+        ),
+    ],
+    ids=["check_instance", "rc_entails"],
+)
+def test_cold_query_generates_each_rule_only_the_joins_its_rounds_run(
+    monkeypatch, fixture, ask, at_most
+):
+    """Every join reads a delta, and a rule over a relation its stratum
+    derives starts only once that relation holds facts.  A written-order
+    join per rule beside its delta joins, or a rule started on a relation
+    that is still empty, would show here as more joins than these."""
+    kb = load_fixture(fixture)
+    generated = []
+    gen_fn = datalog._gen_fn
+    monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
+    datalog._prepare.cache_clear()
+    materialize._prepared.cache_clear()
+    ask(kb)
+    assert 0 < len(generated) <= at_most
 
 
 # --- join order from the stratum ----------------------------------------------
@@ -895,10 +940,9 @@ def test_rule_4_hypothesis_copy_emits_each_fact_once_per_probe():
     expected = sorted((x, y, "D", 0) for x in members for y in classes + ["bot"])
     rule = HYP_COPY["4"]
     c = datalog._compile_rule(rule, dict(derived_in_stratum(CLOSURE_RULES))[rule])
-    probes = [(c.base, None)] + [(v, store.facts(p)) for v, p in zip(c.variants, c.positive_preds)]
-    for v, delta in probes:
+    for v, p in zip(c.variants, c.positive_preds):
         out = CountingOut()
-        v.fn(store, delta, out)
+        v.fn(store, store.facts(p), out)
         assert sorted(out.calls) == expected, v.atoms
 
 
