@@ -4,11 +4,10 @@ A ranked interpretation is a classical interpretation plus an integer rank
 per element; typicality denotes the minimal-rank members of a concept's
 extension.  `extension` and `satisfies` evaluate concepts and axioms
 directly.  `refute` searches for a model of a KB that falsifies a query:
-it grounds the KB and the query's negation to propositional clauses once
-per domain size, adds the typicality clauses of each rank profile, and runs
-a conflict-driven clause-learning solver on every (domain size, rank
-profile) candidate in turn.  A found counter-model proves non-entailment,
-while "none found" proves nothing beyond the bounds.
+it grounds the KB, the query's negation and every element's rank to
+propositional clauses, and runs a conflict-driven clause-learning solver
+once per domain size.  A found counter-model proves non-entailment, while
+"none found" proves nothing beyond the bounds.
 """
 
 from __future__ import annotations
@@ -171,24 +170,36 @@ def render_model(m: RankedInterpretation) -> str:
 
 
 class _Encoder:
-    """Grounds every candidate of one domain size to clauses.
+    """Grounds every ranked interpretation of one domain size to clauses.
 
     Variables cover concept-name membership, role pairs, and individual
     placement; every composite concept, typicality included, gets a defined
-    variable per element.  Only which lower-ranked elements a typical
-    element must beat depends on the rank profile, so `clauses` holds all
-    the rest and `typicality_clauses` adds those per profile.
+    variable per element.  Ranks are in the order encoding (Tamura, Taga,
+    Kitagawa and Banbara, Constraints 2009), `geq[e][k - 1]` meaning
+    rank(e) >= k.  Only the order of ranks matters, so element 0 has rank
+    0, and ranks neither decrease along the elements nor skip a value;
+    hence rank(e) <= min(e, max_rank).
     """
 
-    def __init__(self, kb: KnowledgeBase, n: int) -> None:
+    def __init__(self, kb: KnowledgeBase, n: int, max_rank: int) -> None:
         self.kb = kb
         self.n = n
         self.nvars = 0
         self.clauses: list[tuple[int, ...]] = []
         self._base: dict[tuple, int] = {}
         self._concept_vars: dict[ConceptExpr, list[int]] = {}
-        # (T(C) variables, C variables) per element, for each T(C) grounded
-        self._typical: list[tuple[list[int], list[int]]] = []
+        top = min(max_rank, n - 1)
+        self.geq = [[self.new_var() for _ in range(top)] for _ in range(n)]
+        if top:
+            self.add(-self.geq[0][0])  # element 0 has rank 0
+        for row in self.geq:
+            for k in range(1, top):
+                self.add(-row[k], row[k - 1])  # rank >= k + 1 implies rank >= k
+        for prev, row in zip(self.geq, self.geq[1:]):
+            for k in range(top):
+                self.add(-prev[k], row[k])  # no decrease
+            for k in range(1, top):
+                self.add(-row[k], prev[k - 1])  # no skipped value
 
     def new_var(self) -> int:
         self.nvars += 1
@@ -261,20 +272,22 @@ class _Encoder:
                 av = self.concept(arg)
                 for e, v in enumerate(out):
                     self.add(-v, av[e])
-                self._typical.append((out, av))
+                    # f is below e at level k when rank(f) < k <= rank(e);
+                    # ranks do not decrease, so only f < e can be below e
+                    below = []
+                    for f in range(e):
+                        for gf, ge in zip(self.geq[f], self.geq[e]):
+                            # a typical C has no C below it
+                            self.add(-v, -av[f], gf, -ge)
+                            b = self.new_var()
+                            self.add(-b, av[f])
+                            self.add(-b, -gf)
+                            self.add(-b, ge)
+                            below.append(b)
+                    # a C with no C below it is typical
+                    self.add(v, -av[e], *below)
             case _:
                 raise TypeError(f"not a concept: {c!r}")
-        return out
-
-    def typicality_clauses(self, ranks: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The rank-dependent half of each T(C): under ranks, a typical C
-        has no C below it, and a C with no C below it is typical."""
-        out = []
-        for tv, av in self._typical:
-            for e, v in enumerate(tv):
-                lower = [av[f] for f in range(self.n) if ranks[f] < ranks[e]]
-                out.extend((-v, -a) for a in lower)
-                out.append((v, -av[e], *lower))
         return out
 
     def encode_kb(self) -> None:
@@ -385,7 +398,7 @@ class _Encoder:
             case _:
                 raise TypeError(f"not a query: {q!r}")
 
-    def decode(self, assign: list[int], ranks: tuple[int, ...]) -> RankedInterpretation:
+    def decode(self, assign: list[int]) -> RankedInterpretation:
         sig = self.kb.signature
         n = self.n
 
@@ -413,7 +426,7 @@ class _Encoder:
                     break
         return RankedInterpretation(
             domain=tuple(range(n)),
-            rank={e: ranks[e] for e in range(n)},
+            rank={e: sum(assign[v] > 0 for v in self.geq[e]) for e in range(n)},
             concept_ext=concept_ext,
             role_ext=role_ext,
             individual_map=individual_map,
@@ -592,25 +605,6 @@ def _solve(
         trail.append(lit)
 
 
-def _rank_profiles(n: int, max_rank: int):
-    """Non-decreasing rank vectors using a contiguous prefix 0..k of ranks.
-
-    Any ranked interpretation is order-isomorphic to one of this shape, and
-    only the order of ranks matters to the semantics.
-    """
-
-    def rec(prefix: list[int]):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        last = prefix[-1]
-        for v in (last, last + 1):
-            if v <= max_rank:
-                yield from rec(prefix + [v])
-
-    yield from rec([0])
-
-
 _DEFAULT_BUDGET = 2_000_000
 
 
@@ -625,11 +619,13 @@ def refute(
 
     A returned interpretation is a verified counter-model; None means no
     counter-model exists with at most max_domain elements and ranks bounded
-    by max_rank, which proves nothing about larger models.  Candidates are
-    tried by domain size, then rank profile; each domain size is grounded
-    once.  An invalid kb, or a query naming what kb does not declare, is a
-    ValueError.
+    by max_rank, which proves nothing about larger models.  Domain sizes are
+    tried in increasing order, one solver call each, so a counter-model is
+    one of the smallest.  Bounds below one element or rank 0, an invalid
+    kb, or a query naming what kb does not declare, are a ValueError.
     """
+    if max_domain < 1 or max_rank < 0:
+        raise ValueError(f"no model within max_domain {max_domain} and max_rank {max_rank}")
     bad = validate(kb)
     if bad:
         raise ValueError("invalid knowledge base: " + "; ".join(str(v) for v in bad))
@@ -638,18 +634,17 @@ def refute(
         raise ValueError("invalid query: " + "; ".join(v.message for v in bad))
     cell = [budget]
     for n in range(1, max_domain + 1):
-        enc = _Encoder(kb, n)
+        enc = _Encoder(kb, n, max_rank)
         enc.encode_kb()
         enc.encode_query_negation(q)
-        for ranks in _rank_profiles(n, max_rank):
-            sol = _solve(enc.nvars, enc.clauses + enc.typicality_clauses(ranks), cell)
-            if sol is None:
-                continue
-            m = enc.decode(sol, ranks)
-            if not is_model(m, kb) or satisfies_query(m, q):
-                raise AssertionError(
-                    "decoded counter-model failed direct evaluation; "
-                    "grounding and evaluator disagree"
-                )
-            return m
+        sol = _solve(enc.nvars, enc.clauses, cell)
+        if sol is None:
+            continue
+        m = enc.decode(sol)
+        if not is_model(m, kb) or satisfies_query(m, q):
+            raise AssertionError(
+                "decoded counter-model failed direct evaluation; "
+                "grounding and evaluator disagree"
+            )
+        return m
     return None

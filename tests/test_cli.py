@@ -258,6 +258,17 @@ def test_refute_prints_counter_model(capsys):
     assert "luigi" in out
 
 
+@pytest.mark.parametrize(
+    "bound", [("--max-domain", "0"), ("--max-domain", "-3"), ("--max-rank", "-1")]
+)
+def test_refute_bounds_that_admit_no_model_are_usage_errors(capsys, bound):
+    # the query has a counter-model at the default bounds, so none-found
+    # here would be a verdict the search never looked for
+    code, out, err = run(capsys, "refute", EX1, "(some hasHair.{Black})(luigi)", *bound)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: no model within max_domain")
+
+
 def test_refute_records(capsys):
     code, out, _ = run(
         capsys, "refute", EX1, "(some hasHair.{Black})(luigi)", "--format", "records"

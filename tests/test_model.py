@@ -1,10 +1,16 @@
 """Ranked interpretations: direct evaluation and bounded refutation search."""
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+import functools
+import itertools
 
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import typel.model
 from typel.kb import (
+    BOT,
+    TOP,
     ConceptAssertion,
     Conj,
     Exists,
@@ -22,6 +28,8 @@ from typel.kb import (
     TypicalInstanceOf,
     Typicality,
     conj_of,
+    validate,
+    validate_query,
 )
 from typel.model import (
     BoundOverflow,
@@ -197,10 +205,107 @@ def test_refute_rejects_a_too_tall_kb():
         refute(kb, InstanceOf(Name("B"), "a"))
 
 
+@pytest.mark.parametrize(
+    "bounds", [{"max_domain": 0}, {"max_domain": -3}, {"max_rank": -1}]
+)
+def test_refute_rejects_bounds_that_admit_no_model(example1, bounds):
+    # a counter-model exists at the default bounds; None here would claim
+    # a search that never ran
+    q = parse_query("(some hasHair.{Black})(luigi)", example1)
+    with pytest.raises(ValueError, match="no model within max_domain"):
+        refute(example1, q, **bounds)
+
+
+@pytest.mark.parametrize("text", ["Young(mario)", "(some hasHair.{Black})(luigi)"])
+def test_refute_solves_once_per_domain_size(example1, monkeypatch, text):
+    # the ranks are solver variables: one call covers every rank assignment
+    calls = []
+    real = typel.model._solve
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(typel.model, "_solve", counting)
+    refute(example1, parse_query(text, example1), max_domain=3, max_rank=2)
+    assert 1 <= len(calls) <= 3
+
+
 def test_budget_overflow_raises():
     kb = KnowledgeBase(signature=sig({"A", "B"}), tbox=(GCI(Name("A"), Name("B")),))
     with pytest.raises(BoundOverflow):
         refute(kb, Subsumes(Name("A"), Name("B")), max_domain=4, max_rank=3, budget=3)
+
+
+# --- refute against every small ranked interpretation -------------------------
+
+# two concept names, one role and one individual: every interpretation of
+# up to two elements with ranks in {0, 1} can be listed
+TINY = sig({"A", "B"}, {"r"}, {"a"})
+
+tiny_concepts = st.recursive(
+    st.sampled_from([Name("A"), Name("B"), Nominal("a"), TOP, BOT, SelfRestriction("r")]),
+    lambda kids: st.one_of(st.builds(Conj, kids, kids), st.builds(Exists, st.just("r"), kids)),
+    max_leaves=4,
+)
+tiny_top_level = st.one_of(tiny_concepts, st.builds(Typicality, tiny_concepts))
+tiny_kbs = st.builds(
+    lambda tbox, abox: KnowledgeBase(signature=TINY, tbox=tuple(tbox), abox=tuple(abox)),
+    st.lists(st.builds(GCI, tiny_top_level, tiny_top_level), max_size=3),
+    st.lists(
+        st.one_of(
+            st.builds(ConceptAssertion, tiny_top_level, st.just("a")),
+            st.just(RoleAssertion("r", "a", "a")),
+        ),
+        max_size=2,
+    ),
+)
+tiny_queries = st.one_of(
+    st.builds(InstanceOf, tiny_concepts, st.just("a")),
+    st.builds(TypicalInstanceOf, tiny_concepts, st.just("a")),
+    st.just(RoleHolds("r", "a", "a")),
+    st.builds(Subsumes, tiny_concepts, tiny_concepts),
+    st.builds(TypSubsumes, tiny_concepts, tiny_concepts),
+)
+
+
+def _subsets(items):
+    return [frozenset(c) for k in range(len(items) + 1) for c in itertools.combinations(items, k)]
+
+
+@functools.cache
+def tiny_interpretations() -> tuple[RankedInterpretation, ...]:
+    """Every ranked interpretation of TINY on one or two elements, ranks
+    in {0, 1}: no symmetry breaking and no clauses, so nothing is shared
+    with the encoder that refute searches with."""
+    out = []
+    for n in (1, 2):
+        domain = tuple(range(n))
+        concepts = _subsets(domain)
+        relations = _subsets(list(itertools.product(domain, repeat=2)))
+        for ranks, a_ext, b_ext, r_ext, a in itertools.product(
+            itertools.product((0, 1), repeat=n), concepts, concepts, relations, domain
+        ):
+            out.append(
+                RankedInterpretation(
+                    domain=domain,
+                    rank=dict(enumerate(ranks)),
+                    concept_ext={"A": a_ext, "B": b_ext},
+                    role_ext={"r": r_ext},
+                    individual_map={"a": a},
+                )
+            )
+    return tuple(out)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiny_kbs, tiny_queries)
+def test_refute_finds_a_counter_model_iff_one_is_listed(kb, q):
+    assume(not validate(kb) and not validate_query(kb, q))
+    listed = any(
+        not satisfies_query(m, q) and is_model(m, kb) for m in tiny_interpretations()
+    )
+    assert (refute(kb, q, max_domain=2, max_rank=1) is not None) == listed
 
 
 # --- the solver against brute force ------------------------------------------
