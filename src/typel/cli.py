@@ -87,7 +87,7 @@ def _dump(path: str, program: DatalogProgram) -> None:
 
 def _cmd_normalize(args) -> int:
     kb = _load_kb(args.kb)
-    nkb, _ = normalize(kb, (), mode=args.mode)
+    nkb, _ = normalize(kb)
     sys.stdout.write(print_kb(nkb.to_kb()))
     return 0
 
@@ -232,7 +232,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("normalize", help="print the normal-form KB")
     sp.add_argument("kb")
-    sp.add_argument("--mode", choices=("auto", "general", "simple"), default="auto")
     sp.set_defaults(fn=_cmd_normalize, format="human")
 
     sp = sub.add_parser("translate", help="print the Datalog program for the KB")

@@ -315,7 +315,7 @@ class _PreparedKB:
     table over the KB is built on first use."""
 
     def __init__(self, kb: KnowledgeBase):
-        self.nkb, _ = normalize(kb, (), mode="general")
+        self.nkb, _ = normalize(kb)
         self.facts = translate(self.nkb).facts
         sig = self.nkb.signature
         names = sig.concept_names | sig.role_names | sig.individual_names

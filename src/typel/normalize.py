@@ -11,14 +11,13 @@ The normal form is a KnowledgeBase whose axioms have one of 19 shapes, in
     A x B <= r      r <= A x B
     A <= T(B)       T(B) <= C
 
-Two passes.  The typicality pass names every T(C) occurrence: in general
-mode T(C) becomes a fresh name X_C bridged by X_C <= T(R), T(R) <= X_C
-where R is C itself when C is atomic and a two-way alias Y_C otherwise; in
-simple mode (typicality confined to left-hand sides) each inclusion
-T(C) <= D becomes T(Y_C) <= D' over an alias Y_C that is always fresh, so
-no shape A <= T(B) is ever produced.  The structural pass then reduces all
-remaining axioms to the normal shapes, passing through the ones already in
-normal form.
+Two passes.  The typicality pass ranks every T-argument C under a name R:
+C itself when C is atomic, a fresh two-way alias Y_C otherwise.  Each
+occurrence of T(C) in an axiom becomes a fresh name X_C, bridged by
+X_C <= T(R) and T(R) <= X_C at the first one.  The structural pass then
+reduces all remaining axioms to the normal shapes, passing through the ones
+already in normal form.  Every entry point reads this one normal form, the
+rational closure included.
 
 Queries are rewritten to the same queries over concept names, by adding
 bridge inclusions for their complex concepts.  They are normalized after
@@ -64,7 +63,6 @@ from .kb import (
     concept_text,
     conj_of,
     conjuncts,
-    is_simple,
     subconcepts,
     validate,
     validate_query,
@@ -152,9 +150,8 @@ class _Normalizer:
     """Extends base, a normalized KB, by what it normalizes: fresh names
     avoid base's, ranked concepts and the top alias are shared with it."""
 
-    def __init__(self, base: NormalizedKB, simple_mode: bool):
+    def __init__(self, base: NormalizedKB):
         self.base = base
-        self.simple_mode = simple_mode
         sig = base.signature
         self.used: set[str] = set(sig.concept_names | sig.role_names | sig.individual_names)
         self.fresh_log: list[FreshName] = []
@@ -191,26 +188,21 @@ class _Normalizer:
         got = self.registry.get(key)
         if got is not None:
             return got
-        display = concept_text(arg)
-        if not self.simple_mode and isinstance(arg, Name):
+        if isinstance(arg, Name):
             ranked = arg.name
         else:
             ranked = self.fresh("Y", "typicality-alias", key)
             self.tbox.append(GCI(Name(ranked), arg))
             self.tbox.append(GCI(arg, Name(ranked)))
-        x_name: str | None = None
-        if not self.simple_mode:
-            x_name = self.fresh("X", "typicality-occurrence", key)
-            self.tbox.append(GCI(Name(x_name), Typicality(Name(ranked))))
-            self.tbox.append(GCI(Typicality(Name(ranked)), Name(x_name)))
-        entry = RankedConcept(key, display, ranked, x_name)
-        self.registry[key] = entry
-        return entry
+        self.registry[key] = RankedConcept(key, concept_text(arg), ranked, None)
+        return self.registry[key]
 
-    def _embed_name(self, entry: RankedConcept) -> str:
-        # simple mode: an embedded T(C) is consumed through a one-way bridge
+    def occurrence(self, arg: ConceptExpr) -> str:
+        """The name an occurrence of T(arg) in an axiom stands for."""
+        entry = self.register(arg)
         if entry.x_name is None:
-            x_name = self.fresh("X", "typicality-embedded", entry.key)
+            x_name = self.fresh("X", "typicality-occurrence", entry.key)
+            self.tbox.append(GCI(Name(x_name), Typicality(Name(entry.ranked))))
             self.tbox.append(GCI(Typicality(Name(entry.ranked)), Name(x_name)))
             entry = self.registry[entry.key] = entry._replace(x_name=x_name)
         return entry.x_name
@@ -218,11 +210,7 @@ class _Normalizer:
     def replace_t(self, c: ConceptExpr) -> ConceptExpr:
         match c:
             case Typicality(arg):
-                entry = self.register(arg)
-                if self.simple_mode:
-                    return Name(self._embed_name(entry))
-                assert entry.x_name is not None
-                return Name(entry.x_name)
+                return Name(self.occurrence(arg))
             case Conj(left, right):
                 return Conj(self.replace_t(left), self.replace_t(right))
             case Exists(role, filler):
@@ -231,17 +219,6 @@ class _Normalizer:
                 return c
 
     def t_pass_gci(self, ax: GCI) -> None:
-        if self.simple_mode and isinstance(ax.lhs, Typicality):
-            entry = self.register(ax.lhs.arg)
-            lhs = Typicality(Name(entry.ranked))
-            rhs = ax.rhs
-            if isinstance(rhs, Name) or isinstance(rhs, Top):
-                self.tbox.append(GCI(lhs, rhs))
-            else:
-                xd = self.fresh("X", "typicality-rhs", concept_text(rhs))
-                self.tbox.append(GCI(lhs, Name(xd)))
-                self.tbox.append(GCI(Name(xd), rhs))
-            return
         self.tbox.append(GCI(self.replace_t(ax.lhs), self.replace_t(ax.rhs)))
 
     def run_t_pass(self, kb: KnowledgeBase) -> None:
@@ -430,16 +407,6 @@ class _Normalizer:
         )
 
 
-def _resolve_mode(kb: KnowledgeBase, mode: str) -> bool:
-    if mode == "simple":
-        return True
-    if mode == "general":
-        return False
-    if mode == "auto":
-        return is_simple(kb)
-    raise ValueError(f"unknown normalization mode: {mode!r}")
-
-
 def _check_valid(kb: KnowledgeBase) -> None:
     bad = validate(kb)
     if bad:
@@ -449,7 +416,6 @@ def _check_valid(kb: KnowledgeBase) -> None:
 def normalize(
     kb: KnowledgeBase,
     queries: tuple[Query, ...] = (),
-    mode: str = "auto",
     extra_ranked: tuple[ConceptExpr, ...] = (),
 ) -> tuple[NormalizedKB, tuple[Query, ...]]:
     """Full pipeline: name typicality, reduce to shapes, then the same for
@@ -460,32 +426,30 @@ def normalize(
     the alias bridges.
     """
     _check_valid(kb)
-    simple_mode = _resolve_mode(kb, mode)
     sig = kb.signature
     simple_roles = compute_simple_roles(sig.role_names, kb.rbox)
-    nz = _Normalizer(NormalizedKB(sig._replace(simple_roles=simple_roles), (), (), ()), simple_mode)
+    nz = _Normalizer(NormalizedKB(sig._replace(simple_roles=simple_roles), (), (), ()))
     nz.run_t_pass(kb)
     nz.run_structural_pass()
-    return normalize_queries(kb, nz.result(), queries, simple_mode, extra_ranked)
+    return normalize_queries(kb, nz.result(), queries, extra_ranked)
 
 
 def normalize_queries(
     kb: KnowledgeBase,
     nkb: NormalizedKB,
     queries: tuple[Query, ...],
-    simple_mode: bool = False,
     extra_ranked: tuple[ConceptExpr, ...] = (),
 ) -> tuple[NormalizedKB, tuple[Query, ...]]:
-    """nkb, the normalization of kb in the given mode, extended by the
-    queries: each is checked against kb's signature (validate_query) and
-    rewritten over names, and its bridges, aliases and typicality names
-    become normal axioms after nkb's own.  nkb itself is not changed."""
+    """nkb, the normalization of kb, extended by the queries: each is
+    checked against kb's signature (validate_query) and rewritten over
+    names, and its bridges, aliases and typicality names become normal
+    axioms after nkb's own.  nkb itself is not changed."""
     for q in queries:
         bad = validate_query(kb, q)
         if bad:
             raise ValueError("invalid query: " + "; ".join(v.message for v in bad))
     if not queries and not extra_ranked:
         return nkb, ()
-    nz = _Normalizer(nkb, simple_mode)
+    nz = _Normalizer(nkb)
     rewritten = nz.run_queries(queries, extra_ranked)
     return nz.result(), rewritten

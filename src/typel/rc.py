@@ -40,7 +40,6 @@ from .datalog import (
     transform_rules,
 )
 from .kb import (
-    GCI,
     ConceptExpr,
     KnowledgeBase,
     TypSubsumes,
@@ -149,9 +148,10 @@ def _parse_rc_rules() -> tuple[tuple[str, Rule], ...]:
 RC_LABELED: tuple[tuple[str, Rule], ...] = _parse_rc_rules()
 RC_RULES: tuple[Rule, ...] = tuple(rule for _, rule in RC_LABELED)
 
-# the closure program's one rule table.  A simple-mode normalization emits
-# no supTyp fact, so both SupTyp copies fall to the empty-input gate of
-# their stratum before any join is generated
+# the closure program's one rule table.  In a simple KB every T occurs on a
+# left side, so an occurrence name X_C gets members only through
+# T(R) <= X_C; what the SupTyp rule and its hypothesis copy derive from the
+# other bridge, X_C <= T(R), changes no stage, exceptional, rank or inrc fact
 CLOSURE_RULES: tuple[Rule, ...] = BASE_RULES + H_RULES + RC_RULES
 
 # the base part of CLOSURE_RULES, under the name the benchmark's floor probe
@@ -181,7 +181,8 @@ class RankAssignment(Record):
             for c in sorted(self.infinite, key=lambda c: self.display.get(c, c))
         ]
         # equivalent names sharing a display, such as the top constant and
-        # a simple-mode alias of top, give one row; a disagreement gives two
+        # the alias a T(top) ranks top under, give one row; a disagreement
+        # gives two
         return list(dict.fromkeys(out))
 
 
@@ -205,18 +206,13 @@ def build_rc_program(
     def_subs_pairs: tuple[tuple[str, str], ...],
     t_occurrences: int,
 ) -> DatalogProgram:
-    """Assemble a closure program over a simple-mode normalization.
+    """Assemble a closure program over the normalization of a simple KB.
 
     def_subs_pairs gate which inrc pairs the program may derive; each pair's
-    left-hand side has its auxc fact already, as simple-mode normalization
-    ranks every query's left-hand side.  t_occurrences, the T occurrence
-    count of the original TBox, bounds the stages.
+    left-hand side has its auxc fact already, as normalization ranks every
+    query's left-hand side.  t_occurrences, the T occurrence count of the
+    original TBox, bounds the stages.
     """
-    for ax in nkb.axioms:
-        if isinstance(ax, GCI) and isinstance(ax.rhs, Typicality):
-            raise NotSimpleError(
-                f"not a simple KB: an axiom places typicality on the right ({axiom_text(ax)})"
-            )
     it = translate(nkb)
     facts = list(it.facts)
     facts += [Atom("possrank", (i,)) for i in range(t_occurrences + 2)]
@@ -234,19 +230,17 @@ def closure_program(
     ranks are read against, and the inrc goal of a T(C) <= D query.
 
     concepts are extra concepts to rank.  A query's C gets a rank too, and
-    its pair is the only one the program may put in the closure.
+    its pair is the only one the program may put in the closure.  Raises
+    NotSimpleError unless kb is simple.
     """
-    queries = () if query is None else (query,)
-    nkb, goals = normalize(kb, queries, mode="simple", extra_ranked=concepts)
-    pairs = tuple((goal.lhs.name, goal.rhs.name) for goal in goals)
-    program = build_rc_program(nkb, pairs, t_occurrence_count(kb))
-    return program, nkb, Atom("inrc", pairs[0]) if pairs else None
-
-
-def _require_simple(kb: KnowledgeBase) -> None:
     bad = first_non_simple_axiom(kb)
     if bad is not None:
         raise NotSimpleError(f"not a simple KB: {axiom_text(bad)}")
+    queries = () if query is None else (query,)
+    nkb, goals = normalize(kb, queries, extra_ranked=concepts)
+    pairs = tuple((goal.lhs.name, goal.rhs.name) for goal in goals)
+    program = build_rc_program(nkb, pairs, t_occurrence_count(kb))
+    return program, nkb, Atom("inrc", pairs[0]) if pairs else None
 
 
 def _closure_store(kb: KnowledgeBase, program: DatalogProgram) -> FactStore:
@@ -291,7 +285,6 @@ def compute_ranks(
     for c in query_concepts:
         if contains_typicality(c):
             raise ValueError(f"cannot rank {concept_text(c)}: a ranked concept may not contain T")
-    _require_simple(kb)
     program, nkb, _ = closure_program(kb, concepts=query_concepts)
     return _read_assignment(_closure_store(kb, program), nkb)
 
@@ -300,7 +293,6 @@ def rc_entails(kb: KnowledgeBase, q: TypSubsumes) -> RcVerdict:
     """Is T(C) <= D in the rational closure of the TBox?"""
     if not isinstance(q, TypSubsumes):
         raise TypeError(f"rational closure membership needs a T(C) <= D query, got {q!r}")
-    _require_simple(kb)
     program, _, goal = closure_program(kb, q)
     return RcVerdict(in_closure=_closure_store(kb, program).contains(goal.pred, goal.args))
 
@@ -312,6 +304,5 @@ def rc_consistent(kb: KnowledgeBase) -> bool:
     concepts' representatives as equally ranked elements; if that floods a
     bottom class, no model matches the assignment.
     """
-    _require_simple(kb)
     program, _, _ = closure_program(kb)
     return not store_inconsistent(_closure_store(kb, program))

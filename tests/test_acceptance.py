@@ -64,7 +64,7 @@ def criterion(number: int, label: str):
 
 
 def saturated_store(kb):
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     return nkb, evaluate(build_program(translate(nkb)))
 
 
@@ -92,7 +92,7 @@ def test_criterion_02_normalization_shapes():
         "class Italian. role hasHair. individual Black.\n"
         "T(Italian) <= some hasHair.{Black}.\n"
     )
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(
         normalized_texts(nkb),
         [
@@ -107,7 +107,7 @@ def test_criterion_02_normalization_shapes():
         "class Student. class Nerd. class MathLover.\n"
         "T(Student and Nerd) <= MathLover.\n"
     )
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(
         normalized_texts(nkb),
         [
@@ -239,7 +239,7 @@ def test_criterion_10_growth():
     atoms = []
     times = []
     for n in sizes:
-        program = build_program(translate(normalize(chain_kb(n), (), mode="general")[0]))
+        program = build_program(translate(normalize(chain_kb(n), ())[0]))
         best = None
         for _ in range(2):
             t0 = time.perf_counter()

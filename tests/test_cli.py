@@ -73,7 +73,7 @@ def test_consistent(capsys):
 
 
 def test_normalize_output_reparses(capsys, tmp_path):
-    code, out, _ = run(capsys, "normalize", EX1, "--mode", "general")
+    code, out, _ = run(capsys, "normalize", EX1)
     assert code == 0
     from typel.parser import parse_kb
 
@@ -193,7 +193,7 @@ def test_rc_ranks_records(capsys):
 
 
 def test_rc_ranks_prints_top_once(capsys, tmp_path):
-    # T(top) gives top a simple-mode alias that displays as top as well
+    # T(top) ranks top under an alias that displays as top as well
     path = tmp_path / "kb.kbt"
     path.write_text("class A. class B. T(top) <= B. T(A) <= B.\n")
     for extra in ((), ("--concept", "top")):

@@ -185,7 +185,7 @@ def facts_by_pred(it):
 
 
 def test_empty_kb_translation_has_only_the_top_scaffold():
-    nkb, _ = normalize(parse_kb(""), (), mode="general")
+    nkb, _ = normalize(parse_kb(""), ())
     it = translate(nkb)
     assert facts_by_pred(it) == {
         "top": {(TOP_CONST,)},
@@ -196,24 +196,27 @@ def test_empty_kb_translation_has_only_the_top_scaffold():
 
 def test_defeasible_axiom_becomes_subtyp_fact():
     kb = parse_kb("class A. class B.\nT(A) <= B.\n")
-    nkb, _ = normalize(kb, (), mode="simple")
+    nkb, _ = normalize(kb, ())
     it = translate(nkb)
     by = facts_by_pred(it)
     (entry,) = nkb.aux_registry
-    assert (entry.ranked, "B") in by["subTyp"]
-    assert (aux_for(entry.ranked), entry.ranked) in by["auxc"]
+    assert entry.ranked == "A"
+    x = entry.x_name
+    assert ("A", x) in by["subTyp"]
+    assert (x, "B") in by["subClass"]
+    assert (aux_for("A"), "A") in by["auxc"]
 
 
 def test_role_assertion_doubles_target_as_witness():
     kb = parse_kb("role r. individual a. individual b.\nr(a, b).\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     by = facts_by_pred(translate(nkb))
     assert ("a", "r", "b", "b") in by["supEx"]
 
 
 def test_individuals_also_declared_as_classes():
     kb = parse_kb("individual a.")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     by = facts_by_pred(translate(nkb))
     assert ("a",) in by["nom"]
     assert ("a",) in by["cls"]
@@ -221,7 +224,7 @@ def test_individuals_also_declared_as_classes():
 
 def test_existential_rhs_axioms_get_distinct_witnesses():
     kb = parse_kb("class A. class B. role r.\nA <= some r.B.\nB <= some r.A.\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     by = facts_by_pred(translate(nkb))
     witnesses = {args[3] for args in by["supEx"]}
     assert len(witnesses) == 2
@@ -229,7 +232,7 @@ def test_existential_rhs_axioms_get_distinct_witnesses():
 
 def test_bot_axiom_translation():
     kb = parse_kb("class A.\nA <= bot.\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     by = facts_by_pred(translate(nkb))
     assert ("A", BOT_CONST) in by["subClass"]
     assert (BOT_CONST,) in by["bot"]
@@ -386,7 +389,7 @@ def example1_store():
     import conftest
 
     kb = conftest.load_fixture("example1.kbt")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     return kb, nkb, evaluate(build_program(translate(nkb)))
 
 
@@ -452,7 +455,7 @@ def test_inheritance_blocks_on_more_specific_default(example1_store):
 
 def test_derived_facts_hold_in_bounded_models():
     kb = parse_kb("class A. class B. individual a.\nT(A) <= B.\nA(a).\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     store = evaluate(build_program(translate(nkb)))
     inds = kb.signature.individual_names
     cls = kb.signature.concept_names
@@ -496,7 +499,7 @@ def test_entailed_subsumptions_hold_in_bounded_models():
 def reference_subsumes(kb, q):
     """The verdict of the hypothesis-widened table: the KB's facts plus
     hyp(lhs), evaluated from scratch."""
-    nkb, (rewritten,) = normalize(kb, (q,), mode="general")
+    nkb, (rewritten,) = normalize(kb, (q,))
     lhs, rhs = rewritten.lhs.name, rewritten.rhs.name
     facts = translate(nkb).facts + (Atom("hyp", (lhs,)),)
     store = evaluate(DatalogProgram(facts, subsumption_rules(isinstance(q, TypSubsumes))))
@@ -619,7 +622,7 @@ def scratch_answer(kb, q):
     """The verdict from the whole program, evaluated from no store, which
     holds the facts of a one-shot normalization and translation."""
     program, goal = query_program(kb, q)
-    nkb, (rewritten,) = normalize(kb, (q,), mode="general")
+    nkb, (rewritten,) = normalize(kb, (q,))
     seed, scratch_goal = _goal(rewritten, _prepared_kb(kb).witness)
     whole = build_program(translate(nkb))
     assert (Counter(program.facts), program.rules) == (Counter(whole.facts + seed), whole.rules)

@@ -18,7 +18,6 @@ from typel.kb import (
     Subsumes,
     TypSubsumes,
     TypicalInstanceOf,
-    Typicality,
 )
 from typel.materialize import check_instance, translate
 from typel.normalize import normalize
@@ -135,7 +134,7 @@ def test_defeasible_inclusion_with_existential_rhs_expands_to_four():
         "class Italian. role hasHair. individual Black.\n"
         "T(Italian) <= some hasHair.{Black}.\n"
     )
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(
         normalized_texts(nkb),
         [
@@ -153,7 +152,7 @@ def test_defeasible_inclusion_with_conjunctive_lhs_expands_to_six():
         "class Student. class Nerd. class MathLover.\n"
         "T(Student and Nerd) <= MathLover.\n"
     )
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(
         normalized_texts(nkb),
         [
@@ -174,7 +173,7 @@ def test_typicality_assertion_becomes_fresh_name_assertion():
         "T(Student and Nerd) <= MathLover.\n"
         "T(Student and Nerd)(tom).\n"
     )
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assertions = [ax for ax in nkb.axioms if isinstance(ax, ConceptAssertion)]
     assert len(assertions) == 1
     (tom_ax,) = assertions
@@ -185,7 +184,7 @@ def test_typicality_assertion_becomes_fresh_name_assertion():
 
 
 def test_full_fixture_contains_both_expansions(example1):
-    nkb, _ = normalize(example1, (), mode="general")
+    nkb, _ = normalize(example1, ())
     texts = normalized_texts(nkb)
     names = original_names(example1)
     assert shapes_match(
@@ -214,7 +213,7 @@ def test_full_fixture_contains_both_expansions(example1):
 
 def test_nested_existential_chain():
     kb = parse_kb("class A. class B. role r. role s.\nA <= some r.(some s.B).\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(
         normalized_texts(nkb),
         ["A <= some r.F", "F <= some s.B"],
@@ -224,7 +223,7 @@ def test_nested_existential_chain():
 
 def test_triple_conjunction_lhs():
     kb = parse_kb("class A. class B. class C. class D.\nA and B and C <= D.\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(
         normalized_texts(nkb),
         ["A and B <= F", "F and C <= D"],
@@ -234,7 +233,7 @@ def test_triple_conjunction_lhs():
 
 def test_complex_existential_filler_on_lhs():
     kb = parse_kb("class A. class B. class C. role r.\nsome r.(A and B) <= C.\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(
         normalized_texts(nkb),
         ["A and B <= F", "some r.F <= C"],
@@ -244,7 +243,7 @@ def test_complex_existential_filler_on_lhs():
 
 def test_nominal_lhs_is_normal():
     kb = parse_kb("class C. individual a.\n{a} <= C.\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert any(isinstance(ax, GCI) and isinstance(ax.lhs, Nominal) for ax in nkb.axioms)
     assert len(nkb.axioms) == 1
 
@@ -252,7 +251,7 @@ def test_nominal_lhs_is_normal():
 def test_top_assertion_is_dropped_and_stays_entailed():
     # every individual is in top by rule 3, so top(a) needs no fresh class
     kb = parse_kb("class A. individual a.\ntop(a).\nA(a).\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert normalized_texts(nkb) == ["A(a)"]
     assert nkb.signature.concept_names == kb.signature.concept_names
     facts = translate(nkb).facts
@@ -262,35 +261,22 @@ def test_top_assertion_is_dropped_and_stays_entailed():
 
 def test_conjunctive_rhs_splits():
     kb = parse_kb("class A. class B. class C.\nA <= B and C.\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     assert shapes_match(normalized_texts(nkb), ["A <= B", "A <= C"], original_names(kb))
 
 
-# --- modes -------------------------------------------------------------------
-
-
-def test_simple_mode_always_aliases_the_ranked_concept():
-    kb = parse_kb("class A. class B.\nT(A) <= B.\n")
-    nkb, _ = normalize(kb, (), mode="simple")
-    (entry,) = nkb.aux_registry
-    assert entry.display == "A"
-    assert entry.ranked != "A"
-    # alias equations tie the fresh ranked name to A
-    assert GCI(Name(entry.ranked), Name("A")) in nkb.axioms
-    assert GCI(Name("A"), Name(entry.ranked)) in nkb.axioms
-    assert GCI(Typicality(Name(entry.ranked)), Name("B")) in nkb.axioms
-    assert not any(isinstance(ax, GCI) and isinstance(ax.rhs, Typicality) for ax in nkb.axioms)
+# --- ranked names ------------------------------------------------------------
 
 
 def test_general_mode_reuses_atomic_ranked_names():
     kb = parse_kb("class A. class B.\nT(A) <= B.\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     (entry,) = nkb.aux_registry
     assert entry.ranked == "A"
 
 
 def test_shared_typicality_occurrence_registered_once(example1):
-    nkb, _ = normalize(example1, (), mode="general")
+    nkb, _ = normalize(example1, ())
     displays = [e.display for e in nkb.aux_registry]
     assert displays.count("Student") == 1
     assert len(displays) == len(set(displays))
@@ -298,8 +284,12 @@ def test_shared_typicality_occurrence_registered_once(example1):
 
 def test_extra_ranked_registers_query_concepts():
     kb = parse_kb("class A. class B.\nT(A) <= B.\n")
-    nkb, _ = normalize(kb, (), mode="simple", extra_ranked=(Conj(Name("A"), Name("B")),))
+    nkb, _ = normalize(kb, (), extra_ranked=(Conj(Name("A"), Name("B")),))
     assert "A and B" in [e.display for e in nkb.aux_registry]
+    # no T(A and B) occurs in an axiom, so it gets no occurrence name
+    (entry,) = [e for e in nkb.aux_registry if e.display == "A and B"]
+    assert entry.x_name is None
+    assert not any(entry.ranked in axiom_text(ax) and "T(" in axiom_text(ax) for ax in nkb.axioms)
 
 
 # --- query rewriting ----------------------------------------------------------
@@ -307,7 +297,7 @@ def test_extra_ranked_registers_query_concepts():
 
 def test_instance_query_over_complex_concept_gets_a_name(example1):
     q = parse_query("(some hasHair.{Black})(luigi)", example1)
-    nkb, goals = normalize(example1, (q,), mode="general")
+    nkb, goals = normalize(example1, (q,))
     (goal,) = goals
     assert isinstance(goal, InstanceOf)
     assert goal.individual == "luigi"
@@ -317,7 +307,7 @@ def test_instance_query_over_complex_concept_gets_a_name(example1):
 
 def test_typical_instance_query_goal(example1):
     q = parse_query("T(Student)(mario)", example1)
-    _, goals = normalize(example1, (q,), mode="general")
+    _, goals = normalize(example1, (q,))
     (goal,) = goals
     assert isinstance(goal, TypicalInstanceOf)
     assert isinstance(goal.concept, Name)
@@ -325,7 +315,7 @@ def test_typical_instance_query_goal(example1):
 
 def test_subsumption_query_names_both_sides(example1):
     q = parse_query("some friendOf.{mary} <= Young", example1)
-    _, goals = normalize(example1, (q,), mode="general")
+    _, goals = normalize(example1, (q,))
     (goal,) = goals
     assert isinstance(goal, Subsumes)
     assert isinstance(goal.lhs, Name) and isinstance(goal.rhs, Name)
@@ -333,7 +323,7 @@ def test_subsumption_query_names_both_sides(example1):
 
 def test_typ_subsumption_goal_uses_registered_ranked_name(example1):
     q = parse_query("T(Young and Italian) <= some hasHair.{Black}", example1)
-    nkb, goals = normalize(example1, (q,), mode="general")
+    nkb, goals = normalize(example1, (q,))
     (goal,) = goals
     assert isinstance(goal, TypSubsumes)
     assert goal.lhs.name in nkb.ranked_names()
@@ -341,15 +331,15 @@ def test_typ_subsumption_goal_uses_registered_ranked_name(example1):
 
 
 def test_normalization_is_deterministic(example1):
-    a, _ = normalize(example1, (), mode="general")
-    b, _ = normalize(example1, (), mode="general")
+    a, _ = normalize(example1, ())
+    b, _ = normalize(example1, ())
     assert a == b
 
 
 @settings(max_examples=60, deadline=None)
 @given(test_parser.kbs)
 def test_normalized_form_reparses(kb):
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     rendered = nkb.to_kb()
     from typel.parser import parse_kb as reparse, print_kb
 
@@ -358,7 +348,7 @@ def test_normalized_form_reparses(kb):
 
 def test_fresh_names_are_logged():
     kb = parse_kb("class A. class B. role r.\nA <= some r.(A and B).\n")
-    nkb, _ = normalize(kb, (), mode="general")
+    nkb, _ = normalize(kb, ())
     logged = {f.name for f in nkb.fresh_name_log}
     fresh_in_axioms = {
         tok

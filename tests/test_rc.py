@@ -18,7 +18,6 @@ from typel.materialize import (
     store_inconsistent,
     translate,
 )
-from typel.normalize import normalize
 from typel.parser import axiom_text, parse_concept, parse_kb, parse_query
 from typel.rc import (
     CLOSURE_RULES,
@@ -30,7 +29,6 @@ from typel.rc import (
     RankAssignment,
     RcVerdict,
     _read_assignment,
-    build_rc_program,
     closure_program,
     compute_ranks,
     rc_consistent,
@@ -168,11 +166,18 @@ def test_non_simple_kb_rejected(example1):
         rc_consistent(example1)
 
 
-def test_closure_program_rejects_a_normal_form_with_typicality_on_the_right():
+def test_closure_program_rejects_a_kb_that_is_not_simple():
     kb = parse_kb("class A. class B.\nA <= T(B).\n")
-    nkb, _ = normalize(kb, (), mode="general")
-    with pytest.raises(NotSimpleError, match=r"<= T\(B\)\)$"):
-        build_rc_program(nkb, (), t_occurrence_count(kb))
+    with pytest.raises(NotSimpleError, match=r"^not a simple KB: A <= T\(B\)$"):
+        closure_program(kb)
+
+
+def test_a_wrong_query_is_reported_before_the_kb_is_not_simple(example1):
+    with pytest.raises(ValueError, match="^cannot rank T\\(Student\\)") as info:
+        compute_ranks(example1, (parse_concept("T(Student)", example1),))
+    assert not isinstance(info.value, NotSimpleError)
+    with pytest.raises(TypeError):
+        rc_entails(example1, parse_query("Student <= Young", example1))
 
 
 @pytest.mark.parametrize(
@@ -396,14 +401,37 @@ def _ladder_text(n: int, repeat: int | None, bottom: bool, member: int | None) -
     return "\n".join(lines) + "\n"
 
 
-ladders = st.builds(
-    lambda *args: parse_kb(_ladder_text(*args)),
+ladder_args = st.tuples(
     st.integers(3, 5),
     st.one_of(st.none(), st.integers(1, 4)),
     st.booleans(),
     st.one_of(st.none(), st.integers(0, 2)),
 )
+ladders = ladder_args.map(lambda args: parse_kb(_ladder_text(*args)))
 consistent_simple_kbs = st.one_of(test_parser.kbs.filter(is_simple), ladders).filter(check_consistency)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ladder_args)
+@example((4, None, False, None))
+@example((5, 2, False, None))
+@example((4, None, True, None))
+@example((5, 3, True, 1))
+@example((3, 1, False, 0))
+def test_ladder_ranks_follow_the_construction(args):
+    """Rung i has rank i, one less from rung repeat on; an unsatisfiable
+    last rung has rank inf, and top has rank 0."""
+    n, repeat, bottom, member = args
+    kb = parse_kb(_ladder_text(*args))
+    if bottom and member == n - 1:
+        with pytest.raises(InconsistentKBError):
+            compute_ranks(kb)
+        return
+    expected = {f"L{i}": i - (repeat is not None and i >= repeat) for i in range(n)}
+    if bottom:
+        expected[f"L{n - 1}"] = "inf"
+    expected["top"] = 0
+    assert ranks_by_display(compute_ranks(kb)) == expected
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
@@ -421,6 +449,35 @@ def test_staged_closure_agrees_with_one_shot(kb):
     for pred in ("rank", "inf_rank", "fixp", "exceptional", "inrc"):
         assert set(staged.facts(pred)) == set(one_shot.facts(pred)), pred
     assert store_inconsistent(staged) == store_inconsistent(one_shot)
+
+
+# the SupTyp rule and its hypothesis copy: the only rules that read supTyp
+SUPTYP = {
+    rule
+    for rule in CLOSURE_RULES
+    if any(isinstance(atom, Atom) and atom.pred == "supTyp" for atom in rule.body)
+}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(consistent_simple_kbs)
+def test_typicality_on_the_right_of_a_bridge_derives_nothing_for_the_closure(kb):
+    """In a simple KB every T occurs on a left side, so an occurrence name
+    X_C gets members only through T(R) <= X_C: without the supTyp facts of
+    the other bridge, X_C <= T(R), the program derives the same ranks,
+    exceptionality, closure membership over every (t_cls, cls) pair, and
+    closure consistency."""
+    assert len(SUPTYP) == 2
+    program, _, _ = closure_program(kb)
+    t_cls = {f.args[1] for f in program.facts if f.pred == "auxc"}
+    cls = {f.args[0] for f in program.facts if f.pred == "cls"}
+    facts = program.facts + tuple(Atom("def_subs", (c, d)) for c in t_cls for d in cls)
+    full = evaluate(DatalogProgram(facts=facts, rules=program.rules))
+    rules = tuple(rule for rule in program.rules if rule not in SUPTYP)
+    without = evaluate(DatalogProgram(facts=facts, rules=rules))
+    for pred in ("rank", "inf_rank", "fixp", "exceptional", "inrc"):
+        assert set(full.facts(pred)) == set(without.facts(pred)), pred
+    assert store_inconsistent(full) == store_inconsistent(without)
 
 
 # --- one evaluation per request against the gate-first composition -----------------------
