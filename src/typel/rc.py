@@ -5,13 +5,16 @@ inclusion, and a stage keeps exactly the inclusions whose left concept was
 exceptional (subsumed by nothing, together with a typical-top hypothesis)
 at the previous stage.  A concept's rank is the first stage where it stops
 being exceptional; concepts exceptional at the fixpoint get rank infinity.
-Everything runs inside one stratified Datalog program: a staged hypothesis
-copy of the calculus answers the per-stage entailment checks, negation
+Everything runs inside one stratified Datalog program: staged hypothesis
+copies of the calculus answer the per-stage exceptionality checks, negation
 reads off ranks, and two injection rules feed the computed ranks back into
 the base calculus for the closure-consistency test.  Exceptionality only
 shrinks from stage to stage, so a concept gets its stage-i copy only while
 it stays exceptional: stage(C, i) holds for i = 0 and when C was
-exceptional at i - 1, and guards every staged rule.
+exceptional at i - 1, and guards every staged rule.  A copy is the
+calculus less three rules no stage question needs (see _H_SOURCE): one
+bottom fact makes a copy's concept exceptional, and nothing floods the
+copy past it.
 
 Only simple KBs qualify: typicality may appear in inclusion left sides
 only, so the defeasible part is a set of T(C) <= D axioms.  compute_ranks,
@@ -52,7 +55,7 @@ from .kb import (
 from .materialize import (
     BASE_RULES,
     DERIVED_PREDS,
-    IR_RULES,
+    IR_LABELED,
     RT_LABELED,
     check_consistency,
     store_inconsistent,
@@ -76,21 +79,41 @@ _INCONSISTENT = "classically inconsistent KB: ranks are undefined"
 
 
 # hypothesis copies: the positive calculus re-derived under the assumption
-# that constant D is a typical-top instance of itself, at each stage I of D;
-# SubTyp is excluded because the staged subTypRC below replaces it
-_H_SOURCE: tuple[Rule, ...] = IR_RULES + tuple(
-    rule for label, rule in RT_LABELED if label != "SubTyp"
+# that constant D is a typical-top instance of itself, at each stage I of D.
+# A copy (D, I) asks one question, whether D is exceptional at I, and C2
+# answers yes on any bottom fact in it.  Facts of a copy with a bottom fact
+# leave it only through C2: inrc1 reads copy (C, I) only where C has rank
+# I, so where it holds no bottom fact.  Three rules are left out:
+# - SubTyp: the staged subTypRC below replaces it.
+# - Rule 4, the bottom flood: it fires only in a copy that already holds a
+#   bottom fact, so every other copy and the answer of this one stay the
+#   same, and the copy is not flooded past its first bottom fact.
+# - SupTyp: in a simple KB an occurrence name X_C gets members only through
+#   T(R) <= X_C, or by a nominal from one that did, and B6 and A3 carry
+#   typicality across that equality, so typ_h(x, R) already holds for every
+#   member x that X_C <= T(R) would make typical.
+_H_SOURCE: tuple[tuple[str, Rule], ...] = tuple(
+    (label, rule)
+    for label, rule in IR_LABELED + RT_LABELED
+    if label not in ("4", "SubTyp", "SupTyp")
 )
 _H_RENAME = {p: f"{p}_h" for p in DERIVED_PREDS}
 
-H_RULES: tuple[Rule, ...] = transform_rules(
-    _H_SOURCE,
-    targets=DERIVED_PREDS,
-    extra=(Var("D"), Var("I")),
-    rename=_H_RENAME,
-    guards=(Atom("stage", (Var("D"), Var("I"))),),
-    guard_mode="always",
-)
+
+def hypothesis_copy(rules: tuple[Rule, ...]) -> tuple[Rule, ...]:
+    """The rules re-derived per hypothesis (D, I): each derived predicate p
+    becomes p_h, carries D and I, and is guarded by stage(D, I)."""
+    return transform_rules(
+        rules,
+        targets=DERIVED_PREDS,
+        extra=(Var("D"), Var("I")),
+        rename=_H_RENAME,
+        guards=(Atom("stage", (Var("D"), Var("I"))),),
+        guard_mode="always",
+    )
+
+
+H_RULES: tuple[Rule, ...] = hypothesis_copy(tuple(rule for _, rule in _H_SOURCE))
 
 # staging, exceptionality, ranks, fixpoint, closure membership, and the two
 # rules injecting computed ranks into the base calculus; the stage range
@@ -99,10 +122,7 @@ _RC_TEXT: tuple[tuple[str, str], ...] = (
     ("C0", "t_cls(?C) :- auxc(?Aux, ?C)."),
     ("stage0", "stage(?C, 0) :- t_cls(?C)."),
     ("stageI", "stage(?C, ?I) :- possrank(?I), exceptional(?C, ?I - 1)."),
-    (
-        "C2",
-        "exceptional(?C, ?I) :- stage(?C, ?I), cls(?Z), inst_h(?C, ?Z, ?C, ?I), bot(?Z).",
-    ),
+    ("C2", "exceptional(?C, ?I) :- stage(?C, ?I), bot(?Z), inst_h(?U, ?Z, ?C, ?I)."),
     ("C3", "subTypAt(?C, ?D, 0) :- subTyp(?C, ?D)."),
     (
         "C4",
@@ -148,10 +168,8 @@ def _parse_rc_rules() -> tuple[tuple[str, Rule], ...]:
 RC_LABELED: tuple[tuple[str, Rule], ...] = _parse_rc_rules()
 RC_RULES: tuple[Rule, ...] = tuple(rule for _, rule in RC_LABELED)
 
-# the closure program's one rule table.  In a simple KB every T occurs on a
-# left side, so an occurrence name X_C gets members only through
-# T(R) <= X_C; what the SupTyp rule and its hypothesis copy derive from the
-# other bridge, X_C <= T(R), changes no stage, exceptional, rank or inrc fact
+# the closure program's one rule table: the audited base calculus, whole,
+# then the hypothesis copies and the closure rules
 CLOSURE_RULES: tuple[Rule, ...] = BASE_RULES + H_RULES + RC_RULES
 
 # the base part of CLOSURE_RULES, under the name the benchmark's floor probe

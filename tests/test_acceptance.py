@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import random
+import re
 import time
 
 from conftest import load_fixture
 from test_datalog import random_stratified_program, store_dict
 from test_materialize import REFERENCE_IR, REFERENCE_RT, audit
 from test_normalize import normalized_texts, original_names, shapes_match
-from test_rc import ranks_by_display
+from test_rc import _ladder_text, ranks_by_display
 
 from typel._families import chain_kb, fit_loglog_slope
 from typel.datalog import evaluate, naive_evaluate
@@ -251,3 +252,34 @@ def test_criterion_10_growth():
     assert atoms == sorted(atoms) and atoms[0] < atoms[-1]
     assert fit_loglog_slope(sizes, atoms) <= 2.5
     assert fit_loglog_slope(sizes, times) <= 2.5
+
+
+def ladder_copies(w: int) -> str:
+    """w disjoint copies of test_rc's three-rung ladder, each name tagged
+    with its copy: rung L{i}_{b} has rank i."""
+    text = _ladder_text(3, None, False, None)
+    return "".join(re.sub(r"\b(L\d+|P[01]|a)\b", rf"\1_{b}", text) for b in range(w))
+
+
+@criterion(11, "rational-closure time grows at most quadratically in ladder width")
+def test_criterion_11_closure_growth():
+    # The copies share nothing, so the hypothesis copies grow linearly in w;
+    # only the injected sameRank and leqRank pairs of equally ranked rungs
+    # grow quadratically.  A slope of 2.0 allows that and catches an
+    # exceptional copy that floods every element into every class, which
+    # grew cubically: about 3 on the copies here, against about 1.0
+    # once each copy stops at its first bottom fact.
+    sizes = [1, 2, 4, 8]
+    times = []
+    for w in sizes:
+        kb = parse_kb(ladder_copies(w))
+        best = None
+        for _ in range(3):
+            t0 = time.perf_counter()
+            ranks = compute_ranks(kb)
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        expected = {f"L{i}_{b}": i for i in range(3) for b in range(w)}
+        assert ranks_by_display(ranks) == {**expected, "top": 0}
+        times.append(best)
+    assert fit_loglog_slope(sizes, times) <= 2.0

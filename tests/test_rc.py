@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from typel import datalog
 from typel._families import chain_kb
-from typel.datalog import Atom, DatalogProgram, Neg, Rule, evaluate, stratify
+from typel.datalog import Atom, DatalogProgram, Neg, Rule, evaluate, load_program, stratify
 from typel.kb import Conj, Name, TypSubsumes, first_non_simple_axiom, is_simple
 from typel.materialize import (
     BASE_RULES,
     BOT_CONST,
+    IR_LABELED,
+    RT_LABELED,
     check_consistency,
     store_inconsistent,
     translate,
@@ -31,6 +33,7 @@ from typel.rc import (
     _read_assignment,
     closure_program,
     compute_ranks,
+    hypothesis_copy,
     rc_consistent,
     rc_entails,
     t_occurrence_count,
@@ -434,6 +437,13 @@ def test_ladder_ranks_follow_the_construction(args):
     assert ranks_by_display(compute_ranks(kb)) == expected
 
 
+def _every_pair_facts(program: DatalogProgram) -> tuple[Atom, ...]:
+    """The program's facts, with every (t_cls, cls) pair asked about."""
+    t_cls = {f.args[1] for f in program.facts if f.pred == "auxc"}
+    cls = {f.args[0] for f in program.facts if f.pred == "cls"}
+    return program.facts + tuple(Atom("def_subs", (c, d)) for c in t_cls for d in cls)
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
 @given(consistent_simple_kbs)
 def test_staged_closure_agrees_with_one_shot(kb):
@@ -441,43 +451,12 @@ def test_staged_closure_agrees_with_one_shot(kb):
     ungated program derives the same ranks, exceptionality, closure
     membership over every (t_cls, cls) pair, and closure consistency."""
     program, _, _ = closure_program(kb)
-    t_cls = {f.args[1] for f in program.facts if f.pred == "auxc"}
-    cls = {f.args[0] for f in program.facts if f.pred == "cls"}
-    facts = program.facts + tuple(Atom("def_subs", (c, d)) for c in t_cls for d in cls)
+    facts = _every_pair_facts(program)
     staged = evaluate(DatalogProgram(facts=facts, rules=program.rules))
     one_shot = evaluate(DatalogProgram(facts=facts, rules=ONE_SHOT_RULES))
     for pred in ("rank", "inf_rank", "fixp", "exceptional", "inrc"):
         assert set(staged.facts(pred)) == set(one_shot.facts(pred)), pred
     assert store_inconsistent(staged) == store_inconsistent(one_shot)
-
-
-# the SupTyp rule and its hypothesis copy: the only rules that read supTyp
-SUPTYP = {
-    rule
-    for rule in CLOSURE_RULES
-    if any(isinstance(atom, Atom) and atom.pred == "supTyp" for atom in rule.body)
-}
-
-
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
-@given(consistent_simple_kbs)
-def test_typicality_on_the_right_of_a_bridge_derives_nothing_for_the_closure(kb):
-    """In a simple KB every T occurs on a left side, so an occurrence name
-    X_C gets members only through T(R) <= X_C: without the supTyp facts of
-    the other bridge, X_C <= T(R), the program derives the same ranks,
-    exceptionality, closure membership over every (t_cls, cls) pair, and
-    closure consistency."""
-    assert len(SUPTYP) == 2
-    program, _, _ = closure_program(kb)
-    t_cls = {f.args[1] for f in program.facts if f.pred == "auxc"}
-    cls = {f.args[0] for f in program.facts if f.pred == "cls"}
-    facts = program.facts + tuple(Atom("def_subs", (c, d)) for c in t_cls for d in cls)
-    full = evaluate(DatalogProgram(facts=facts, rules=program.rules))
-    rules = tuple(rule for rule in program.rules if rule not in SUPTYP)
-    without = evaluate(DatalogProgram(facts=facts, rules=rules))
-    for pred in ("rank", "inf_rank", "fixp", "exceptional", "inrc"):
-        assert set(full.facts(pred)) == set(without.facts(pred)), pred
-    assert store_inconsistent(full) == store_inconsistent(without)
 
 
 # --- one evaluation per request against the gate-first composition -----------------------
@@ -583,6 +562,91 @@ def test_entry_points_agree_with_the_gate_first_composition(kb_and_query):
     )
     assert _outcome(lambda: rc_entails(kb, q)) == _outcome(lambda: _gated_entails(kb, q))
     assert _outcome(lambda: rc_consistent(kb)) == _outcome(lambda: _gated_consistent(kb))
+
+
+# --- each hypothesis copy stops at its bottom fact --------------------------------------
+
+
+# the closure table as it read while every copy ran the calculus to its end:
+# rule 4's and SupTyp's copies included, and a C2 that asks for the copy's
+# own concept in a bottom class, where rule 4's flood puts it
+_REFERENCE_C2 = load_program(
+    "exceptional(?C, ?I) :- stage(?C, ?I), cls(?Z), inst_h(?C, ?Z, ?C, ?I), bot(?Z).\n"
+).rules[0]
+REFERENCE_CLOSURE_RULES = (
+    BASE_RULES
+    + hypothesis_copy(tuple(rule for label, rule in IR_LABELED + RT_LABELED if label != "SubTyp"))
+    + tuple(_REFERENCE_C2 if label == "C2" else rule for label, rule in RC_LABELED)
+)
+
+CLOSURE_PREDS = ("rank", "inf_rank", "fixp", "exceptional", "stage", "inrc")
+
+
+def _no_query(kbs):
+    return kbs.map(lambda kb: (kb, None))
+
+
+# n is a member of C, and a typical A has an r-successor in {n} and in B,
+# which C excludes: the successor and n reach bottom, A itself never does
+NOMINAL_SUCCESSOR_CONFLICT = (
+    "class A. class B. class C. individual n. role r.\n"
+    "T(A) <= some r.({n} and B).\nC(n).\nB and C <= bot.\n"
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(
+    st.one_of(
+        kbs_with_queries,
+        _no_query(consistent_simple_kbs),
+        _no_query(nominal_conflicts.map(lambda args: parse_kb(_nominal_conflict_text(*args)))),
+    )
+)
+@example((parse_kb(_ladder_text(4, None, True, None)), None))
+@example((parse_kb(NOMINAL_SUCCESSOR_CONFLICT), TypSubsumes(Name("A"), Name("B"))))
+def test_copies_stopped_at_their_bottom_fact_agree_with_the_reference_table(kb_and_query):
+    """Without rule 4's and SupTyp's copies, and with C2 reading any bottom
+    fact of a copy, the closure table derives the same ranks, stages,
+    exceptionality, closure membership over every (t_cls, cls) pair, and
+    closure consistency as the reference table."""
+    kb, q = kb_and_query
+    if first_non_simple_axiom(kb) is not None:
+        return
+    facts = _every_pair_facts(closure_program(kb, q)[0])
+    stopped = evaluate(DatalogProgram(facts=facts, rules=CLOSURE_RULES))
+    reference = evaluate(DatalogProgram(facts=facts, rules=REFERENCE_CLOSURE_RULES))
+    for pred in CLOSURE_PREDS:
+        assert set(stopped.facts(pred)) == set(reference.facts(pred)), pred
+    assert store_inconsistent(stopped) == store_inconsistent(reference)
+
+
+def _reads_suptyp(rule: Rule) -> bool:
+    return any(isinstance(atom, Atom) and atom.pred == "supTyp" for atom in rule.body)
+
+
+# the SupTyp rule and its hypothesis copy: the only rules of the reference
+# table that read supTyp
+SUPTYP = {rule for rule in REFERENCE_CLOSURE_RULES if _reads_suptyp(rule)}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(consistent_simple_kbs)
+def test_typicality_on_the_right_of_a_bridge_derives_nothing_for_the_closure(kb):
+    """In a simple KB every T occurs on a left side, so an occurrence name
+    X_C gets members only through T(R) <= X_C: without the supTyp facts of
+    the other bridge, X_C <= T(R), the reference table derives the same
+    ranks, stages, exceptionality, closure membership over every
+    (t_cls, cls) pair, and closure consistency.  The closure table keeps
+    the base SupTyp rule and drops its copy."""
+    assert len(SUPTYP) == 2
+    assert [rule for rule in CLOSURE_RULES if _reads_suptyp(rule)] == [dict(RT_LABELED)["SupTyp"]]
+    facts = _every_pair_facts(closure_program(kb)[0])
+    full = evaluate(DatalogProgram(facts=facts, rules=REFERENCE_CLOSURE_RULES))
+    rules = tuple(rule for rule in REFERENCE_CLOSURE_RULES if rule not in SUPTYP)
+    without = evaluate(DatalogProgram(facts=facts, rules=rules))
+    for pred in CLOSURE_PREDS:
+        assert set(full.facts(pred)) == set(without.facts(pred)), pred
+    assert store_inconsistent(full) == store_inconsistent(without)
 
 
 # --- one closure table for every entry point ---------------------------------------------
