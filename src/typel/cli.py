@@ -5,8 +5,9 @@ Exit codes: 0 entailed/consistent/in-closure/none-found (or plain success),
 one-line "internal error:" message on stderr and no verdict).  --format
 records emits one JSON object per line with keys {mode, query, verdict} in
 stable order, so repeated runs are byte-identical.  --dump-program writes
-the program the command's entry point evaluates, as query_program and
-closure_program return it, once the entry point has accepted the KB.
+the program whose least model gives the verdict, as query_program and
+closure_program return it, once the entry point has accepted the KB: the
+program check evaluates, and the closure table the rc- answers follow.
 
 check and subsumes take several queries and answer them in order from one
 process, which prepares the KB once.  Every query is parsed before the

@@ -49,7 +49,9 @@ round's delta brings it to the variant joining its atom first.
 A program without negation is one stratum and monotone, so Saturation
 keeps its least model and extends it by more facts: the facts are the
 first delta of the same semi-naive loop, run on a private copy of the
-store.
+store.  A caller that asks one question of the extension passes a stop
+test, checked once per round, and the loop ends with the round after
+which the test holds.
 
 Terms are Python strings (symbolic constants), ints, variables, or ?v - k
 decrements.  A decrement in a positive body atom unifies in both
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Callable
 from operator import itemgetter
 
 from .record import Record, record
@@ -740,14 +743,16 @@ def _seminaive(
     store: FactStore,
     joins: dict[str, list[tuple[_Variant, str]]],
     delta: dict[str, set[tuple[Const, ...]]],
+    stop: Callable[[FactStore], bool] | None = None,
 ) -> None:
-    """Semi-naive rounds until no delta is left.
+    """Semi-naive rounds until no delta is left, or until stop(store) holds.
 
     delta holds facts already stored whose consequences may not be.  A
     round calls the variants that join each delta first, all against the
-    store as the last round left it, and then stores their output.
+    store as the last round left it, and then stores their output.  stop
+    is called once before the first round and once after each.
     """
-    while delta:
+    while delta and not (stop is not None and stop(store)):
         out: dict[str, set[tuple[Const, ...]]] = {}
         for pred, d in delta.items():
             for v, head in joins.get(pred, ()):
@@ -875,8 +880,9 @@ def _check_bound(store: FactStore, bound: int) -> None:
 
 
 # large enough to keep the two built-in rule tables (base and closure)
-# resident beside a caller's own; every rc entry point evaluates the one
-# closure table, so a process generates each of its joins at most once
+# resident beside a caller's own; every entry point, the rational closure
+# included, evaluates the base table, so a process generates each of its
+# joins at most once
 @functools.lru_cache(maxsize=16)
 def _prepare(rules: tuple[Rule, ...]):
     """Validate, stratify and compile a rule table once per process.
@@ -976,9 +982,17 @@ class Saturation:
                     self._rules.append(c)
         self._joins = _dispatch(self._rules)
 
-    def extend(self, facts: tuple[Atom, ...]) -> FactStore:
+    def extend(
+        self, facts: tuple[Atom, ...], stop: Callable[[FactStore], bool] | None = None
+    ) -> FactStore:
         """The least model of the program plus facts: a new store, or store
-        itself when it holds every fact already.  The result is read only."""
+        itself when it holds every fact already.  The result is read only.
+
+        stop, a test of the store such as the presence of a goal fact, ends
+        the extension early: it is called once the facts are stored and
+        after each round, and once it holds, the store is returned as that
+        round left it, a part of the least model on which stop holds.
+        """
         delta: dict[str, set[tuple[Const, ...]]] = {}
         for f in facts:
             if not self.store.contains(f.pred, f.args):  # type: ignore[arg-type]
@@ -990,7 +1004,7 @@ class Saturation:
         _load_facts(store, facts, arity, constants)
         opened = [c for c, empty in self._gated if empty <= delta.keys()]
         joins = _dispatch(self._rules + opened) if opened else self._joins
-        _seminaive(store, joins, delta)
+        _seminaive(store, joins, delta, stop)
         _check_bound(store, _bound(arity, constants))
         return store
 

@@ -18,7 +18,10 @@ translated and saturated once, with no query (datalog.Saturation).  A
 query is normalized on its own against the KB's normalization
 (normalize_queries), only its new axioms and names are translated, and
 its facts extend the saturated store: a private copy of it, or the store
-itself, read only, when the query adds no fact it lacks.
+itself, read only, when the query adds no fact it lacks.  The extension
+stops at the end of the round that stores the goal or a bottom fact; a
+bottom fact entails every goal, as rule 4 then puts every element in
+every class.
 
 query_program builds the program each entry point evaluates, the prepared
 facts followed by the query's, and names its goal atom; the CLI dumps the
@@ -277,11 +280,14 @@ def subsumption_rules(typ_seed: bool) -> tuple[Rule, ...]:
 
 
 def store_inconsistent(store: FactStore) -> bool:
-    """Classical inconsistency: something fell into a bottom class."""
-    bots = {args[0] for args in store.facts("bot")}
+    """Classical inconsistency: something fell into a bottom class.  One
+    probe per bottom class of inst's index on its class position, which is
+    built on first use and kept by later adds and copies."""
+    bots = store.facts("bot")
     if not bots:
         return False
-    return any(args[1] in bots for args in store.facts("inst"))
+    classes = store.index("inst", (1,))
+    return any(b in classes for (b,) in bots)
 
 
 def _goal(goal: Query, w: str) -> tuple[tuple[Atom, ...], Atom]:
@@ -303,7 +309,9 @@ def _goal(goal: Query, w: str) -> tuple[tuple[Atom, ...], Atom]:
 
 
 # prepared KBs a process keeps; a KB not queried for a while is prepared
-# again.  Each keeps its saturated store, so this bounds the memory held.
+# again.  Each keeps its saturated store and, once asked a closure question,
+# one store per closure stage up to the fixpoint, so the memory held grows
+# with the number of stages of each KB kept.
 _PREPARED_KBS = 8
 
 
@@ -322,6 +330,8 @@ class _PreparedKB:
         self.witness = "w$"
         while self.witness in names:
             self.witness += "$"
+        # the rational closure typel.rc prepares on the first closure question
+        self.closure = None
 
     @functools.cached_property
     def saturation(self) -> Saturation:
@@ -346,21 +356,28 @@ def _prepared_kb(kb: KnowledgeBase) -> _PreparedKB:
         raise
 
 
-def _query(kb: KnowledgeBase, query: Query) -> tuple[Saturation, tuple[Atom, ...], Atom]:
-    """The prepared saturation a query extends, the facts it adds and the
-    goal it reads.  Only the query is normalized and translated: its names,
-    ranked concepts and normal axioms, whose witnesses are numbered on from
-    the KB's, and for an inclusion the fresh individual in its left side."""
-    prep = _prepared_kb(kb)
-    nkb, sat = prep.nkb, prep.saturation
-    ext, (goal,) = normalize_queries(kb, nkb, (query,))
+def _extension_facts(prep: _PreparedKB, ext: NormalizedKB) -> tuple[Atom, ...]:
+    """The facts that ext, prep's normalization extended by queries
+    (normalize_queries), adds to prep's: only the queries are translated,
+    their names, ranked concepts and normal axioms, whose witnesses are
+    numbered on from the KB's."""
+    nkb = prep.nkb
     body, has_bot = _axiom_facts(ext.axioms[len(nkb.axioms) :], len(nkb.axioms))
     facts = [Atom("cls", (f.name,)) for f in ext.fresh_name_log[len(nkb.fresh_name_log) :]]
-    if has_bot and not sat.store.contains("bot", (BOT_CONST,)):
+    if has_bot and not prep.saturation.store.contains("bot", (BOT_CONST,)):
         facts += _BOT_FACTS
     facts += _ranked_facts(ext.aux_registry[len(nkb.aux_registry) :])
+    return tuple(facts + body)
+
+
+def _query(kb: KnowledgeBase, query: Query) -> tuple[Saturation, tuple[Atom, ...], Atom]:
+    """The prepared saturation a query extends, the facts it adds and the
+    goal it reads: the query's own facts, and for an inclusion the fresh
+    individual in its left side."""
+    prep = _prepared_kb(kb)
+    ext, (goal,) = normalize_queries(kb, prep.nkb, (query,))
     seed, goal_atom = _goal(goal, prep.witness)
-    return sat, tuple(facts + body) + seed, goal_atom
+    return prep.saturation, _extension_facts(prep, ext) + seed, goal_atom
 
 
 def query_program(
@@ -375,17 +392,21 @@ def query_program(
     return DatalogProgram(sat.program.facts + facts, sat.program.rules), goal
 
 
-def _entailment(store: FactStore, goal: Atom) -> EntailmentVerdict:
-    entailed = store.contains(goal.pred, goal.args)  # type: ignore[arg-type]
-    # triple does not flood under inconsistency, the way inst and typ do
-    if not entailed and goal.pred == "triple":
-        entailed = store_inconsistent(store)
-    return EntailmentVerdict(True, goal) if entailed else EntailmentVerdict(False, None)
+def _answered(goal: Atom, store: FactStore) -> bool:
+    """Whether store entails goal: it holds the goal or a bottom fact.  An
+    inconsistent least model holds every inst and typ goal, as rule 4
+    floods every class, but not every triple."""
+    return store.contains(goal.pred, goal.args) or store_inconsistent(store)  # type: ignore[arg-type]
 
 
 def _check(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:
+    """The query's extension of the prepared saturation, stopped at the
+    end of the round that stores its goal or a bottom fact."""
     sat, facts, goal = _query(kb, query)
-    return _entailment(sat.extend(facts), goal)
+    stop = functools.partial(_answered, goal)
+    if stop(sat.extend(facts, stop)):
+        return EntailmentVerdict(True, goal)
+    return EntailmentVerdict(False, None)
 
 
 def check_instance(kb: KnowledgeBase, query: Query) -> EntailmentVerdict:

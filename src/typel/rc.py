@@ -1,42 +1,59 @@
 """Rational closure over the defeasible part of a simple knowledge base.
 
-The construction iterates exceptionality: stage 0 holds every defeasible
-inclusion, and a stage keeps exactly the inclusions whose left concept was
-exceptional (subsumed by nothing, together with a typical-top hypothesis)
-at the previous stage.  A concept's rank is the first stage where it stops
-being exceptional; concepts exceptional at the fixpoint get rank infinity.
-Everything runs inside one stratified Datalog program: staged hypothesis
-copies of the calculus answer the per-stage exceptionality checks, negation
-reads off ranks, and two injection rules feed the computed ranks back into
-the base calculus for the closure-consistency test.  Exceptionality only
-shrinks from stage to stage, so a concept gets its stage-i copy only while
-it stays exceptional: stage(C, i) holds for i = 0 and when C was
-exceptional at i - 1, and guards every staged rule.  A copy is the
-calculus less three rules no stage question needs (see _H_SOURCE): one
-bottom fact makes a copy's concept exceptional, and nothing floods the
-copy past it.
+The construction iterates exceptionality (Lehmann and Magidor, AIJ 1992):
+E_0 holds every defeasible inclusion, and E_(i+1) keeps exactly the
+inclusions of E_i whose left concept is exceptional at stage i, that is,
+subsumed by nothing given a typical-top hypothesis, the strict part and
+E_i.  A concept's rank is the first stage where it stops being
+exceptional; concepts exceptional at the fixpoint get rank infinity.
 
 Only simple KBs qualify: typicality may appear in inclusion left sides
-only, so the defeasible part is a set of T(C) <= D axioms.  compute_ranks,
-rc_entails and rc_consistent all evaluate CLOSURE_RULES, once per request,
-and read their answer off the one store.  No rank, stage or hypothesis-copy
-rule reads a base-calculus predicate, so the rank and inrc facts are the
-same with or without the injection rules.  Those only add facts, so a
-consistent store is also classically consistent; only an inconsistent one
-needs check_consistency to tell a classically inconsistent KB, on which
-ranks mean nothing, from an inconsistent closure.
+only, so the defeasible part is the KB's subTyp facts, one T(R) <= X_C per
+T-argument R.  Each KB's closure is prepared once, on the prepared KB
+check keeps (materialize._PreparedKB), and answers any number of
+questions.  Stage i's saturation is the base table over the KB's facts
+with E_i's subTyp facts only: stage 0 is the saturation check keeps, and
+a later one extends the strict saturation, which has no subTyp fact, by
+E_i's.  The base table has no negation, so each question is an extension
+of one stage's saturation (datalog.Saturation), stopped at the end of the
+round that stores what the question asks for:
+- C is exceptional at stage i when stage i extended by typ(C, top) and
+  inst(C, C), and by the question's own facts when C is its concept,
+  stores a bottom fact.  The KB's ranked concepts are tested once, stage
+  by stage, up to the fixpoint; only those saturations are kept.
+- T(C) <= D is in the closure when C's rank is infinite, or when C's
+  hypothesis at C's rank stage derives inst(C, D).  A T in D gives the
+  question subTyp facts of its own, in E up to their concept's rank
+  stage; they conclude only the question's fresh names, so they rank no
+  concept.
+- The closure is consistent when stage 0 extended by the sameRank and
+  leqRank facts the computed ranks give the KB's aux constants stores no
+  bottom fact.  The verdict is kept with the closure.
+Ranks, inf and the fixpoint stage follow the closure table's rules C4 and
+C7-C12, and the error raised for a question does not depend on what was
+asked before it.
 
-closure_program builds the program each entry point evaluates and reads
-back; the CLI dumps the same program.
+CLOSURE_RULES is the same construction as one stratified Datalog program,
+the paper's table: staged hypothesis copies of the calculus answer the
+per-stage exceptionality checks, negation reads off ranks, and two
+injection rules feed the computed ranks back into the base calculus for
+the closure-consistency test.  A concept gets its stage-i copy only while
+it stays exceptional, and a copy is the calculus less three rules no stage
+question needs (see _H_SOURCE).  closure_program builds it for a question;
+the CLI dumps it, and the tests evaluate it as the reference the prepared
+closure answers like.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 from .datalog import (
     Atom,
     DatalogProgram,
-    FactStore,
     Rule,
+    Saturation,
     Var,
     evaluate,
     load_program,
@@ -57,11 +74,15 @@ from .materialize import (
     DERIVED_PREDS,
     IR_LABELED,
     RT_LABELED,
+    TOP_CONST,
+    _answered,
+    _extension_facts,
+    _prepared_kb,
     check_consistency,
     store_inconsistent,
     translate,
 )
-from .normalize import NormalizedKB, normalize
+from .normalize import NormalizedKB, normalize, normalize_queries
 from .parser import axiom_text
 from .record import Record, record
 
@@ -239,21 +260,25 @@ def build_rc_program(
     return DatalogProgram(facts=tuple(facts), rules=CLOSURE_RULES)
 
 
+def _require_simple(kb: KnowledgeBase) -> None:
+    bad = first_non_simple_axiom(kb)
+    if bad is not None:
+        raise NotSimpleError(f"not a simple KB: {axiom_text(bad)}")
+
+
 def closure_program(
     kb: KnowledgeBase,
     query: TypSubsumes | None = None,
     concepts: tuple[ConceptExpr, ...] = (),
 ) -> tuple[DatalogProgram, NormalizedKB, Atom | None]:
-    """The closure program an entry point evaluates, the normalization its
-    ranks are read against, and the inrc goal of a T(C) <= D query.
+    """The closure table over a question, the normalization its ranks are
+    read against, and the inrc goal of a T(C) <= D query.
 
     concepts are extra concepts to rank.  A query's C gets a rank too, and
     its pair is the only one the program may put in the closure.  Raises
     NotSimpleError unless kb is simple.
     """
-    bad = first_non_simple_axiom(kb)
-    if bad is not None:
-        raise NotSimpleError(f"not a simple KB: {axiom_text(bad)}")
+    _require_simple(kb)
     queries = () if query is None else (query,)
     nkb, goals = normalize(kb, queries, extra_ranked=concepts)
     pairs = tuple((goal.lhs.name, goal.rhs.name) for goal in goals)
@@ -261,39 +286,148 @@ def closure_program(
     return program, nkb, Atom("inrc", pairs[0]) if pairs else None
 
 
-def _closure_store(kb: KnowledgeBase, program: DatalogProgram) -> FactStore:
-    """Evaluate a closure program.  The injection rules only add facts, so
-    only an inconsistent store can mean an inconsistent KB."""
-    store = evaluate(program)
-    if store_inconsistent(store) and not check_consistency(kb):
+def _hypothesis(concept: str) -> tuple[Atom, ...]:
+    """concept as a constant that is a typical-top instance of itself."""
+    return Atom("typ", (concept, TOP_CONST)), Atom("inst", (concept, concept))
+
+
+def _exceptional(stage: Saturation, concept: str, facts: tuple[Atom, ...]) -> bool:
+    """Whether the hypothesis on concept stores a bottom fact at stage."""
+    extension = stage.extend(facts + _hypothesis(concept), store_inconsistent)
+    return store_inconsistent(extension)
+
+
+class _Closure:
+    """The rational closure of a simple, classically consistent KB.
+
+    stages[i] is E_i, the subTyp facts of stage i, for every stage up to
+    the fixpoint; the stage after the fixpoint has the same E.  ranks and
+    infinite hold the KB's ranked concepts, and fixpoint is the first stage
+    past 0 where none of them gets its rank.  A concept gets its rank past
+    0 only at a stage where E shrinks, so with n defaults of the KB the
+    fixpoint comes by stage n + 1.
+    """
+
+    def __init__(self, facts: tuple[Atom, ...], saturation: Saturation):
+        """facts are the KB's and saturation their saturation."""
+        self._facts = facts
+        self._defaults = tuple(f for f in facts if f.pred == "subTyp")
+        self._saturations = {frozenset(self._defaults): saturation}
+        self.stages: list[frozenset[Atom]] = []
+        self.ranks: dict[str, int] = {}
+        self._consistent: bool | None = None
+        # C4: stage i keeps the defaults of E_(i-1) whose left concept was
+        # exceptional at i - 1; C7, C8: a concept's rank is the first stage
+        # it is not exceptional at; C9-C12: the fixpoint is the first stage
+        # past 0 where no concept gets its rank, and the concepts still
+        # exceptional there are infinite
+        active = list(dict.fromkeys(f.args[1] for f in facts if f.pred == "auxc"))
+        for i in itertools.count():
+            if i > len(self._defaults) + 1:
+                raise AssertionError("exceptionality iteration found no fixpoint stage")
+            left = set(active)
+            e_i = frozenset(d for d in self._defaults if i == 0 or d.args[0] in left)
+            self.stages.append(e_i)
+            if i > 0 and (not active or e_i == self.stages[i - 1]):
+                break
+            stage = self._saturation(e_i)
+            still = [c for c in active if _exceptional(stage, c, ())]
+            for c in left.difference(still):
+                self.ranks[c] = i
+            if i > 0 and len(still) == len(active):
+                break
+            active = still
+        self.infinite = frozenset(active)
+        self.fixpoint = i
+        kept = set(self.stages)
+        self._saturations = {e: sat for e, sat in self._saturations.items() if e in kept}
+
+    def _saturation(self, defaults: frozenset[Atom]) -> Saturation:
+        """The base table's saturation over the KB's facts with the given
+        subTyp facts only, built by extending the strict one."""
+        sat = self._saturations.get(defaults)
+        if sat is None:
+            strict = self._saturations.get(frozenset())
+            if strict is None:
+                facts = tuple(f for f in self._facts if f.pred != "subTyp")
+                program = DatalogProgram(facts, BASE_RULES)
+                strict = self._saturations[frozenset()] = Saturation(program, evaluate(program))
+            facts = tuple(d for d in self._defaults if d in defaults)
+            program = DatalogProgram(strict.program.facts + facts, BASE_RULES)
+            sat = self._saturations[defaults] = Saturation(program, strict.extend(facts))
+        return sat
+
+    def rank(self, concept: str, facts: tuple[Atom, ...]) -> int | None:
+        """concept's rank, None for infinity; a concept the KB does not
+        rank is tested on the question's facts, stage by stage."""
+        if concept in self.ranks:
+            return self.ranks[concept]
+        if concept in self.infinite:
+            return None
+        for i, e_i in enumerate(self.stages):
+            # a stage with the same E as the one before answers the same
+            if (i == 0 or e_i != self.stages[i - 1]) and not _exceptional(
+                self._saturation(e_i), concept, facts
+            ):
+                return i
+        return None
+
+    def entails(self, concept: str, cls: str, facts: tuple[Atom, ...]) -> bool:
+        """Whether T(concept) <= cls is in the closure: concept's rank is
+        infinite, or its hypothesis at its rank stage derives
+        inst(concept, cls).  facts are the question's; a T on its right
+        side gives it subTyp facts of its own, which rank nothing, and C4
+        puts each in E at the stages its left concept reaches."""
+        defaults = tuple(f for f in facts if f.pred == "subTyp")
+        facts = tuple(f for f in facts if f.pred != "subTyp")
+        rank = self.rank(concept, facts)
+        if rank is None:
+            return True
+        for d in defaults:
+            reached = self.rank(d.args[0], facts)
+            if rank == 0 or reached is None or reached >= rank:
+                facts += (d,)
+        goal = Atom("inst", (concept, cls))
+        stage = self._saturation(self.stages[rank])
+        extension = stage.extend(facts + _hypothesis(concept), functools.partial(_answered, goal))
+        return extension.contains(goal.pred, goal.args)
+
+    def consistent(self) -> bool:
+        """SameRank_rc1 and LeqRank_rc2: stage 0 with equally ranked aux
+        constants of the same rank and lower ranked ones at most as high
+        stores no bottom fact."""
+        if self._consistent is None:
+            aux = [
+                (f.args[0], self.ranks[f.args[1]])
+                for f in self._facts
+                if f.pred == "auxc" and f.args[1] in self.ranks
+            ]
+            facts = tuple(
+                Atom("sameRank" if i == j else "leqRank", (a, b))
+                for a, i in aux
+                for b, j in aux
+                if i <= j
+            )
+            extension = self._saturation(self.stages[0]).extend(facts, store_inconsistent)
+            self._consistent = not store_inconsistent(extension)
+        return self._consistent
+
+
+def _ask(
+    kb: KnowledgeBase, queries: tuple[TypSubsumes, ...], concepts: tuple[ConceptExpr, ...]
+) -> tuple[_Closure, NormalizedKB, tuple[Atom, ...], tuple]:
+    """kb's prepared closure, its normalization extended by the question,
+    the facts the question adds to the KB's, and the rewritten queries.
+    The KB is checked before the question, and classical consistency
+    after both."""
+    _require_simple(kb)
+    prep = _prepared_kb(kb)
+    ext, goals = normalize_queries(kb, prep.nkb, queries, concepts)
+    if not check_consistency(kb):
         raise InconsistentKBError(_INCONSISTENT)
-    return store
-
-
-def _read_assignment(store: FactStore, nkb: NormalizedKB) -> RankAssignment:
-    t_cls = {args[0] for args in store.facts("t_cls")}
-    ranks: dict[str, int] = {}
-    for c, i in store.facts("rank"):
-        if c in ranks:
-            raise AssertionError(f"two ranks derived for {c}: {ranks[c]} and {i}")
-        ranks[c] = i
-    infinite = frozenset(args[0] for args in store.facts("inf_rank"))
-    both = set(ranks) & infinite
-    if both:
-        raise AssertionError(f"rank and inf_rank both derived for {sorted(both)}")
-    neither = t_cls - set(ranks) - infinite
-    if neither:
-        raise AssertionError(f"no rank derived for {sorted(neither)}")
-    stages = [args[0] for args in store.facts("fixp")]
-    if not stages:
-        raise AssertionError("exceptionality iteration found no fixpoint stage")
-    display = {c: nkb.display_of(c) for c in t_cls}
-    return RankAssignment(
-        ranks=ranks,
-        infinite=infinite,
-        fixpoint_stage=min(stages),
-        display=display,
-    )
+    if prep.closure is None:
+        prep.closure = _Closure(prep.facts, prep.saturation)
+    return prep.closure, ext, _extension_facts(prep, ext), goals
 
 
 def compute_ranks(
@@ -303,24 +437,40 @@ def compute_ranks(
     for c in query_concepts:
         if contains_typicality(c):
             raise ValueError(f"cannot rank {concept_text(c)}: a ranked concept may not contain T")
-    program, nkb, _ = closure_program(kb, concepts=query_concepts)
-    return _read_assignment(_closure_store(kb, program), nkb)
+    closure, ext, facts, _ = _ask(kb, (), query_concepts)
+    ranks = dict(closure.ranks)
+    infinite = set(closure.infinite)
+    for entry in ext.aux_registry:
+        rank = closure.rank(entry.ranked, facts)
+        if rank is None:
+            infinite.add(entry.ranked)
+        else:
+            ranks[entry.ranked] = rank
+    # C10, C11: a question's concepts may take the KB's fixpoint stage
+    fixpoint = closure.fixpoint
+    while fixpoint in ranks.values():
+        fixpoint += 1
+    return RankAssignment(
+        ranks=ranks,
+        infinite=frozenset(infinite),
+        fixpoint_stage=fixpoint,
+        display={c: ext.display_of(c) for c in (*ranks, *infinite)},
+    )
 
 
 def rc_entails(kb: KnowledgeBase, q: TypSubsumes) -> RcVerdict:
     """Is T(C) <= D in the rational closure of the TBox?"""
     if not isinstance(q, TypSubsumes):
         raise TypeError(f"rational closure membership needs a T(C) <= D query, got {q!r}")
-    program, _, goal = closure_program(kb, q)
-    return RcVerdict(in_closure=_closure_store(kb, program).contains(goal.pred, goal.args))
+    closure, _, facts, (goal,) = _ask(kb, (q,), ())
+    return RcVerdict(in_closure=closure.entails(goal.lhs.name, goal.rhs.name, facts))
 
 
 def rc_consistent(kb: KnowledgeBase) -> bool:
     """Does some ranked model realize the computed rank assignment?
 
-    The injection rules force the base calculus to treat equally ranked
-    concepts' representatives as equally ranked elements; if that floods a
-    bottom class, no model matches the assignment.
+    Equally ranked concepts' representatives are forced to be equally
+    ranked elements, and lower ranked ones at most as high; if that puts
+    something in a bottom class, no model matches the assignment.
     """
-    program, _, _ = closure_program(kb)
-    return not store_inconsistent(_closure_store(kb, program))
+    return _ask(kb, (), ())[0].consistent()

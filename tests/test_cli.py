@@ -16,13 +16,13 @@ from hypothesis import given, settings, strategies as st
 import test_parser
 import typel.cli
 import typel.materialize
-import typel.rc
 from typel.cli import main
 from typel.datalog import Saturation, evaluate, load_program
 from typel.materialize import query_program, store_inconsistent
 from typel.parser import MAX_NESTING, parse_concept, parse_query, print_kb, query_text
-from typel.rc import _read_assignment, closure_program
+from typel.rc import closure_program
 from conftest import fixture_path, load_fixture
+from test_rc import read_assignment
 
 EX1 = str(fixture_path("example1.kbt"))
 EX1_AF = str(fixture_path("example1-af.kbt"))
@@ -115,14 +115,13 @@ def test_dump_program_is_the_evaluated_program(
         evaluated.append((program, store))
         return store
 
-    def recording_extend(self, facts):
-        store = real_extend(self, facts)
+    def recording_extend(self, facts, stop=None):
+        store = real_extend(self, facts, stop)
         extended.append(store)
         return store
 
     real_extend = Saturation.extend
     monkeypatch.setattr(typel.materialize, "evaluate", recording_evaluate)
-    monkeypatch.setattr(typel.rc, "evaluate", recording_evaluate)
     monkeypatch.setattr(Saturation, "extend", recording_extend)
     # a prepared KB from an earlier test would hide its evaluations
     typel.materialize._prepared.cache_clear()
@@ -135,23 +134,33 @@ def test_dump_program_is_the_evaluated_program(
     store = evaluate(dumped)
     kb = load_fixture(fixture)
     if command.startswith("rc-"):
-        # one evaluation per request; an inconsistent closure store costs
-        # rc-consistent a second one, of the base program, to tell a
-        # classically inconsistent KB from the verdict
-        assert len(evaluated) == (2 if fixture == "rc_inconsistent.kbt" else 1)
-        assert dumped == evaluated[0][0]
+        # the dump is the closure table over the question, which the
+        # prepared closure answers like: its least model gives the printed
+        # verdict or ranks
         concepts = (parse_concept(arg, kb),) if command == "rc-ranks" else ()
         query = parse_query(arg, kb) if command == "rc-check" else None
-        _, nkb, goal = closure_program(kb, query, concepts)
+        program, nkb, goal = closure_program(kb, query, concepts)
+        assert dumped == program
+    elif arg is None:
+        # the KB's own saturation holds the least model of the dumped
+        # program fact for fact
+        assert not extended
+        assert store_facts(evaluated[-1][1]) == store_facts(store)
+        goal = None
     else:
-        # the KB's own saturation, and a query's extension of it, hold the
-        # least model of the dumped program fact for fact
-        answered = evaluated[-1][1] if arg is None else extended[-1]
-        assert len(extended) == (0 if arg is None else 1)
-        assert store_facts(answered) == store_facts(store)
-        _, goal = query_program(kb, None if arg is None else parse_query(arg, kb))
+        # a query's extension stops at the end of the round that stores its
+        # goal or a bottom fact: a part of the dumped program's least model,
+        # all of it when the goal is not entailed
+        (answered,) = extended
+        _, goal = query_program(kb, parse_query(arg, kb))
+        assert all(answered.facts(pred) <= store.facts(pred) for pred in answered.preds())
+        if store.contains(goal.pred, goal.args):
+            assert answered.contains(goal.pred, goal.args) or store_inconsistent(answered)
+        else:
+            assert store_facts(answered) == store_facts(store)
     if command == "rc-ranks":
-        verdict = "\n".join(f"{name} {rank}" for name, rank in _read_assignment(store, nkb).rows())
+        rows = read_assignment(store, nkb).rows()
+        verdict = "\n".join(f"{name} {rank}" for name, rank in rows)
     elif goal is None:
         verdict = "inconsistent" if store_inconsistent(store) else "consistent"
     elif store.contains(goal.pred, goal.args):
