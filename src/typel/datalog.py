@@ -966,10 +966,14 @@ class Saturation:
         """store is evaluate(program), which has validated the program."""
         if any(isinstance(item, Neg) for rule in program.rules for item in rule.body):
             raise DatalogError("only a program without negation can be extended")
-        strata = _prepare(program.rules)[2]
+        arity, constants, strata = _prepare(program.rules)
         self.program = program
         self.store = store
-        self._arity, self._constants = _symbols(program)
+        # the table's symbols, and those of the facts
+        self._arity, self._constants = dict(arity), set(constants)
+        for f in program.facts:
+            self._arity.setdefault(f.pred, len(f.args))
+            self._constants.update(f.args)  # type: ignore[arg-type]
         self._rules: list[_CompiledRule] = []
         # each rule joining input relations that are empty here, with those
         self._gated: list[tuple[_CompiledRule, frozenset[str]]] = []

@@ -8,12 +8,21 @@ it grounds the KB, the query's negation and every element's rank to
 propositional clauses, and runs a conflict-driven clause-learning solver
 once per domain size.  A found counter-model proves non-entailment, while
 "none found" proves nothing beyond the bounds.
+
+Each KB is validated and grounded once per domain size and rank bound,
+for any number of queries; from its second query on, the solver state
+with the KB's clauses loaded is kept too, and a query copies it and
+loads only its negation's clauses, so its search is the one over the
+whole clause list (_Grounding).
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import heapq
 import itertools
+from collections.abc import Iterable
 
 from .kb import (
     Bot,
@@ -220,6 +229,15 @@ class _Encoder:
 
     def ivar(self, ind: str, e: int) -> int:
         return self.base(("i", ind, e))
+
+    def fork(self) -> _Encoder:
+        """A copy to encode one question on: it names the same variables,
+        adds its own, and holds only the clauses added to it."""
+        out = copy.copy(self)
+        out._base = dict(self._base)
+        out._concept_vars = dict(self._concept_vars)
+        out.clauses = []
+        return out
 
     def add(self, *lits: int) -> None:
         self.clauses.append(lits)
@@ -440,10 +458,17 @@ class _Encoder:
 _DECAY = 1 / 0.95
 
 
+# the solver's state at decision level 0: the value of every literal, the
+# clauses watching each literal, the clauses of two or more literals, and
+# the trail of unit clauses
+_State = tuple[list[int], list[list[int]], list[list[int]], list[int]]
+
+
 def _solve(
     nvars: int,
-    clauses: list[tuple[int, ...]],
+    clauses: Iterable[tuple[int, ...]],
     budget: list[int],
+    base: _State | None = None,
 ) -> list[int] | None:
     """Satisfying assignment (index = var, value +1/-1) or None.
 
@@ -454,15 +479,41 @@ def _solve(
     phase.  There are no restarts, no clause deletion and no randomness, so
     equal input gives an equal assignment.
 
-    budget is a single-cell decision counter shared across calls; exhausting
-    it raises BoundOverflow.
+    base, the state _load left after some earlier clauses, is copied and
+    clauses are loaded after its: the search is the one over its clauses
+    followed by these.  budget is a single-cell decision counter shared
+    across calls; exhausting it raises BoundOverflow.
     """
-    # value and watches are indexed by literal: Python's negative indexes
-    # put -v at the tail, so one list of 2 * nvars + 1 serves both signs
-    value = [0] * (2 * nvars + 1)
-    watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
-    db: list[list[int]] = []  # clauses of two or more literals
-    trail: list[int] = []
+    state = _load(nvars, clauses, base)
+    return None if state is None else _search(nvars, state, budget)
+
+
+def _load(
+    nvars: int, clauses: Iterable[tuple[int, ...]], base: _State | None = None
+) -> _State | None:
+    """The state after loading clauses over nvars variables on top of base,
+    a state over at most nvars, which is copied and not changed; None when
+    a unit clause contradicts an earlier one."""
+    if base is None:
+        # value and watches are indexed by literal: Python's negative
+        # indexes put -v at the tail, so one list of 2 * nvars + 1 serves
+        # both signs
+        value = [0] * (2 * nvars + 1)
+        watches: list[list[int]] = [[] for _ in range(2 * nvars + 1)]
+        db: list[list[int]] = []
+        trail: list[int] = []
+    else:
+        value, watches, db, trail = base
+        # the new variables' literals go in the middle, between the old
+        # positive ones and the old negative ones at the tail
+        old = len(value) // 2
+        gap = 2 * (nvars - old)
+        value = value.copy()
+        value[old + 1 : old + 1] = [0] * gap
+        watches = list(map(list.copy, watches))
+        watches[old + 1 : old + 1] = [[] for _ in range(gap)]
+        db = list(map(list.copy, db))
+        trail = trail.copy()
     for cl in clauses:
         if len(set(map(abs, cl))) == len(cl):
             lits = list(cl)
@@ -480,7 +531,12 @@ def _solve(
         elif value[lits[0]] == 0:
             value[lits[0]], value[-lits[0]] = 1, -1
             trail.append(lits[0])
+    return value, watches, db, trail
 
+
+def _search(nvars: int, state: _State, budget: list[int]) -> list[int] | None:
+    """The search of _solve from a loaded state, which it changes."""
+    value, watches, db, trail = state
     level = [0] * (nvars + 1)
     reason = [-1] * (nvars + 1)  # index in db of the clause that implied a var
     phase = [1] * (nvars + 1)  # a var's last literal; decisions start true
@@ -608,6 +664,51 @@ def _solve(
 _DEFAULT_BUDGET = 2_000_000
 
 
+class _Grounding:
+    """A KB grounded at one domain size and rank bound, for any number of
+    questions: the encoder after encode_kb and, from the second question
+    on, the solver state with the KB's clauses loaded, or False when they
+    contradict each other already.  The first question loads the KB's
+    clauses with its own, so a KB asked once pays no copy of the state."""
+
+    def __init__(self, kb: KnowledgeBase, n: int, max_rank: int) -> None:
+        self.encoder = _Encoder(kb, n, max_rank)
+        self.encoder.encode_kb()
+        self.asked = False
+        self.loaded: _State | bool | None = None
+
+    def refute(self, q: Query, budget: list[int]) -> RankedInterpretation | None:
+        """A model of this size falsifying q, or None: the search over the
+        KB's clauses and then the negation's, in the order encoded."""
+        enc = self.encoder.fork()
+        enc.encode_query_negation(q)
+        if self.asked and self.loaded is None:
+            self.loaded = _load(self.encoder.nvars, self.encoder.clauses) or False
+            self.encoder.clauses = []
+        self.asked = True
+        if self.loaded is False:
+            return None
+        # the KB's clauses, until they are loaded, then the question's
+        clauses = itertools.chain(self.encoder.clauses, enc.clauses)
+        sol = _solve(enc.nvars, clauses, budget, self.loaded)
+        return None if sol is None else enc.decode(sol)
+
+
+# KBs whose groundings a process keeps, each with one per domain size
+# searched; a KB not searched for a while is grounded again
+_GROUNDED_KBS = 4
+
+
+@functools.lru_cache(maxsize=_GROUNDED_KBS)
+def _grounded(kb: KnowledgeBase) -> dict[tuple[int, int], _Grounding]:
+    """kb's groundings by domain size and rank bound, kept for value-equal
+    KBs; an invalid kb is not cached and raises on every call."""
+    bad = validate(kb)
+    if bad:
+        raise ValueError("invalid knowledge base: " + "; ".join(str(v) for v in bad))
+    return {}
+
+
 def refute(
     kb: KnowledgeBase,
     q: Query,
@@ -626,21 +727,24 @@ def refute(
     """
     if max_domain < 1 or max_rank < 0:
         raise ValueError(f"no model within max_domain {max_domain} and max_rank {max_rank}")
-    bad = validate(kb)
-    if bad:
-        raise ValueError("invalid knowledge base: " + "; ".join(str(v) for v in bad))
+    try:
+        groundings = _grounded(kb)
+    except RecursionError:
+        # hashing recurses through each concept, so only a concept far taller
+        # than validate allows gets here; validate reports it
+        _grounded.__wrapped__(kb)
+        raise
     bad = validate_query(kb, q)
     if bad:
         raise ValueError("invalid query: " + "; ".join(v.message for v in bad))
     cell = [budget]
     for n in range(1, max_domain + 1):
-        enc = _Encoder(kb, n, max_rank)
-        enc.encode_kb()
-        enc.encode_query_negation(q)
-        sol = _solve(enc.nvars, enc.clauses, cell)
-        if sol is None:
+        key = (n, min(max_rank, n - 1))
+        if key not in groundings:
+            groundings[key] = _Grounding(kb, n, max_rank)
+        m = groundings[key].refute(q, cell)
+        if m is None:
             continue
-        m = enc.decode(sol)
         if not is_model(m, kb) or satisfies_query(m, q):
             raise AssertionError(
                 "decoded counter-model failed direct evaluation; "

@@ -22,10 +22,12 @@ round that stores what the question asks for:
   stores a bottom fact.  The KB's ranked concepts are tested once, stage
   by stage, up to the fixpoint; only those saturations are kept.
 - T(C) <= D is in the closure when C's rank is infinite, or when C's
-  hypothesis at C's rank stage derives inst(C, D).  A T in D gives the
-  question subTyp facts of its own, in E up to their concept's rank
-  stage; they conclude only the question's fresh names, so they rank no
-  concept.
+  hypothesis at C's rank stage derives inst(C, D).  That is the rank
+  test's own extension, or for a concept the KB ranks and a question
+  adding no facts, a set of classes kept from the KB's test.  A T in D
+  gives the question subTyp facts of its own, in E up to their concept's
+  rank stage, and then an extension of its own; they conclude only the
+  question's fresh names, so they rank no concept.
 - The closure is consistent when stage 0 extended by the sameRank and
   leqRank facts the computed ranks give the KB's aux constants stores no
   bottom fact.  The verdict is kept with the closure.
@@ -52,6 +54,7 @@ import itertools
 from .datalog import (
     Atom,
     DatalogProgram,
+    FactStore,
     Rule,
     Saturation,
     Var,
@@ -291,10 +294,10 @@ def _hypothesis(concept: str) -> tuple[Atom, ...]:
     return Atom("typ", (concept, TOP_CONST)), Atom("inst", (concept, concept))
 
 
-def _exceptional(stage: Saturation, concept: str, facts: tuple[Atom, ...]) -> bool:
-    """Whether the hypothesis on concept stores a bottom fact at stage."""
-    extension = stage.extend(facts + _hypothesis(concept), store_inconsistent)
-    return store_inconsistent(extension)
+def _hypothesis_extension(stage: Saturation, concept: str, facts: tuple[Atom, ...]) -> FactStore:
+    """stage extended by facts and the hypothesis on concept, stopped at the
+    first bottom fact: concept is exceptional at stage when it stores one."""
+    return stage.extend(facts + _hypothesis(concept), store_inconsistent)
 
 
 class _Closure:
@@ -305,7 +308,8 @@ class _Closure:
     infinite hold the KB's ranked concepts, and fixpoint is the first stage
     past 0 where none of them gets its rank.  A concept gets its rank past
     0 only at a stage where E shrinks, so with n defaults of the KB the
-    fixpoint comes by stage n + 1.
+    fixpoint comes by stage n + 1.  reached holds, per concept of ranks,
+    the classes its hypothesis puts it in at its rank stage.
     """
 
     def __init__(self, facts: tuple[Atom, ...], saturation: Saturation):
@@ -315,6 +319,7 @@ class _Closure:
         self._saturations = {frozenset(self._defaults): saturation}
         self.stages: list[frozenset[Atom]] = []
         self.ranks: dict[str, int] = {}
+        self.reached: dict[str, frozenset[str]] = {}
         self._consistent: bool | None = None
         # C4: stage i keeps the defaults of E_(i-1) whose left concept was
         # exceptional at i - 1; C7, C8: a concept's rank is the first stage
@@ -331,9 +336,14 @@ class _Closure:
             if i > 0 and (not active or e_i == self.stages[i - 1]):
                 break
             stage = self._saturation(e_i)
-            still = [c for c in active if _exceptional(stage, c, ())]
-            for c in left.difference(still):
-                self.ranks[c] = i
+            still = []
+            for c in active:
+                extension = _hypothesis_extension(stage, c, ())
+                if store_inconsistent(extension):
+                    still.append(c)
+                else:
+                    self.ranks[c] = i
+                    self.reached[c] = frozenset(d for _, d in extension.index("inst", (0,)).get(c, ()))
             if i > 0 and len(still) == len(active):
                 break
             active = still
@@ -360,36 +370,51 @@ class _Closure:
     def rank(self, concept: str, facts: tuple[Atom, ...]) -> int | None:
         """concept's rank, None for infinity; a concept the KB does not
         rank is tested on the question's facts, stage by stage."""
+        return self._ranked(concept, facts)[0]
+
+    def _ranked(self, concept: str, facts: tuple[Atom, ...]) -> tuple[int | None, FactStore | None]:
+        """concept's rank and, for a concept the KB does not rank and whose
+        rank is finite, the extension of its last test: the hypothesis at
+        its rank stage, which stores no bottom fact."""
         if concept in self.ranks:
-            return self.ranks[concept]
+            return self.ranks[concept], None
         if concept in self.infinite:
-            return None
+            return None, None
         for i, e_i in enumerate(self.stages):
             # a stage with the same E as the one before answers the same
-            if (i == 0 or e_i != self.stages[i - 1]) and not _exceptional(
-                self._saturation(e_i), concept, facts
-            ):
-                return i
-        return None
+            if i == 0 or e_i != self.stages[i - 1]:
+                extension = _hypothesis_extension(self._saturation(e_i), concept, facts)
+                if not store_inconsistent(extension):
+                    return i, extension
+        return None, None
 
     def entails(self, concept: str, cls: str, facts: tuple[Atom, ...]) -> bool:
         """Whether T(concept) <= cls is in the closure: concept's rank is
         infinite, or its hypothesis at its rank stage derives
         inst(concept, cls).  facts are the question's; a T on its right
         side gives it subTyp facts of its own, which rank nothing, and C4
-        puts each in E at the stages its left concept reaches."""
+        puts each in E at the stages its left concept reaches.  Without
+        those, the rank test's extension, or the classes the KB's ranked
+        concept reached, hold the answer."""
         defaults = tuple(f for f in facts if f.pred == "subTyp")
         facts = tuple(f for f in facts if f.pred != "subTyp")
-        rank = self.rank(concept, facts)
+        rank, extension = self._ranked(concept, facts)
         if rank is None:
             return True
+        own = ()
         for d in defaults:
-            reached = self.rank(d.args[0], facts)
-            if rank == 0 or reached is None or reached >= rank:
-                facts += (d,)
+            if rank > 0:
+                its_rank = self.rank(d.args[0], facts)
+                if its_rank is not None and its_rank < rank:
+                    continue
+            own += (d,)
         goal = Atom("inst", (concept, cls))
-        stage = self._saturation(self.stages[rank])
-        extension = stage.extend(facts + _hypothesis(concept), functools.partial(_answered, goal))
+        if own or extension is None:
+            if not own and not facts:
+                return cls in self.reached[concept]
+            stage = self._saturation(self.stages[rank])
+            stop = functools.partial(_answered, goal)
+            extension = stage.extend(facts + own + _hypothesis(concept), stop)
         return extension.contains(goal.pred, goal.args)
 
     def consistent(self) -> bool:

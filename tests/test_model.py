@@ -34,6 +34,7 @@ from typel.kb import (
 from typel.model import (
     BoundOverflow,
     RankedInterpretation,
+    _Encoder,
     _solve,
     extension,
     is_model,
@@ -306,6 +307,73 @@ def test_refute_finds_a_counter_model_iff_one_is_listed(kb, q):
         not satisfies_query(m, q) and is_model(m, kb) for m in tiny_interpretations()
     )
     assert (refute(kb, q, max_domain=2, max_rank=1) is not None) == listed
+
+
+# --- the prepared search against a fresh grounding ----------------------------
+
+
+def fresh_refute(kb, q, max_domain, max_rank, budget):
+    """refute as it would run with nothing kept: per domain size, a new
+    encoder and one solver call over the whole clause list."""
+    cell = [budget]
+    for n in range(1, max_domain + 1):
+        enc = _Encoder(kb, n, max_rank)
+        enc.encode_kb()
+        enc.encode_query_negation(q)
+        sol = _solve(enc.nvars, enc.clauses, cell)
+        if sol is not None:
+            return enc.decode(sol)
+    return None
+
+
+def _search_outcome(search):
+    try:
+        m = search()
+    except BoundOverflow:
+        return "overflow"
+    return None if m is None else render_model(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tiny_kbs,
+    st.lists(tiny_queries, min_size=1, max_size=4),
+    st.sampled_from([(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]),
+    st.sampled_from([2, 20, 2_000_000]),
+    st.randoms(use_true_random=False),
+)
+def test_prepared_search_finds_the_fresh_groundings_model(kb, queries, bounds, budget, rng):
+    # each query is asked twice, in order and then shuffled, so a grounding
+    # answers its first question and later ones from its loaded state
+    assume(not validate(kb))
+    queries = [q for q in queries if not validate_query(kb, q)]
+    assume(queries)
+    typel.model._grounded.cache_clear()
+    expected = [_search_outcome(lambda: fresh_refute(kb, q, *bounds, budget)) for q in queries]
+    order = list(range(len(queries)))
+    for i in order + rng.sample(order, len(order)):
+        got = _search_outcome(lambda: refute(kb, queries[i], *bounds, budget))
+        assert got == expected[i], queries[i]
+
+
+def test_refute_grounds_a_value_equal_kb_once(monkeypatch):
+    import conftest
+
+    encoded = []
+    real = _Encoder.encode_kb
+    monkeypatch.setattr(_Encoder, "encode_kb", lambda self: encoded.append(self.n) or real(self))
+    typel.model._grounded.cache_clear()
+    kb = conftest.load_fixture("example1.kbt")
+    texts = ("Young(mario)", "(some hasHair.{Black})(luigi)", "T(Young and Italian) <= some hasHair.{Black}")
+    for text in texts:
+        refute(kb, parse_query(text, kb))
+    assert sorted(set(encoded)) == [1, 2, 3] and len(encoded) == 3
+    encoded.clear()
+    again = conftest.load_fixture("example1.kbt")
+    assert again is not kb and again == kb
+    for text in texts:
+        refute(again, parse_query(text, again))
+    assert encoded == []
 
 
 # --- the solver against brute force ------------------------------------------

@@ -899,6 +899,73 @@ def test_prepared_closure_answers_like_the_closure_table_in_any_order(kb_and_que
         assert _outcome(lambda: ENTRY[kind](kb, arg)) == expected[i], questions[i]
 
 
+def _extensions(monkeypatch, kb, text):
+    """The facts of each Saturation.extend a warm rc_entails runs on the
+    question, and its verdict."""
+    query = parse_query(text, kb)
+    rc_entails(kb, query)
+    calls = []
+    extend = datalog.Saturation.extend
+
+    def counting(self, facts, stop=None):
+        calls.append(facts)
+        return extend(self, facts, stop)
+
+    monkeypatch.setattr(datalog.Saturation, "extend", counting)
+    return calls, rc_entails(kb, query).in_closure
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("T(Young and Italian) <= some hasHair.{Black}", True),
+        ("T(Student and Italian) <= MathLover", False),
+    ],
+)
+def test_a_question_concept_is_ranked_and_answered_by_one_extension(example1_af, monkeypatch, text, verdict):
+    # the rank test at stage 0 stores no bottom fact, and its extension
+    # holds the answer
+    calls, in_closure = _extensions(monkeypatch, example1_af, text)
+    assert (len(calls), in_closure) == (1, verdict)
+
+
+@pytest.mark.parametrize(
+    "text, verdict",
+    [
+        ("T(Student and Nerd) <= MathLover", True),
+        ("T(Student and Nerd) <= MathHater", False),
+        ("T(Student) <= Young", True),
+    ],
+)
+def test_a_kb_ranked_concept_with_no_question_facts_needs_no_extension(example1_af, monkeypatch, text, verdict):
+    calls, in_closure = _extensions(monkeypatch, example1_af, text)
+    assert (calls, in_closure) == ([], verdict)
+
+
+@pytest.mark.parametrize(
+    "member, text, verdict, with_default",
+    [
+        # {a} has rank 0 and L1 and {a} rank 1, so the question's default
+        # T({a}) <= X stays out of E_1: the rank tests of L1 and {a}, the
+        # last of which answers, and of {a}
+        (None, "T(L1 and {a}) <= T({a})", False, [False, False, False]),
+        # a in L1 gives {a} rank 1: the default joins E_1, and membership
+        # is an extension of its own
+        (1, "T({a}) <= T({a})", True, [False, False, False, False, True]),
+        # every default is in E_0, so at rank 0 {a} needs no rank
+        (None, "T(L0 and {a}) <= T({a})", True, [False, True]),
+        (None, "T(L0) <= T({a})", False, [True]),
+    ],
+)
+def test_a_question_default_gets_an_extension_only_when_it_joins_e(
+    monkeypatch, member, text, verdict, with_default
+):
+    kb = parse_kb(_ladder_text(3, None, False, member))
+    calls, in_closure = _extensions(monkeypatch, kb, text)
+    assert in_closure == verdict
+    assert [any(f.pred == "subTyp" for f in facts) for facts in calls] == with_default
+
+
 def test_a_question_concept_can_move_the_fixpoint():
     kb = parse_kb(STUDENT_AND_OLD)
     assert compute_ranks(kb).fixpoint_stage == 1
