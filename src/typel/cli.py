@@ -204,7 +204,7 @@ def _cmd_refute(args) -> int:
     return 1
 
 
-def _add_common(sp, query: bool, fmt: bool = True, dump: bool = True, batch: bool = False):
+def _add_common(sp, query: bool, dump: bool = True, batch: bool = False):
     sp.add_argument("kb", help=".kbt knowledge base file")
     if batch:
         sp.add_argument(
@@ -212,11 +212,10 @@ def _add_common(sp, query: bool, fmt: bool = True, dump: bool = True, batch: boo
         )
     elif query:
         sp.add_argument("query", help="query text, e.g. 'C(a)' or 'C <= D'")
-    if fmt:
-        sp.add_argument(
-            "--format", choices=("human", "records"), default="human",
-            help="records = one JSON object per line",
-        )
+    sp.add_argument(
+        "--format", choices=("human", "records"), default="human",
+        help="records = one JSON object per line",
+    )
     if dump:
         sp.add_argument(
             "--dump-program", metavar="PATH", default=None,

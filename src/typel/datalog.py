@@ -58,7 +58,8 @@ decrements.  A decrement in a positive body atom unifies in both
 directions: with v bound it denotes the value v - k, with v unbound it
 binds v to the matched value plus k.
 
-The textual program format round-trips through dump_program/load_program:
+The textual program format, whose tokens are those of the Datalog grammar
+in _scan, round-trips through dump_program/load_program:
 
     edge(a, b).
     path(?x, ?y) :- edge(?x, ?y).
@@ -72,6 +73,7 @@ import itertools
 from collections.abc import Callable
 from operator import itemgetter
 
+from ._scan import Cursor, shown, token_pattern
 from .record import Record, record
 
 
@@ -1113,86 +1115,12 @@ def dump_program(program: DatalogProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-_IDENT_EXTRA = set("_$'")
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _IDENT_EXTRA
-
-
-def _tokenize_program(text: str) -> list[tuple[str, str, int, int]]:
-    toks = []
-    line, i, n = 1, 0, len(text)
-    col = 1
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith(":-", i):
-            toks.append((":-", ":-", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "(),.<>-?":
-            toks.append((ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch in _IDENT_EXTRA:
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            toks.append(("not" if word == "not" else "ident", word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise DatalogError(f"line {line}:{col}: unexpected character {ch!r}")
-    toks.append(("eof", "", line, col))
-    return toks
-
-
-class _ProgramParser:
-    def __init__(self, text: str):
-        self.toks = _tokenize_program(text)
-        self.pos = 0
-
-    def peek(self, ahead: int = 0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def next(self):
-        t = self.toks[self.pos]
-        if t[0] != "eof":
-            self.pos += 1
-        return t
+class _ProgramParser(Cursor):
+    TOKENS = token_pattern(punct=r":-|[(),.<>?-]", name=r"[\w$']+", number=r"\d+")
+    KEYWORDS = {"not": "not"}
 
     def fail(self, tok, msg: str):
         raise DatalogError(f"line {tok[2]}:{tok[3]}: {msg}")
-
-    def expect(self, kind: str):
-        t = self.next()
-        if t[0] != kind:
-            self.fail(t, f"expected {kind!r}, found {t[1] or 'end of input'!r}")
-        return t
 
     def term(self) -> Term:
         t = self.next()
@@ -1209,7 +1137,7 @@ class _ProgramParser:
             return int(t[1])
         if t[0] == "ident":
             return t[1]
-        self.fail(t, f"expected a term, found {t[1] or 'end of input'!r}")
+        self.fail(t, f"expected a term, found {shown(t)!r}")
 
     def atom(self) -> Atom:
         pred = self.expect("ident")[1]
@@ -1233,7 +1161,7 @@ class _ProgramParser:
         left = self.term()
         op = self.next()
         if op[0] not in ("<", ">"):
-            self.fail(op, f"expected '<' or '>', found {op[1] or 'end of input'!r}")
+            self.fail(op, f"expected '<' or '>', found {shown(op)!r}")
         right = self.term()
         return Compare(op[0], left, right)
 
@@ -1262,3 +1190,15 @@ class _ProgramParser:
 def load_program(text: str) -> DatalogProgram:
     """Parse the textual program format produced by dump_program."""
     return _ProgramParser(text).parse()
+
+
+def load_rules(table: tuple[tuple[str, str], ...]) -> tuple[tuple[str, Rule], ...]:
+    """Pair each label of a (label, text) rule table with the one rule its
+    text holds."""
+    out = []
+    for label, text in table:
+        program = load_program(text)
+        if program.facts or len(program.rules) != 1:
+            raise DatalogError(f"rule {label}: its text must hold one rule and no fact")
+        out.append((label, program.rules[0]))
+    return tuple(out)

@@ -41,7 +41,7 @@ from .datalog import (
     Saturation,
     Var,
     evaluate,
-    load_program,
+    load_rules,
     transform_rules,
 )
 from .kb import (
@@ -132,22 +132,9 @@ _RT_TEXT: tuple[tuple[str, str], ...] = (
 )
 
 
-def _parse_rules(labeled: tuple[tuple[str, str], ...]) -> tuple[Rule, ...]:
-    program = load_program("\n".join(text for _, text in labeled) + "\n")
-    assert not program.facts
-    return program.rules
-
-
-IR_RULES: tuple[Rule, ...] = _parse_rules(_IR_TEXT)
-RT_RULES: tuple[Rule, ...] = _parse_rules(_RT_TEXT)
-BASE_RULES: tuple[Rule, ...] = IR_RULES + RT_RULES
-
-IR_LABELED: tuple[tuple[str, Rule], ...] = tuple(
-    (label, rule) for (label, _), rule in zip(_IR_TEXT, IR_RULES)
-)
-RT_LABELED: tuple[tuple[str, Rule], ...] = tuple(
-    (label, rule) for (label, _), rule in zip(_RT_TEXT, RT_RULES)
-)
+IR_LABELED: tuple[tuple[str, Rule], ...] = load_rules(_IR_TEXT)
+RT_LABELED: tuple[tuple[str, Rule], ...] = load_rules(_RT_TEXT)
+BASE_RULES: tuple[Rule, ...] = tuple(rule for _, rule in IR_LABELED + RT_LABELED)
 
 # the predicates the rules derive, which a hypothesis-widened table widens
 DERIVED_PREDS = frozenset({"inst", "typ", "triple", "self", "sameRank", "leqRank"})

@@ -10,7 +10,8 @@ Statement forms, each ended by a period:
 Concepts:  top | bot | A | {a} | self(r) | T(C) | C and D | some r.C
 "and" binds tighter than "<=" and associates left; the filler of "some"
 is a single atom, so conjunctive fillers need parens: some r.(C and D).
-Names must be declared before use.  "%" starts a line comment.
+Names must be declared before use.  The tokens, names and "%" comments
+among them, are those of the .kbt grammar in _scan.
 
 A query is one assertion or concept inclusion of this grammar, C(a),
 T(C)(a), r(a, b), C <= D or T(C) <= D, with an optional period; a role
@@ -20,6 +21,7 @@ axiom is not a query.  A concept may be MAX_NESTING levels deep: each
 
 from __future__ import annotations
 
+from ._scan import Cursor, shown, token_pattern
 from .kb import (
     BOT,
     MAX_NESTING,
@@ -53,131 +55,61 @@ from .kb import (
     concept_text,
     query_axiom,
 )
-from .record import Record, record
 
 KEYWORDS = frozenset({"class", "role", "individual", "top", "bot", "and", "some", "self", "T", "x", "o"})
-
-_PUNCT = {"<=", "(", ")", "{", "}", ".", ",", "&"}
 
 
 class ParseError(ValueError):
     pass
 
 
-@record
-class Token(Record):
-    kind: str  # "ident", "keyword", or the punct text itself
-    text: str
-    line: int
-    col: int
+def tokenize(text: str, filename: str = "<input>") -> list[tuple]:
+    """The (kind, text, line, col) tokens of a .kbt text, eof last."""
+    return _Parser(text, filename).toks
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch == "_"
+class _Parser(Cursor):
+    TOKENS = token_pattern(punct=r"<=|[(){}.,&]", name=r"\w+")
+    KEYWORDS = dict.fromkeys(KEYWORDS, "keyword")
 
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def tokenize(text: str, filename: str = "<input>") -> list[Token]:
-    toks: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("<=", i):
-            toks.append(Token("<=", "<=", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "(){}.,&":
-            toks.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if _is_ident_start(ch):
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"{filename}:{line}:{col}: unexpected character {ch!r}")
-    toks.append(Token("eof", "", line, col))
-    return toks
-
-
-class _Parser:
-    def __init__(self, toks: list[Token], filename: str):
-        self.toks = toks
-        self.pos = 0
+    def __init__(self, text: str, filename: str):
         self.filename = filename
+        super().__init__(text)
         self.concepts: set[str] = set()
         self.roles: set[str] = set()
         self.individuals: set[str] = set()
         self.depth = 0
         self.height = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def fail(self, tok: tuple, msg: str):
+        raise ParseError(f"{self.filename}:{tok[2]}:{tok[3]}: {msg}")
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+    # a token whose text is a keyword is that keyword: KEYWORDS gives every
+    # such name the kind "keyword"
+
+    def expect_keyword(self, word: str) -> tuple:
+        t = self.next()
+        if t[1] != word:
+            self.fail(t, f"expected {word!r}, found {t[1]!r}")
         return t
 
-    def fail(self, tok: Token, msg: str):
-        raise ParseError(f"{self.filename}:{tok.line}:{tok.col}: {msg}")
-
-    def expect(self, kind: str) -> Token:
+    def ident(self, what: str) -> tuple:
         t = self.next()
-        if t.kind != kind:
-            shown = t.text if t.kind != "eof" else "end of input"
-            self.fail(t, f"expected {kind!r}, found {shown!r}")
-        return t
-
-    def expect_keyword(self, word: str) -> Token:
-        t = self.next()
-        if t.kind != "keyword" or t.text != word:
-            self.fail(t, f"expected {word!r}, found {t.text!r}")
-        return t
-
-    def ident(self, what: str) -> Token:
-        t = self.next()
-        if t.kind != "ident":
-            shown = t.text if t.kind != "eof" else "end of input"
-            self.fail(t, f"expected {what}, found {shown!r}")
+        if t[0] != "ident":
+            self.fail(t, f"expected {what}, found {shown(t)!r}")
         return t
 
     def declared(self, names: set[str], what: str) -> str:
         """The next token, which must name a declared `what` (in names)."""
         t = self.ident(f"{what} name")
-        if t.text not in names:
-            self.fail(t, f"undeclared {what} {t.text!r}")
-        return t.text
+        if t[1] not in names:
+            self.fail(t, f"undeclared {what} {t[1]!r}")
+        return t[1]
 
-    def too_deep(self, tok: Token):
+    def too_deep(self, tok: tuple):
         self.fail(tok, f"concept nested deeper than {MAX_NESTING} levels")
 
-    def nested(self, opener: Token, parse):
+    def nested(self, opener: tuple, parse):
         """parse() one nesting level below the construct opened at opener."""
         if self.depth == MAX_NESTING:
             self.too_deep(opener)
@@ -194,7 +126,7 @@ class _Parser:
     def concept(self) -> ConceptExpr:
         c = self.concept_atom_or_some()
         height = self.height
-        while self.peek().kind == "keyword" and self.peek().text == "and":
+        while self.peek()[1] == "and":
             t = self.next()
             right = self.concept_atom_or_some()
             # the conjunction so far becomes the left part, one level down
@@ -207,7 +139,7 @@ class _Parser:
 
     def concept_atom_or_some(self) -> ConceptExpr:
         t = self.peek()
-        if t.kind == "keyword" and t.text == "some":
+        if t[1] == "some":
             self.next()
             role = self.declared(self.roles, "role")
             self.expect(".")
@@ -217,17 +149,18 @@ class _Parser:
     def concept_atom(self) -> ConceptExpr:
         self.height = 0
         t = self.next()
-        if t.kind == "keyword":
-            if t.text == "top":
+        kind, text = t[0], t[1]
+        if kind == "keyword":
+            if text == "top":
                 return TOP
-            if t.text == "bot":
+            if text == "bot":
                 return BOT
-            if t.text == "self":
+            if text == "self":
                 self.expect("(")
                 role = self.declared(self.roles, "role")
                 self.expect(")")
                 return SelfRestriction(role)
-            if t.text == "T":
+            if text == "T":
                 self.expect("(")
                 arg = self.nested(t, self.concept)
                 self.expect(")")
@@ -235,83 +168,80 @@ class _Parser:
                     return Typicality(arg)
                 except ValueError as e:
                     self.fail(t, str(e))
-            self.fail(t, f"unexpected keyword {t.text!r} in concept")
-        if t.kind == "ident":
-            if t.text in self.roles:
-                self.fail(t, f"{t.text!r} is a role, not a concept")
-            if t.text in self.individuals:
-                self.fail(t, f"{t.text!r} is an individual; write {{{t.text}}} for its nominal")
-            if t.text not in self.concepts:
-                self.fail(t, f"undeclared concept name {t.text!r}")
-            return Name(t.text)
-        if t.kind == "{":
+            self.fail(t, f"unexpected keyword {text!r} in concept")
+        if kind == "ident":
+            if text in self.roles:
+                self.fail(t, f"{text!r} is a role, not a concept")
+            if text in self.individuals:
+                self.fail(t, f"{text!r} is an individual; write {{{text}}} for its nominal")
+            if text not in self.concepts:
+                self.fail(t, f"undeclared concept name {text!r}")
+            return Name(text)
+        if kind == "{":
             ind = self.declared(self.individuals, "individual")
             self.expect("}")
             return Nominal(ind)
-        if t.kind == "(":
+        if kind == "(":
             c = self.nested(t, self.concept)
             self.expect(")")
             return c
-        shown = t.text if t.kind != "eof" else "end of input"
-        self.fail(t, f"expected a concept, found {shown!r}")
+        self.fail(t, f"expected a concept, found {shown(t)!r}")
 
     # statements, each without its closing period
 
     def statement(self):
         """A declaration, which returns None, or an axiom."""
         t = self.peek()
-        if t.kind == "keyword" and t.text in ("class", "role", "individual"):
+        if t[1] in ("class", "role", "individual"):
             self.next()
-            name = self.ident(f"{t.text} name")
-            if name.text in self.concepts | self.roles | self.individuals:
-                self.fail(name, f"{name.text!r} is already declared")
-            {"class": self.concepts, "role": self.roles, "individual": self.individuals}[t.text].add(name.text)
+            name = self.ident(f"{t[1]} name")
+            if name[1] in self.concepts | self.roles | self.individuals:
+                self.fail(name, f"{name[1]!r} is already declared")
+            {"class": self.concepts, "role": self.roles, "individual": self.individuals}[t[1]].add(name[1])
             return None
         return self.axiom()
 
     def axiom(self) -> GCI | RBoxAxiom | ABoxAxiom:
         t = self.peek()
-        if t.kind == "ident" and t.text in self.roles:
+        if t[0] == "ident" and t[1] in self.roles:
             return self.role_axiom()
         lhs = self.concept()
         nxt = self.next()
-        if nxt.kind == "keyword" and nxt.text == "x":
+        if nxt[1] == "x":
             right = self.concept()
             self.expect("<=")
             return ProductToRole(lhs, right, self.declared(self.roles, "role"))
-        if nxt.kind == "<=":
+        if nxt[0] == "<=":
             return GCI(lhs, self.concept())
-        if nxt.kind == "(":
+        if nxt[0] == "(":
             ind = self.declared(self.individuals, "individual")
             self.expect(")")
             return ConceptAssertion(lhs, ind)
-        shown = nxt.text if nxt.kind != "eof" else "end of input"
-        self.fail(nxt, f"expected 'x', '<=' or '(' after concept, found {shown!r}")
+        self.fail(nxt, f"expected 'x', '<=' or '(' after concept, found {shown(nxt)!r}")
 
     def role_axiom(self) -> RBoxAxiom | RoleAssertion:
-        first = self.ident("role name").text
+        first = self.ident("role name")[1]
         nxt = self.next()
-        if nxt.kind == "(":
+        if nxt[0] == "(":
             subject = self.declared(self.individuals, "individual")
             self.expect(",")
             target = self.declared(self.individuals, "individual")
             self.expect(")")
             return RoleAssertion(first, subject, target)
-        if nxt.text in ("o", "&"):
+        if nxt[1] in ("o", "&"):
             second = self.declared(self.roles, "role")
             self.expect("<=")
             sup = self.declared(self.roles, "role")
-            return (RoleChain if nxt.text == "o" else RoleConj)(first, second, sup)
-        if nxt.kind == "<=":
+            return (RoleChain if nxt[1] == "o" else RoleConj)(first, second, sup)
+        if nxt[0] == "<=":
             # no concept starts with a role name
             after = self.peek()
-            if after.kind == "ident" and after.text in self.roles:
-                return RoleIncl(first, self.next().text)
+            if after[0] == "ident" and after[1] in self.roles:
+                return RoleIncl(first, self.next()[1])
             left = self.concept()
             self.expect_keyword("x")
             return RoleToProduct(first, left, self.concept())
-        shown = nxt.text if nxt.kind != "eof" else "end of input"
-        self.fail(nxt, f"expected '(', 'o', '&' or '<=' after role, found {shown!r}")
+        self.fail(nxt, f"expected '(', 'o', '&' or '<=' after role, found {shown(nxt)!r}")
 
 
 def parse_kb(text: str, filename: str = "<input>") -> KnowledgeBase:
@@ -320,11 +250,11 @@ def parse_kb(text: str, filename: str = "<input>") -> KnowledgeBase:
     Declarations may appear anywhere but every name must be declared before
     use.  Raises ParseError with a file:line:col prefix on malformed input.
     """
-    p = _Parser(tokenize(text, filename), filename)
+    p = _Parser(text, filename)
     tbox: list[GCI] = []
     rbox: list[RBoxAxiom] = []
     abox: list[ABoxAxiom] = []
-    while p.peek().kind != "eof":
+    while p.peek()[0] != "eof":
         ax = p.statement()
         p.expect(".")
         match ax:
@@ -348,15 +278,15 @@ def parse_kb(text: str, filename: str = "<input>") -> KnowledgeBase:
 def _parse_one(text: str, kb: KnowledgeBase, filename: str, what: str, parse):
     """parse() one `what` against kb's signature; then an optional period
     and the end of the input."""
-    p = _Parser(tokenize(text, filename), filename)
+    p = _Parser(text, filename)
     p.concepts = set(kb.signature.concept_names)
     p.roles = set(kb.signature.role_names)
     p.individuals = set(kb.signature.individual_names)
     out = parse(p)
-    if p.peek().kind == ".":
+    if p.peek()[0] == ".":
         p.next()
-    if p.peek().kind != "eof":
-        p.fail(p.peek(), f"trailing input after {what}: {p.peek().text!r}")
+    if p.peek()[0] != "eof":
+        p.fail(p.peek(), f"trailing input after {what}: {p.peek()[1]!r}")
     return out
 
 

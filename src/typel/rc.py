@@ -59,7 +59,7 @@ from .datalog import (
     Saturation,
     Var,
     evaluate,
-    load_program,
+    load_rules,
     transform_rules,
 )
 from .kb import (
@@ -183,13 +183,7 @@ _RC_TEXT: tuple[tuple[str, str], ...] = (
 )
 
 
-def _parse_rc_rules() -> tuple[tuple[str, Rule], ...]:
-    program = load_program("\n".join(text for _, text in _RC_TEXT) + "\n")
-    assert not program.facts
-    return tuple((label, rule) for (label, _), rule in zip(_RC_TEXT, program.rules))
-
-
-RC_LABELED: tuple[tuple[str, Rule], ...] = _parse_rc_rules()
+RC_LABELED: tuple[tuple[str, Rule], ...] = load_rules(_RC_TEXT)
 RC_RULES: tuple[Rule, ...] = tuple(rule for _, rule in RC_LABELED)
 
 # the closure program's one rule table: the audited base calculus, whole,

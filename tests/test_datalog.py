@@ -34,6 +34,7 @@ from typel.datalog import (
     evaluate,
     grounding_bound,
     load_program,
+    load_rules,
     naive_evaluate,
     stratify,
     transform_rules,
@@ -1543,6 +1544,37 @@ def test_dump_load_round_trip_bit_exact():
 def test_dump_load_round_trip_random(seed):
     program = random_stratified_program(random.Random(seed))
     assert load_program(dump_program(program)) == program
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # "²" is a digit to str.isdigit but no decimal digit, so no integer
+        ("p(²).", "line 1:3: unexpected character '²'"),
+        ("p(1²).", "line 1:4: unexpected character '²'"),
+        ("p(a).\n\tp(@).", "line 2:4: unexpected character '@'"),
+        ("p(a).\r\n@", "line 2:1: unexpected character '@'"),
+        ("p(½).", "line 1:3: unexpected character '½'"),
+        # the end of the input after a trailing comment is at the comment
+        ("p(a) %c", "line 1:6: expected '.', found 'end of input'"),
+        ("p(a).\np(b) %c", "line 2:6: expected '.', found 'end of input'"),
+    ],
+)
+def test_program_errors_name_line_and_column(text, message):
+    with pytest.raises(DatalogError) as raised:
+        load_program(text)
+    assert str(raised.value) == message
+
+
+def test_load_rules_pairs_each_label_with_its_own_rule():
+    table = (("R1", "p(?X) :- q(?X)."), ("R2", "q(?X) :- r(?X)."))
+    assert load_rules(table) == (
+        ("R1", Rule(Atom("p", (X,)), (Atom("q", (X,)),))),
+        ("R2", Rule(Atom("q", (X,)), (Atom("r", (X,)),))),
+    )
+    for text in ("", "p(?x) :- q(?x). q(?x) :- r(?x).", "p(a).", "p(a). q(?x) :- p(?x)."):
+        with pytest.raises(DatalogError, match="rule R2: its text must hold one rule and no fact"):
+            load_rules((table[0], ("R2", text)))
 
 
 # --- rule transformation --------------------------------------------------------

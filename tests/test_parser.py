@@ -40,6 +40,7 @@ from typel.parser import (
     parse_query,
     print_kb,
     query_text,
+    tokenize,
 )
 
 SIG = Signature(
@@ -209,6 +210,44 @@ def test_comments_and_blank_lines_ignored():
     text = "% heading\nclass A.\nindividual a.\n\n% tail comment\nA(a) . % inline\n"
     kb = parse_kb(text)
     assert kb.abox == (ConceptAssertion(Name("A"), "a"),)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("class A.\n\tA @ B.", "kb.kbt:2:4: unexpected character '@'"),
+        ("class A.\r\nA @ B.", "kb.kbt:2:3: unexpected character '@'"),
+        # the end of the input after a trailing comment is at the comment
+        ("class A.\nA <= A %c", "kb.kbt:2:8: expected '.', found 'end of input'"),
+        # a numeral may go on a name but not start it
+        ("class ²A.", "kb.kbt:1:7: unexpected character '²'"),
+        ("class ½A.", "kb.kbt:1:7: unexpected character '½'"),
+        ("class 1A.", "kb.kbt:1:7: unexpected character '1'"),
+        ("class A$.", "kb.kbt:1:8: unexpected character '$'"),
+    ],
+)
+def test_scan_errors_name_line_and_column(text, message):
+    with pytest.raises(ParseError) as raised:
+        parse_kb(text, filename="kb.kbt")
+    assert str(raised.value) == message
+
+
+def test_names_hold_letters_and_digits_beyond_ascii():
+    kb = parse_kb("class é.\nclass 五.\nclass A²_1.\né <= 五.\n五 <= A²_1.\n")
+    assert kb.signature.concept_names == {"é", "五", "A²_1"}
+    assert kb.tbox == (GCI(Name("é"), Name("五")), GCI(Name("五"), Name("A²_1")))
+
+
+def test_tokens_carry_kind_text_line_and_column():
+    assert tokenize("class A. % c\r\nA <= top\t%end") == [
+        ("keyword", "class", 1, 1),
+        ("ident", "A", 1, 7),
+        (".", ".", 1, 8),
+        ("ident", "A", 2, 1),
+        ("<=", "<=", 2, 3),
+        ("keyword", "top", 2, 6),
+        ("eof", "", 2, 10),
+    ]
 
 
 def test_names_must_be_declared_before_use():
