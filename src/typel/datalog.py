@@ -10,9 +10,10 @@ shares no generated code with the semi-naive path.
 Only the facts change between calls on the fixed rule tables, so each
 rule table is prepared once per process: _prepare validates it, stratifies
 it and fixes the join orders of its rules, cached on the value-equal tuple
-of rules, and evaluate checks only the facts against it.  The Python code
-of a join is generated straight from its rule on the join's first call,
-so a short command pays only for the joins it runs.
+of rules, and evaluate checks only the facts against it.  The joins that
+read one delta run as one step function, whose Python code is generated
+from their rules the first time that group of joins runs and kept with
+the prepared table, so a short command pays only for the steps it runs.
 
 A delta variant joins its remaining atoms greedily by (all arguments
 bound, some argument bound and the relation not derived, bound minus
@@ -29,22 +30,24 @@ relation stays empty, so the rule can never fire.
 
 Facts live in a FactStore: one set per predicate plus hash indexes, each
 on a sorted tuple of argument positions and keyed by the bare value for
-one position, by the tuple of values for more.  A generated join looks up
-every fact set and index dict it reads once per call and then probes
-them with plain dict lookups; a probe that binds every position of its
-atom is a membership test on the fact set, with no index built or kept
-for it.  A join writes only to its output set, never to the store.
+one position, by the tuple of values for more.  A step function is bound
+to a store once per evaluation: it looks up every fact set and index dict
+its joins read, all live, and the add of each output set, and then probes
+them with plain dict lookups in every round; a probe that binds every
+position of its atom is a membership test on the fact set, with no index
+built or kept for it.  A join writes only to its output set, never to
+the store.
 
 Semi-naive evaluation runs in batched rounds (Bancilhon & Ramakrishnan,
 SIGMOD 1986): every join of a round reads the store as the last round
 left it and writes into one output set per head predicate, and the round
 ends with one add_all per head predicate, whose return value, the facts
 not stored yet, is the next delta.  Every join reads its first atom from
-the delta, and a round calls only the variants whose first relation has
-new facts, looked up in a map built once per stratum.  The first round
-calls each rule whose relations all hold facts, with its first relation
-whole as the delta; any other derivation has a newest fact, and the next
-round's delta brings it to the variant joining its atom first.
+the delta, and a round calls one step per predicate with new facts, which
+runs every variant joining that predicate first.  The first round runs
+each rule whose relations all hold facts, grouped into steps by its first
+relation, whole as the delta; any other derivation has a newest fact, and
+the next round's delta brings it to the variant joining its atom first.
 
 A program without negation is one stratum and monotone, so Saturation
 keeps its least model and extends it by more facts: the facts are the
@@ -375,6 +378,11 @@ class FactStore:
     def facts(self, pred: str) -> set[tuple[Const, ...]]:
         return self._sets.get(pred, set())
 
+    def relation(self, pred: str) -> set[tuple[Const, ...]]:
+        """pred's own fact set, created empty when absent, which later adds
+        update in place; an empty one is invisible to preds and len."""
+        return self._sets.setdefault(pred, set())
+
     def index(self, pred: str, positions: tuple[int, ...]) -> dict:
         """The buckets of pred's index on the given sorted, non-empty positions.
 
@@ -399,7 +407,7 @@ class FactStore:
         return self.index(pred, positions).get(key[0] if len(key) == 1 else key, [])
 
     def preds(self) -> list[str]:
-        return sorted(self._sets)
+        return sorted(pred for pred, s in self._sets.items() if s)
 
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets.values())
@@ -429,22 +437,6 @@ class _Variant(Record):
 
     rule: Rule
     atoms: tuple[Atom, ...]
-    # fn, the join as a function (store, delta, out): _variant sets a stub
-    # that generates the real function on the first call and replaces itself
-    __slots__ = ("fn",)
-
-
-def _variant(rule: Rule, order: list[int]) -> _Variant:
-    positives = [item for item in rule.body if isinstance(item, Atom)]
-    cv = _Variant(rule, tuple(positives[i] for i in order))
-
-    def first_call(store, delta, out):
-        fn = _gen_fn(cv)
-        object.__setattr__(cv, "fn", fn)
-        fn(store, delta, out)
-
-    object.__setattr__(cv, "fn", first_call)
-    return cv
 
 
 def _key_positions(atom: Atom, bound: set[Var]) -> tuple[int, ...]:
@@ -465,25 +457,23 @@ def _cmp_rt(left, op: str, right) -> bool:
     return left < right if op == "<" else left > right
 
 
-def _gen_fn(cv: _Variant):
-    """Generate one join's Python function (store, delta, out) from its rule.
+def _join_lines(cv: _Variant, rel: Callable[..., str], add: str) -> list[str]:
+    """The Python lines of one join, read from its rule, for a step function.
 
-    It runs on the variant's first call, never for a variant no evaluation
-    reaches.  Variables become locals v0, v1, ... in order of first
-    occurrence in the join order.  A variable is dead when one positive atom
-    binds it and nothing else reads it: no other atom, no negated atom, no
-    comparison, no head argument.  An atom that binds no live variable
-    becomes a test that some fact matches, and an atom that binds dead
-    variables next to live ones skips a fact whose live values this probe
-    has already joined.  A negated atom or comparison is checked after the
-    first atom that binds all its variables, or once up front when it has
-    none.  Every relation the body reads, as a fact set or as the buckets of
-    an index on the positions ground before it is joined, is looked up once
-    at the top; the function writes only to out, never to the store, so
-    those stay current while it runs, and each probe is one dict lookup.
-    An atom ground at every position is probed on the fact set.
-    The naive oracle reads the rules directly and shares no code with this
-    one, so the two paths cross-check each other.
+    The join reads its first atom from delta and passes each head fact to
+    the local add; rel(pred, positions) names the step's local for a
+    relation's fact set, or for the buckets of its index on positions.
+    Variables become locals v0, v1, ... in order of first occurrence in the
+    join order.  A variable is dead when one positive atom binds it and
+    nothing else reads it: no other atom, no negated atom, no comparison, no
+    head argument.  An atom that binds no live variable becomes a test that
+    some fact matches, and an atom that binds dead variables next to live
+    ones skips a fact whose live values this probe has already joined.  A
+    negated atom or comparison is checked after the first atom that binds
+    all its variables, or once up front when it has none.  A probe is one
+    dict lookup, and an atom ground at every position is probed on the fact
+    set.  A test that fails outside every loop leaves the join, not the
+    step: the lines then run in a loop of one pass, left by break.
     """
     rule, atoms = cv.rule, cv.atoms
     local: dict[Var, str] = {}
@@ -515,17 +505,20 @@ def _gen_fn(cv: _Variant):
             after[next(i for i, vs in enumerate(bound_after) if need <= vs)].append(item)
     dead = bound - read
 
-    lines = [
-        "def _drv(store, delta, out):",
-        "    _add = out.add",
-    ]
-    ind = "    "
+    top = "    "
+    lines: list[str] = []
+    ind = top
+    once = False
     fresh = itertools.count()
-    # (pred, index positions, or () for the fact set) -> its local
-    rels: dict[tuple[str, tuple[int, ...]], str] = {}
 
-    def rel(pred: str, positions: tuple[int, ...] = ()) -> str:
-        return rels.setdefault((pred, positions), f"_r{len(rels)}")
+    def leave() -> str:
+        # the statement that drops the current binding: the next fact of the
+        # innermost loop, or outside every loop the whole join
+        nonlocal once
+        if ind != top:
+            return "continue"
+        once = True
+        return "break"
 
     def value(t: Term, guards: list[str]) -> str:
         # a decrement denotes a value only when its variable holds an int
@@ -561,11 +554,10 @@ def _gen_fn(cv: _Variant):
             )
 
     for item in pre:
-        emit_constraint(item, "return")
+        emit_constraint(item, leave())
 
     for i, a in enumerate(atoms):
         kp = () if i == 0 else _key_positions(a, before[i])
-        exit_stmt = "continue" if ind != "    " else "return"
         guards: list[str] = []
         # cand: the facts to join; empty: true when there are none
         if i == 0:
@@ -585,7 +577,7 @@ def _gen_fn(cv: _Variant):
             cand = rel(a.pred)
             empty = f"not {cand}"
         if guards:
-            lines.append(f"{ind}if not ({' and '.join(guards)}): {exit_stmt}")
+            lines.append(f"{ind}if not ({' and '.join(guards)}): {leave()}")
         f = f"f{i}"
         kpset = set(kp)
         # the lines run on each fact of cand, and the variables they bind
@@ -622,7 +614,7 @@ def _gen_fn(cv: _Variant):
         if not live and not checks:
             # an existence check with nothing to check: any fact will do.  No
             # constraint waits here, as one would read a variable bound here.
-            lines.append(f"{ind}if {empty}: {exit_stmt}")
+            lines.append(f"{ind}if {empty}: {leave()}")
             continue
         project = 0 < len(live) < len(new)
         if project:
@@ -634,7 +626,7 @@ def _gen_fn(cv: _Variant):
             # existence check: the first fact passing the checks is enough
             lines.append(f"{ind}break")
             ind = ind[:-4]
-            lines.append(f"{ind}else: {exit_stmt}")
+            lines.append(f"{ind}else: {leave()}")
         elif project:
             # distinct projection: the join below reads only the live values
             key = live[0]
@@ -644,19 +636,53 @@ def _gen_fn(cv: _Variant):
             lines.append(f"{ind}if {key} in _s{i}: continue")
             lines.append(f"{ind}_s{i}.add({key})")
         for item in after[i]:
-            emit_constraint(item, "continue" if live else exit_stmt)
+            emit_constraint(item, "continue" if live else leave())
 
     head = ", ".join(value(t, []) for t in rule.head.args)
-    lines.append(f"{ind}_add(({head},))" if head else f"{ind}_add(())")
-    lines[1:1] = [
+    lines.append(f"{ind}{add}(({head},))" if head else f"{ind}{add}(())")
+    if once:
+        return ["for _ in (0,):"] + lines
+    return [line[len(top) :] for line in lines]
+
+
+def _gen_step(group: tuple[tuple[_Variant, str], ...]):
+    """Generate the step function of a group of joins, each (variant, head).
+
+    Every join of the group reads its first atom from the same delta.  The
+    result is bind(store, out), which looks up every fact set and index any
+    join of the group reads, once, as the store's live relations, and the
+    add of each head's set in out, and returns step(delta), which runs the
+    joins one after the other.  A join writes only to out, never to the
+    store, so the bound relations are those the last round left.  The naive
+    oracle reads the rules directly and shares no code with this one, so
+    the two paths cross-check each other.
+    """
+    # (pred, index positions, or () for the fact set) -> its local
+    rels: dict[tuple[str, tuple[int, ...]], str] = {}
+    adds: dict[str, str] = {}
+
+    def rel(pred: str, positions: tuple[int, ...] = ()) -> str:
+        return rels.setdefault((pred, positions), f"_r{len(rels)}")
+
+    body: list[str] = []
+    for v, head in group:
+        body += _join_lines(v, rel, adds.setdefault(head, f"_a{len(adds)}"))
+    lines = ["def _bind(store, out):"]
+    lines += [
         f"    {name} = store.index({pred!r}, {kp!r})"
         if kp
-        else f"    {name} = store.facts({pred!r})"
+        else f"    {name} = store.relation({pred!r})"
         for (pred, kp), name in rels.items()
     ]
+    lines += [f"    {name} = out.setdefault({head!r}, set()).add" for head, name in adds.items()]
+    # the bound names are the step's defaults, so its body reads them as locals
+    bound = ", ".join(f"{name}={name}" for name in [*rels.values(), *adds.values()])
+    lines.append(f"    def _step(delta, {bound}):")
+    lines += ["        " + line for line in body]
+    lines.append("    return _step")
     ns: dict = {}
-    exec(compile("\n".join(lines), "<datalog-rule>", "exec"), {"_cmp": _cmp_rt}, ns)
-    return ns["_drv"]
+    exec(compile("\n".join(lines), "<datalog-step>", "exec"), {"_cmp": _cmp_rt}, ns)
+    return ns["_bind"]
 
 
 def _greedy_order(positives: list[Atom], first: int, derived: frozenset[str]) -> list[int]:
@@ -701,64 +727,123 @@ class _CompiledRule(Record):
 def _compile_rule(rule: Rule, derived: frozenset[str]) -> _CompiledRule:
     positives = [item for item in rule.body if isinstance(item, Atom)]
     variants = tuple(
-        _variant(rule, _greedy_order(positives, k, derived)) for k in range(len(positives))
-    ) or (_variant(rule, []),)
+        _Variant(rule, tuple(positives[i] for i in _greedy_order(positives, k, derived)))
+        for k in range(len(positives))
+    ) or (_Variant(rule, ()),)
     return _CompiledRule(rule.head.pred, tuple(a.pred for a in positives), variants)
 
 
+# a group of joins that read one delta: (rule number, variant number) of each
+_Key = tuple[tuple[int, int], ...]
+
+
+class _Table:
+    """A rule table prepared once per process (_prepare), and the step
+    functions generated from it.
+
+    arity and constants are the table's symbols, its half of the grounding
+    bound; rules holds its compiled rules in evaluation order, and strata,
+    per stratum, the predicates it derives and the numbers of its rules.  A
+    step function is generated on the first use of its group of joins and
+    kept under the group's key, and the map from delta predicate to key
+    under the numbers of the rules that can fire, so both live exactly as
+    long as the rules they were made from.
+    """
+
+    __slots__ = ("arity", "constants", "rules", "strata", "_steps", "_joins")
+
+    def __init__(self, arity, constants, rules, strata):
+        self.arity: dict[str, int] = arity
+        self.constants: frozenset[Const] = constants
+        self.rules: tuple[_CompiledRule, ...] = rules
+        self.strata: tuple[tuple[frozenset[str], tuple[int, ...]], ...] = strata
+        self._steps: dict[_Key, Callable] = {}
+        self._joins: dict[tuple[int, ...], dict[str, _Key]] = {}
+
+    def joins(self, numbers: tuple[int, ...]) -> dict[str, _Key]:
+        """The key of each body predicate's delta joins among the numbered rules."""
+        joins = self._joins.get(numbers)
+        if joins is None:
+            groups: dict[str, list[tuple[int, int]]] = {}
+            for n in numbers:
+                for k, pred in enumerate(self.rules[n].positive_preds):
+                    groups.setdefault(pred, []).append((n, k))
+            joins = self._joins[numbers] = {pred: tuple(key) for pred, key in groups.items()}
+        return joins
+
+    def bind(self, key: _Key, store: FactStore, out: dict[str, set]) -> Callable:
+        """The step function of the joins key names, bound to store and out."""
+        gen = self._steps.get(key)
+        if gen is None:
+            group = tuple((self.rules[n].variants[k], self.rules[n].head_pred) for n, k in key)
+            gen = self._steps[key] = _gen_step(group)
+        return gen(store, out)
+
+
 def _eval_stratum_seminaive(
-    store: FactStore, compiled: tuple[_CompiledRule, ...], idb: frozenset[str]
+    store: FactStore, table: _Table, numbers: tuple[int, ...], idb: frozenset[str]
 ) -> None:
     # a relation this stratum does not derive is final; if it is empty, no
     # rule joining it can fire
-    compiled = [c for c in compiled if all(p in idb or store.facts(p) for p in c.positive_preds)]
+    rules = table.rules
+    numbers = tuple(
+        n for n in numbers if all(p in idb or store.facts(p) for p in rules[n].positive_preds)
+    )
+    # the first round: each rule whose relations all hold facts, its first
+    # relation whole as the delta, grouped by that relation
+    first: dict[str | None, list[tuple[int, int]]] = {}
+    for n in numbers:
+        preds = rules[n].positive_preds
+        if all(map(store.facts, preds)):
+            first.setdefault(preds[0] if preds else None, []).append((n, 0))
     out: dict[str, set[tuple[Const, ...]]] = {}
-    for c in compiled:
-        if all(map(store.facts, c.positive_preds)):
-            delta = store.facts(c.positive_preds[0]) if c.positive_preds else None
-            c.variants[0].fn(store, delta, out.setdefault(c.head_pred, set()))
-    _seminaive(store, _dispatch(compiled), _store_round(store, out))
-
-
-def _dispatch(compiled) -> dict[str, list[tuple[_Variant, str]]]:
-    """Each body predicate's delta variants, with the head each writes."""
-    joins: dict[str, list[tuple[_Variant, str]]] = {}
-    for c in compiled:
-        for v, pred in zip(c.variants, c.positive_preds):
-            joins.setdefault(pred, []).append((v, c.head_pred))
-    return joins
+    for pred, key in first.items():
+        table.bind(tuple(key), store, out)(None if pred is None else store.facts(pred))
+    _seminaive(store, table, table.joins(numbers), _store_round(store, out))
 
 
 def _store_round(
     store: FactStore, out: dict[str, set[tuple[Const, ...]]]
 ) -> dict[str, set[tuple[Const, ...]]]:
-    """Store a round's output, one add_all per head; the facts that were new."""
+    """Store a round's output, one add_all per head, and empty out's sets
+    for the next round; the facts that were new."""
     delta = {}
     for pred, facts in out.items():
-        fresh = store.add_all(pred, facts)
-        if fresh:
-            delta[pred] = fresh
+        if facts:
+            fresh = store.add_all(pred, facts)
+            facts.clear()
+            if fresh:
+                delta[pred] = fresh
     return delta
 
 
 def _seminaive(
     store: FactStore,
-    joins: dict[str, list[tuple[_Variant, str]]],
+    table: _Table,
+    joins: dict[str, _Key],
     delta: dict[str, set[tuple[Const, ...]]],
     stop: Callable[[FactStore], bool] | None = None,
 ) -> None:
     """Semi-naive rounds until no delta is left, or until stop(store) holds.
 
     delta holds facts already stored whose consequences may not be.  A
-    round calls the variants that join each delta first, all against the
-    store as the last round left it, and then stores their output.  stop
-    is called once before the first round and once after each.
+    round runs the step of each predicate with a delta, all against the
+    store as the last round left it, and then stores their output.  A
+    predicate's step is bound to the store and the output sets on its
+    first delta and serves every later round.  stop is called once before
+    the first round and once after each.
     """
+    out: dict[str, set[tuple[Const, ...]]] = {}
+    steps: dict[str, Callable] = {}
     while delta and not (stop is not None and stop(store)):
-        out: dict[str, set[tuple[Const, ...]]] = {}
         for pred, d in delta.items():
-            for v, head in joins.get(pred, ()):
-                v.fn(store, d, out.setdefault(head, set()))
+            step = steps.get(pred)
+            if step is None:
+                key = joins.get(pred)
+                if key is None:
+                    continue
+                step = steps[pred] = table.bind(key, store, out)
+            step(d)
         delta = _store_round(store, out)
 
 
@@ -884,28 +969,30 @@ def _check_bound(store: FactStore, bound: int) -> None:
 # large enough to keep the two built-in rule tables (base and closure)
 # resident beside a caller's own; every entry point, the rational closure
 # included, evaluates the base table, so a process generates each of its
-# joins at most once
+# step functions at most once
 @functools.lru_cache(maxsize=16)
-def _prepare(rules: tuple[Rule, ...]):
+def _prepare(rules: tuple[Rule, ...]) -> _Table:
     """Validate, stratify and compile a rule table once per process.
 
-    Returns what evaluate needs of the table whatever the facts: the arity
-    of each predicate, the rule literals (the rules' half of the grounding
-    bound's constants) and, per stratum in evaluation order, the predicates
-    it derives and its compiled rules.
+    Returns, as a _Table, what evaluate needs of the table whatever the
+    facts: the arity of each predicate, the rule literals (the rules' half
+    of the grounding bound's constants) and, per stratum in evaluation
+    order, the predicates it derives and its compiled rules.
     """
-    table = DatalogProgram(rules=rules)
-    validate_program(table)
-    arity, constants = _symbols(table)
+    program = DatalogProgram(rules=rules)
+    validate_program(program)
+    arity, constants = _symbols(program)
+    compiled: list[_CompiledRule] = []
     strata = []
     for stratum in stratify(rules)[0]:
         idb = frozenset(r.head.pred for r in stratum)
-        compiled = tuple(
+        start = len(compiled)
+        compiled += [
             _compile_rule(r, frozenset(a.pred for a in r.body if isinstance(a, Atom)) & idb)
             for r in stratum
-        )
-        strata.append((idb, compiled))
-    return arity, frozenset(constants), tuple(strata)
+        ]
+        strata.append((idb, tuple(range(start, len(compiled)))))
+    return _Table(arity, frozenset(constants), tuple(compiled), tuple(strata))
 
 
 def _load_facts(
@@ -930,8 +1017,8 @@ def evaluate(program: DatalogProgram) -> FactStore:
     """
     store = FactStore()
     try:
-        arity, constants, strata = _prepare(program.rules)
-        arity, constants = dict(arity), set(constants)
+        table = _prepare(program.rules)
+        arity, constants = dict(table.arity), set(table.constants)
         _load_facts(store, program.facts, arity, constants)
     except DatalogError:
         # validate_program reports the first fault in program order, facts
@@ -939,8 +1026,8 @@ def evaluate(program: DatalogProgram) -> FactStore:
         validate_program(program)
         raise
     bound = _bound(arity, constants)
-    for idb, compiled in strata:
-        _eval_stratum_seminaive(store, compiled, idb)
+    for idb, numbers in table.strata:
+        _eval_stratum_seminaive(store, table, numbers, idb)
         _check_bound(store, bound)
     return store
 
@@ -962,31 +1049,35 @@ class Saturation:
     alone returns store, which is never written.
     """
 
-    __slots__ = ("program", "store", "_arity", "_constants", "_rules", "_gated", "_joins")
+    __slots__ = ("program", "store", "_table", "_arity", "_constants", "_rules", "_gated", "_joins")
 
     def __init__(self, program: DatalogProgram, store: FactStore):
         """store is evaluate(program), which has validated the program."""
         if any(isinstance(item, Neg) for rule in program.rules for item in rule.body):
             raise DatalogError("only a program without negation can be extended")
-        arity, constants, strata = _prepare(program.rules)
+        # the table is held here, so its step functions outlive its place in
+        # _prepare's cache
+        table = self._table = _prepare(program.rules)
         self.program = program
         self.store = store
         # the table's symbols, and those of the facts
-        self._arity, self._constants = dict(arity), set(constants)
+        self._arity, self._constants = dict(table.arity), set(table.constants)
         for f in program.facts:
             self._arity.setdefault(f.pred, len(f.args))
             self._constants.update(f.args)  # type: ignore[arg-type]
-        self._rules: list[_CompiledRule] = []
+        # the numbers of the rules that can fire here
+        self._rules: list[int] = []
         # each rule joining input relations that are empty here, with those
-        self._gated: list[tuple[_CompiledRule, frozenset[str]]] = []
-        for idb, compiled in strata:
-            for c in compiled:
-                empty = frozenset(p for p in c.positive_preds if p not in idb and not store.facts(p))
+        self._gated: list[tuple[int, frozenset[str]]] = []
+        for idb, numbers in table.strata:
+            for n in numbers:
+                preds = table.rules[n].positive_preds
+                empty = frozenset(p for p in preds if p not in idb and not store.facts(p))
                 if empty:
-                    self._gated.append((c, empty))
+                    self._gated.append((n, empty))
                 else:
-                    self._rules.append(c)
-        self._joins = _dispatch(self._rules)
+                    self._rules.append(n)
+        self._joins = table.joins(tuple(self._rules))
 
     def extend(
         self, facts: tuple[Atom, ...], stop: Callable[[FactStore], bool] | None = None
@@ -1008,9 +1099,9 @@ class Saturation:
         store = self.store.copy()
         arity, constants = dict(self._arity), set(self._constants)
         _load_facts(store, facts, arity, constants)
-        opened = [c for c, empty in self._gated if empty <= delta.keys()]
-        joins = _dispatch(self._rules + opened) if opened else self._joins
-        _seminaive(store, joins, delta, stop)
+        opened = [n for n, empty in self._gated if empty <= delta.keys()]
+        joins = self._table.joins(tuple(self._rules + opened)) if opened else self._joins
+        _seminaive(store, self._table, joins, delta, stop)
         _check_bound(store, _bound(arity, constants))
         return store
 

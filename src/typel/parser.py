@@ -90,7 +90,7 @@ class _Parser(Cursor):
     def expect_keyword(self, word: str) -> tuple:
         t = self.next()
         if t[1] != word:
-            self.fail(t, f"expected {word!r}, found {t[1]!r}")
+            self.fail(t, f"expected {word!r}, found {shown(t)!r}")
         return t
 
     def ident(self, what: str) -> tuple:

@@ -1,6 +1,8 @@
 """Engine behavior: stratification, evaluation, oracle agreement, round trips."""
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import os
 import pickle
@@ -18,6 +20,7 @@ from conftest import fixture_path, load_fixture
 
 import typel
 from typel import datalog, materialize
+from typel.cli import main
 from typel._families import chain_kb
 from typel.datalog import (
     Atom,
@@ -187,6 +190,39 @@ def test_extension_is_the_least_model_of_program_plus_facts(seed):
         expected = naive_evaluate(DatalogProgram(base.facts + extra, rules))
         assert store_dict(sat.extend(extra)) == store_dict(expected)
         assert store_dict(sat.store) == before
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_step_functions_stay_with_their_table_past_the_cache(seed):
+    """More distinct rule tables than _prepare keeps, each saturated, then
+    extended and evaluated again in interleaved orders: a Saturation keeps
+    the table its step functions came from after the cache has evicted it,
+    and each extension opens its own set of gated rules."""
+    rng = random.Random(seed)
+    n = datalog._prepare.cache_info().maxsize + 4
+    saturations = []
+    while len(saturations) < n:
+        pool = random_stratified_program(rng)
+        rules = tuple(r for r in pool.rules if not any(isinstance(i, Neg) for i in r.body))
+        if not rules or not pool.facts:
+            continue
+        # every fact of some predicates is held back, so rules joining them
+        # are gated until an extension brings one
+        preds = sorted({f.pred for f in pool.facts})
+        held = set(rng.sample(preds, rng.randint(0, len(preds))))
+        base = DatalogProgram(tuple(f for f in pool.facts if f.pred not in held), rules)
+        store = evaluate(base)
+        assert store_dict(store) == store_dict(naive_evaluate(base))
+        saturations.append((Saturation(base, store), pool.facts))
+    for _ in range(3):
+        for i in rng.sample(range(n), n):
+            sat, facts = saturations[i]
+            extra = tuple(rng.sample(facts, rng.randint(0, len(facts))))
+            program = DatalogProgram(sat.program.facts + extra, sat.program.rules)
+            expected = store_dict(naive_evaluate(program))
+            assert store_dict(sat.extend(extra)) == expected
+            assert store_dict(evaluate(program)) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -531,28 +567,30 @@ def test_positive_programs_monotone_in_facts(seed):
 def fired(monkeypatch):
     """(rule, delta) of each join the semi-naive evaluator runs, in order.
 
-    A prepared rule table keeps the compiled rules it was built with, so the
-    cache is cleared on both sides: the test's tables compile through the
-    recording wrapper, and no recording table outlives the test.
+    A prepared rule table keeps the step functions generated from it, so
+    the cache is cleared on both sides: the test's tables generate their
+    steps through the recording wrapper, and no recording table outlives
+    the test.
     """
     calls: list[tuple[Rule, frozenset | None]] = []
-    compile_rule = datalog._compile_rule
+    gen_step = datalog._gen_step
 
-    def recording(rule, derived):
-        c = compile_rule(rule, derived)
+    def recording(group):
+        bind = gen_step(group)
 
-        def record(v):
-            def fn(store, delta, out):
-                calls.append((v.rule, None if delta is None else frozenset(delta)))
-                v.fn(store, delta, out)
+        def recording_bind(store, out):
+            step = bind(store, out)
 
-            recorded = v._replace()
-            object.__setattr__(recorded, "fn", fn)
-            return recorded
+            def recording_step(delta):
+                seen = None if delta is None else frozenset(delta)
+                calls.extend((v.rule, seen) for v, _ in group)
+                step(delta)
 
-        return c._replace(variants=tuple(map(record, c.variants)))
+            return recording_step
 
-    monkeypatch.setattr(datalog, "_compile_rule", recording)
+        return recording_bind
+
+    monkeypatch.setattr(datalog, "_gen_step", recording)
     datalog._prepare.cache_clear()
     yield calls
     datalog._prepare.cache_clear()
@@ -657,17 +695,15 @@ def builtin_table_programs():
     )
 
 
-def test_second_evaluate_of_builtin_rules_generates_no_code(monkeypatch):
+def test_second_evaluate_of_builtin_rules_generates_no_code(generated):
     programs = builtin_table_programs()
     assert tuple(dict.fromkeys(p.rules for p in programs)) == BUILTIN_RULE_SETS
-    generated = []
-    gen_fn = datalog._gen_fn
-    monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
-    datalog._prepare.cache_clear()
+    steps, compiles = generated
     for program in programs:
         evaluate(program)
-    assert generated
-    generated.clear()
+    assert steps and len(compiles) == len(steps)
+    steps.clear()
+    compiles.clear()
     # an equal table of distinct Rule objects finds the prepared table
     base = programs[1]
     equal = load_program(dump_program(base)).rules
@@ -675,7 +711,7 @@ def test_second_evaluate_of_builtin_rules_generates_no_code(monkeypatch):
     evaluate(DatalogProgram(base.facts, equal))
     for program in programs:
         evaluate(program)
-    assert generated == []
+    assert steps == [] and compiles == []
 
 
 def derived_in_stratum(rules):
@@ -739,31 +775,39 @@ def test_unpickled_rule_hashes_like_an_equal_rule_built_in_its_process():
     assert (equal, same_hash, found) == ("True", "True", "1")
 
 
-# counts the join functions generated and called by one check in a fresh
-# process, where no rule has been compiled yet
+# counts the step functions generated and called, and the compile calls
+# made, by one check in a fresh process, where no rule has been compiled yet
 COLD_CHECK = """
+import builtins
 import sys
 from typel import datalog
 from typel.cli import main
 
-generated, called = [], set()
-gen_fn = datalog._gen_fn
+generated, called, compiles = [], set(), []
+gen_step = datalog._gen_step
 
 
-def counting(cv):
-    fn = gen_fn(cv)
-    generated.append(cv)
+def counting(group):
+    bind = gen_step(group)
+    n = len(generated)
+    generated.append(group)
 
-    def call(store, delta, out):
-        called.add(id(cv))
-        fn(store, delta, out)
+    def counting_bind(store, out):
+        step = bind(store, out)
 
-    return call
+        def call(delta):
+            called.add(n)
+            step(delta)
+
+        return call
+
+    return counting_bind
 
 
-datalog._gen_fn = counting
+datalog._gen_step = counting
+datalog.compile = lambda *args: compiles.append(args) or builtins.compile(*args)
 code = main(["check", sys.argv[1], "MathHater(paul)"])
-print(code, len(generated), len(called))
+print(code, len(generated), len(called), len(compiles))
 """
 
 
@@ -777,40 +821,40 @@ def test_cold_check_generates_only_the_joins_it_calls():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    code, generated, called = map(int, proc.stdout.splitlines()[-1].split())
+    code, generated, called, compiles = map(int, proc.stdout.splitlines()[-1].split())
     assert code == 0
-    assert 0 < generated <= called
+    # one compile per step function: 39 per-join functions before steps
+    assert 0 < generated == called == compiles <= 6
 
 
 @pytest.mark.parametrize(
     "fixture, ask, at_most",
     [
-        ("example1.kbt", lambda kb: check_instance(kb, parse_query("Young(mario)", kb)), 39),
+        ("example1.kbt", lambda kb: check_instance(kb, parse_query("Young(mario)", kb)), 6),
         # the prepared closure runs only the base table: the KB's
         # saturation, the strict one, and each stage's extensions
         (
             "example1-af.kbt",
             lambda kb: rc_entails(kb, parse_query("T(Student and Italian) <= Young", kb)),
-            44,
+            12,
         ),
     ],
     ids=["check_instance", "rc_entails"],
 )
 def test_cold_query_generates_each_rule_only_the_joins_its_rounds_run(
-    monkeypatch, fixture, ask, at_most
+    generated, fixture, ask, at_most
 ):
-    """Every join reads a delta, and a rule over a relation its stratum
-    derives starts only once that relation holds facts.  A written-order
-    join per rule beside its delta joins, or a rule started on a relation
-    that is still empty, would show here as more joins than these."""
+    """Every join reads a delta, a rule over a relation its stratum derives
+    starts only once that relation holds facts, and the joins of one delta
+    run as one step function.  A written-order join per rule beside its
+    delta joins, a rule started on a relation that is still empty, or a
+    function per join would show here as more compiles than these (39
+    and 44 functions when each join had its own)."""
     kb = load_fixture(fixture)
-    generated = []
-    gen_fn = datalog._gen_fn
-    monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
-    datalog._prepare.cache_clear()
+    steps, compiles = generated
     materialize._prepared.cache_clear()
     ask(kb)
-    assert 0 < len(generated) <= at_most
+    assert 0 < len(steps) == len(compiles) <= at_most
 
 
 # --- join order from the stratum ----------------------------------------------
@@ -983,7 +1027,7 @@ def test_rule_4_emits_each_fact_once_per_probe():
     c = datalog._compile_rule(rule, dict(derived_in_stratum(BASE_RULES))[rule])
     for v, p in zip(c.variants, c.positive_preds):
         out = CountingOut()
-        v.fn(store, store.facts(p), out)
+        datalog._gen_step(((v, "inst"),))(store, {"inst": out})(store.facts(p))
         assert sorted(out.calls) == expected, v.atoms
 
 
@@ -1073,13 +1117,17 @@ def test_fact_store_indexes_equal_a_filter_of_the_facts(ops):
 
 
 class CountingStore(datalog.FactStore):
-    """A store that counts index, match and add_all calls, and keeps the
-    predicate of each add_all in stored."""
+    """A store that counts relation, index, match and add_all calls, and
+    keeps the predicate of each add_all in stored."""
 
     def __init__(self):
         super().__init__()
-        self.calls = {"index": 0, "match": 0, "add_all": 0}
+        self.calls = {"relation": 0, "index": 0, "match": 0, "add_all": 0}
         self.stored = []
+
+    def relation(self, pred):
+        self.calls["relation"] += 1
+        return super().relation(pred)
 
     def add_all(self, pred, facts):
         self.calls["add_all"] += 1
@@ -1095,31 +1143,61 @@ class CountingStore(datalog.FactStore):
         return super().match(pred, positions, key)
 
 
-def test_delta_variant_looks_up_each_index_once_per_call():
+def walk_program(n: int) -> DatalogProgram:
+    """Odd and even walks over a chain of n edges, and their transitive
+    closure: three heads, two rules for odd, a rule joining its head
+    twice.  Each round walks one edge further, so it runs n + 1 rounds."""
+    return load_program(
+        " ".join(f"edge({i}, {i + 1})." for i in range(n))
+        + " odd(?x, ?y) :- edge(?x, ?y)."
+        + " even(?x, ?z) :- odd(?x, ?y), edge(?y, ?z)."
+        + " odd(?x, ?z) :- even(?x, ?y), edge(?y, ?z)."
+        + " walk(?x, ?y) :- odd(?x, ?y). walk(?x, ?y) :- even(?x, ?y)."
+        + " walk(?x, ?z) :- walk(?x, ?y), walk(?y, ?z)."
+    )
+
+
+def test_steps_look_up_each_relation_and_index_once_per_evaluation(monkeypatch):
+    # every probe of the walks is keyed, and a longer chain runs more
+    # rounds over more facts: each step binds its relations and indexes on
+    # its predicate's first delta and keeps them for every later round
+    monkeypatch.setattr(datalog, "FactStore", CountingStore)
+    counts = []
+    for n in (3, 12):
+        store = evaluate(walk_program(n))
+        assert store_dict(store) == store_dict(naive_evaluate(walk_program(n)))
+        assert store.calls["match"] == 0
+        counts.append((store.calls["relation"], store.calls["index"]))
+    assert counts[0] == counts[1] and counts[0][1] > 0, counts
+
+
+def test_a_bound_step_reads_the_relations_as_later_rounds_leave_them():
     # rule 21's hypothesis copy, joined from its first inst_h atom: every
-    # delta fact probes subProd and the second inst_h through an index
+    # delta fact probes subProd and the second inst_h through an index.  The
+    # step is bound once, and the facts stored after that are joined too.
     rule = HYP_COPY["21"]
     c = datalog._compile_rule(rule, dict(derived_in_stratum(CLOSURE_RULES))[rule])
     v = c.variants[c.positive_preds.index("inst_h")]
     keyed = sum(
         1 for i in range(1, len(v.atoms)) if datalog._key_positions(v.atoms[i], bound_before(v, i))
     )
-    counts = []
+    store = CountingStore()
+    out = {}
+    step = datalog._gen_step(((v, "inst_h"),))(store, out)
+    assert 2 <= store.calls["index"] <= keyed
+    bound = dict(store.calls)
+    store.add("stage", ("D", 0))
+    store.add("subProd", ("c0", "c1", "w"))
+    ys = []
     for n in (1, 50):
-        store = CountingStore()
-        store.add("stage", ("D", 0))
-        store.add("subProd", ("c0", "c1", "w"))
-        for j in range(3):
-            store.add("inst_h", (f"y{j}", "c1", "D", 0))
-        delta = {(f"x{j}", "c0", "D", 0) for j in range(n)}
-        store.add_all("inst_h", delta)
-        store.calls.update(index=0, match=0, add_all=0)
-        out = set()
-        v.fn(store, delta, out)
-        assert out == {(f"x{i}", "w", f"y{j}", "D", 0) for i in range(n) for j in range(3)}
-        assert store.calls["match"] == 0
-        counts.append(store.calls["index"])
-    assert 2 <= counts[0] <= keyed and counts[0] == counts[1], (counts, v.atoms)
+        ys += [f"y{n}_{j}" for j in range(3)]
+        store.add_all("inst_h", {(y, "c1", "D", 0) for y in ys})
+        xs = [f"x{n}_{j}" for j in range(n)]
+        out["inst_h"].clear()
+        step({(x, "c0", "D", 0) for x in xs})
+        # the ys of every round so far, through the index bound before them
+        assert out["inst_h"] == {(x, "w", y, "D", 0) for x in xs for y in ys}
+    assert (store.calls["index"], store.calls["relation"]) == (bound["index"], bound["relation"])
 
 
 SCALAR_KEY_CASES = {
@@ -1157,17 +1235,8 @@ def test_scalar_key_probes_agree_with_the_oracle(text, expected, derived):
 
 
 def test_recursive_program_stores_each_head_once_per_round(monkeypatch):
-    # odd and even walks over a chain, and their transitive closure: three
-    # heads, two rules for odd, a rule joining its head twice
     n = 9
-    program = load_program(
-        " ".join(f"edge({i}, {i + 1})." for i in range(n))
-        + " odd(?x, ?y) :- edge(?x, ?y)."
-        + " even(?x, ?z) :- odd(?x, ?y), edge(?y, ?z)."
-        + " odd(?x, ?z) :- even(?x, ?y), edge(?y, ?z)."
-        + " walk(?x, ?y) :- odd(?x, ?y). walk(?x, ?y) :- even(?x, ?y)."
-        + " walk(?x, ?z) :- walk(?x, ?y), walk(?y, ?z)."
-    )
+    program = walk_program(n)
     expected = store_dict(naive_evaluate(program))
     rounds = []
     store_round = datalog._store_round
@@ -1326,6 +1395,51 @@ def test_builtin_programs_agree_with_the_oracle(build):
     assert store_dict(store) == store_dict(naive_evaluate(program))
     # a probe on every position of its atom reads the fact set
     assert full_key_indexes(program, store) == []
+
+
+def store_text(store) -> str:
+    """The facts of store's visible relations, dumped in a fixed order."""
+    facts = [Atom(p, args) for p in store.preds() for args in sorted(store.facts(p), key=repr)]
+    return dump_program(DatalogProgram(tuple(facts)))
+
+
+def dumped_fixture_programs(tmp_path):
+    """The programs the CLI's --dump-program writes for a few fixture
+    questions: an instance, a subsumption and a closure question."""
+    for i, argv in enumerate(
+        (
+            ("translate", "example1.kbt"),
+            ("check", "example1.kbt", "MathHater(paul)"),
+            ("subsumes", "example4.kbt", "A <= B"),
+            ("rc-check", "example1-af.kbt", "T(Student and Nerd) <= MathHater"),
+        )
+    ):
+        path = tmp_path / f"{i}.dl"
+        command, fixture, *rest = argv
+        argv = [command, str(fixture_path(fixture)), *rest, "--dump-program", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) in (0, 1)
+        yield load_program(path.read_text())
+
+
+def test_relations_bound_empty_stay_invisible(tmp_path):
+    # a step binds the fact set of every relation it reads, so evaluation
+    # leaves empty sets in the store; a store holding only the visible
+    # facts must read the same
+    programs = [build() for build in BUILTIN_PROGRAMS.values()]
+    programs += dumped_fixture_programs(tmp_path)
+    bound_empty = 0
+    for program in programs:
+        store = evaluate(program)
+        plain = datalog.FactStore()
+        for pred, facts in store_dict(store).items():
+            plain.add_all(pred, set(facts))
+        bound_empty += sum(not store.facts(p) for p in store._sets)
+        for seen in (store, store.copy()):
+            assert seen.preds() == plain.preds()
+            assert len(seen) == len(plain)
+            assert store_text(seen) == store_text(plain)
+    assert bound_empty
 
 
 # --- safety -----------------------------------------------------------------

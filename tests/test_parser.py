@@ -219,6 +219,8 @@ def test_comments_and_blank_lines_ignored():
         ("class A.\r\nA @ B.", "kb.kbt:2:3: unexpected character '@'"),
         # the end of the input after a trailing comment is at the comment
         ("class A.\nA <= A %c", "kb.kbt:2:8: expected '.', found 'end of input'"),
+        # a keyword expected at the end names it as every other expectation does
+        ("class A.\nrole r.\nr <= A", "kb.kbt:3:7: expected 'x', found 'end of input'"),
         # a numeral may go on a name but not start it
         ("class ²A.", "kb.kbt:1:7: unexpected character '²'"),
         ("class ½A.", "kb.kbt:1:7: unexpected character '½'"),

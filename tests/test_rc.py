@@ -739,14 +739,11 @@ def test_closure_table_ranks_and_membership_match_the_rank_table(kb_and_query):
     assert rc_entails(kb, q) == RcVerdict(in_closure=reference.contains(goal.pred, goal.args))
 
 
-def test_rc_entry_points_prepare_one_table(example1_af, monkeypatch):
+def test_rc_entry_points_prepare_one_table(example1_af, generated):
     """compute_ranks, rc_entails and rc_consistent evaluate only the base
     table, the one check evaluates, and a question asked again of the
-    prepared closure generates no join."""
-    generated = []
-    gen_fn = datalog._gen_fn
-    monkeypatch.setattr(datalog, "_gen_fn", lambda cv: generated.append(cv) or gen_fn(cv))
-    datalog._prepare.cache_clear()
+    prepared closure generates and compiles no step function."""
+    steps, compiles = generated
     materialize._prepared.cache_clear()
     query = parse_query("T(Student and Italian) <= Young", example1_af)
 
@@ -756,14 +753,15 @@ def test_rc_entry_points_prepare_one_table(example1_af, monkeypatch):
         rc_entails(example1_af, query)
 
     ask()
-    assert generated
+    assert steps and len(compiles) == len(steps)
     info = datalog._prepare.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     datalog._prepare(BASE_RULES)
     assert datalog._prepare.cache_info().hits == info.hits + 1
-    generated.clear()
+    steps.clear()
+    compiles.clear()
     ask()
-    assert generated == []
+    assert steps == [] and compiles == []
 
 
 # --- the prepared closure answers like the closure table -------------------------------
