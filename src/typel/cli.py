@@ -9,10 +9,10 @@ the program whose least model gives the verdict, as query_program and
 closure_program return it, once the entry point has accepted the KB: the
 program check evaluates, and the closure table the rc- answers follow.
 
-check and subsumes take several queries and answer them in order from one
-process, which prepares the KB once.  Every query is parsed before the
-first is answered; the exit code is 2 if some query erred, else 1 if some
-verdict was negative, else 0.
+check, subsumes and rc-check take several queries and answer them in order
+from one process, which prepares the KB, and for rc-check its closure,
+once.  Every query is parsed before the first is answered; the exit code is
+2 if some query erred, else 1 if some verdict was negative, else 0.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ _CONSISTENT = ("consistent", "inconsistent")
 
 
 # the commands that take several queries
-_BATCH = ("check", "subsumes")
+_BATCH = ("check", "subsumes", "rc-check")
 
 # what main reports as an error with exit code 2
 _INPUT_ERRORS = (OSError, ValueError, DatalogError)

@@ -51,10 +51,11 @@ the next round's delta brings it to the variant joining its atom first.
 
 A program without negation is one stratum and monotone, so Saturation
 keeps its least model and extends it by more facts: the facts are the
-first delta of the same semi-naive loop, run on a private copy of the
-store.  A caller that asks one question of the extension passes a stop
-test, checked once per round, and the loop ends with the round after
-which the test holds.
+first delta of the same semi-naive loop, run on a copy of the store that
+owns only the relations the extension can write, its heads' and its
+facts', and shares the rest with the store.  A caller that asks one
+question of the extension passes a stop test, checked once per round,
+and the loop ends with the round after which the test holds.
 
 Terms are Python strings (symbolic constants), ints, variables, or ?v - k
 decrements.  A decrement in a positive body atom unifies in both
@@ -73,7 +74,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from operator import itemgetter
 
 from ._scan import Cursor, shown, token_pattern
@@ -166,11 +167,19 @@ def _constraint_vars(item: Neg | Compare) -> set[Var]:
     return _term_vars(item.left) | _term_vars(item.right)
 
 
-def _check_const(c, where: str) -> None:
+def _const_fault(c) -> str | None:
+    """Why c is not a constant, or None if it is one."""
     if isinstance(c, bool) or not isinstance(c, (str, int)):
-        raise DatalogError(f"{where}: not a constant: {c!r}")
+        return f"not a constant: {c!r}"
     if isinstance(c, str) and (not c or c[0].isdigit()):
-        raise DatalogError(f"{where}: symbolic constant may not start with a digit: {c!r}")
+        return f"symbolic constant may not start with a digit: {c!r}"
+    return None
+
+
+def _check_const(c, where: str) -> None:
+    fault = _const_fault(c)
+    if fault is not None:
+        raise DatalogError(f"{where}: {fault}")
 
 
 def validate_program(program: DatalogProgram) -> None:
@@ -358,18 +367,28 @@ class FactStore:
         for index in self._indexes.get(pred, {}).values():
             _fill(index, facts)
 
-    def copy(self) -> FactStore:
-        """A store with the same facts and indexes that shares no set, index
-        or bucket with this one."""
+    def copy(self, writable: Iterable[str]) -> FactStore:
+        """A store with the same facts and indexes.
+
+        For each predicate in writable the copy shares no set, index or
+        bucket with this store.  Every other relation's set and buckets are
+        shared, so neither store may add to them; each predicate's map of
+        indexes is the copy's own, so an index the copy builds on a shared
+        relation stays with the copy.
+        """
         out = FactStore()
-        out._sets = {pred: set(s) for pred, s in self._sets.items()}
-        out._indexes = {
-            pred: {
-                positions: (key, dict(zip(buckets, map(list.copy, buckets.values()))))
-                for positions, (key, buckets) in per_pred.items()
-            }
-            for pred, per_pred in self._indexes.items()
-        }
+        sets = out._sets = dict(self._sets)
+        indexes = out._indexes = {pred: dict(per_pred) for pred, per_pred in self._indexes.items()}
+        for pred in writable:
+            s = sets.get(pred)
+            if s is not None:
+                sets[pred] = set(s)
+            per_pred = indexes.get(pred)
+            if per_pred:
+                indexes[pred] = {
+                    positions: (key, dict(zip(buckets, map(list.copy, buckets.values()))))
+                    for positions, (key, buckets) in per_pred.items()
+                }
         return out
 
     def contains(self, pred: str, args: tuple[Const, ...]) -> bool:
@@ -742,23 +761,55 @@ class _Table:
     functions generated from it.
 
     arity and constants are the table's symbols, its half of the grounding
-    bound; rules holds its compiled rules in evaluation order, and strata,
-    per stratum, the predicates it derives and the numbers of its rules.  A
-    step function is generated on the first use of its group of joins and
-    kept under the group's key, and the map from delta predicate to key
-    under the numbers of the rules that can fire, so both live exactly as
+    bound, and unchecked the rule literals a fact could not hold (validation
+    checks head literals only).  rules holds its compiled rules in
+    evaluation order, and strata, per stratum, the predicates it derives
+    and the numbers of its rules; heads are the predicates some rule
+    derives, and inputs those some rule joins in a stratum that does not
+    derive them.  A step function is generated on the first use of its
+    group of joins and kept under the group's key, the map from delta
+    predicate to key under the numbers of the rules that can fire, and the
+    gates under the set of non-empty inputs, so all of them live exactly as
     long as the rules they were made from.
     """
 
-    __slots__ = ("arity", "constants", "rules", "strata", "_steps", "_joins")
+    __slots__ = (
+        "arity", "constants", "unchecked", "rules", "strata", "heads", "inputs",
+        "_steps", "_joins", "_gates",
+    )
 
     def __init__(self, arity, constants, rules, strata):
         self.arity: dict[str, int] = arity
         self.constants: frozenset[Const] = constants
+        self.unchecked = frozenset(c for c in constants if _const_fault(c) is not None)
         self.rules: tuple[_CompiledRule, ...] = rules
         self.strata: tuple[tuple[frozenset[str], tuple[int, ...]], ...] = strata
+        self.heads = frozenset(rule.head_pred for rule in rules)
+        self.inputs = frozenset(
+            p for idb, numbers in strata for n in numbers for p in rules[n].positive_preds if p not in idb
+        )
         self._steps: dict[_Key, Callable] = {}
         self._joins: dict[tuple[int, ...], dict[str, _Key]] = {}
+        self._gates: dict[frozenset[str], tuple] = {}
+
+    def gates(self, nonempty: frozenset[str]) -> tuple:
+        """Over a store whose non-empty inputs are nonempty: the numbers of
+        the rules that can fire, their joins, and each other rule's number
+        with the empty inputs it joins."""
+        gates = self._gates.get(nonempty)
+        if gates is None:
+            rules: list[int] = []
+            gated: list[tuple[int, frozenset[str]]] = []
+            for idb, numbers in self.strata:
+                for n in numbers:
+                    preds = self.rules[n].positive_preds
+                    empty = frozenset(p for p in preds if p not in idb and p not in nonempty)
+                    if empty:
+                        gated.append((n, empty))
+                    else:
+                        rules.append(n)
+            gates = self._gates[nonempty] = (tuple(rules), self.joins(tuple(rules)), tuple(gated))
+        return gates
 
     def joins(self, numbers: tuple[int, ...]) -> dict[str, _Key]:
         """The key of each body predicate's delta joins among the numbered rules."""
@@ -925,13 +976,14 @@ def _eval_stratum_naive(store: FactStore, rules: list[Rule]) -> None:
 def grounding_bound(program: DatalogProgram) -> int:
     """Upper bound on derivable ground atoms: sum over predicates of
     |constants|^arity.  Constants are those in facts plus rule literals."""
-    return _bound(*_symbols(program))
+    arity, constants = _symbols(program)
+    return _bound(arity.values(), len(constants))
 
 
-def _bound(arity: dict[str, int], constants: set[Const]) -> int:
-    """The grounding bound of predicates of these arities over these constants."""
-    n = max(len(constants), 1)
-    return sum(n**k for k in arity.values())
+def _bound(arities: Iterable[int], constants: int) -> int:
+    """The grounding bound of predicates of these arities over this many constants."""
+    n = max(constants, 1)
+    return sum(n**k for k in arities)
 
 
 def _symbols(program: DatalogProgram) -> tuple[dict[str, int], set[Const]]:
@@ -995,18 +1047,32 @@ def _prepare(rules: tuple[Rule, ...]) -> _Table:
     return _Table(arity, frozenset(constants), tuple(compiled), tuple(strata))
 
 
-def _load_facts(
-    store: FactStore, facts: tuple[Atom, ...], arity: dict[str, int], constants: set[Const]
-) -> None:
-    """Store the facts, checked against the arities so far, and add their
-    predicates and constants to arity and constants."""
+def _check_facts(
+    facts: tuple[Atom, ...], arity: dict[str, int], constants: set[Const], unchecked: frozenset[Const]
+) -> int:
+    """Check each fact's arity against arity and the facts before it, and
+    each argument as a constant, except a plain str or int already checked:
+    one in constants but not in unchecked, or one seen before.  Return the
+    grounding bound of arity and constants together with the facts'."""
+    own: dict[str, int] = {}
+    new: set[Const] = set()
     for f in facts:
-        if arity.setdefault(f.pred, len(f.args)) != len(f.args):
+        n = len(f.args)
+        k = arity.get(f.pred)
+        if k is None:
+            k = own.setdefault(f.pred, n)
+        if k != n:
             raise DatalogError(f"fact {f.pred}: predicate {f.pred!r} used with two arities")
         for t in f.args:
+            # a bool or float equal to a known int is no constant
+            if (t.__class__ is str or t.__class__ is int) and (
+                t in new or (t in constants and t not in unchecked)
+            ):
+                continue
             _check_const(t, f"fact {f.pred}")
-        constants.update(f.args)
-        store.add(f.pred, f.args)  # type: ignore[arg-type]
+            if t not in constants:
+                new.add(t)
+    return _bound(itertools.chain(arity.values(), own.values()), len(constants) + len(new))
 
 
 def evaluate(program: DatalogProgram) -> FactStore:
@@ -1018,14 +1084,14 @@ def evaluate(program: DatalogProgram) -> FactStore:
     store = FactStore()
     try:
         table = _prepare(program.rules)
-        arity, constants = dict(table.arity), set(table.constants)
-        _load_facts(store, program.facts, arity, constants)
+        bound = _check_facts(program.facts, table.arity, table.constants, table.unchecked)
     except DatalogError:
         # validate_program reports the first fault in program order, facts
         # before rules, which neither check above alone can
         validate_program(program)
         raise
-    bound = _bound(arity, constants)
+    for f in program.facts:
+        store.add(f.pred, f.args)  # type: ignore[arg-type]
     for idb, numbers in table.strata:
         _eval_stratum_seminaive(store, table, numbers, idb)
         _check_bound(store, bound)
@@ -1040,13 +1106,18 @@ class Saturation:
     program plus some facts is its own least model plus what semi-naive
     evaluation derives from those facts alone (insertion-only maintenance,
     Gupta, Mumick & Subrahmanian, SIGMOD 1993).  extend runs evaluate's
-    loop over the same compiled rules, on a private copy of the store, with
-    the new facts as the first delta, so a rule's variant joins the delta of
-    an input relation too.  A rule joining an input relation that is empty
-    is dropped, as at the start of a stratum, unless the new facts fill it.
-    The grounding bound counts the program's constants and the new facts'.
-    Facts the store holds already derive nothing new, so extend by them
-    alone returns store, which is never written.
+    loop over the same compiled rules, with the new facts as the first
+    delta, so a rule's variant joins the delta of an input relation too.
+    It runs on a copy of the store that owns only the relations it can
+    write, those of the table's heads and of the new facts, and shares
+    every other relation's set and buckets with the store.  A rule joining
+    an input relation that is empty is dropped, as at the start of a
+    stratum, unless the new facts fill it; the table keeps these gates per
+    set of non-empty inputs.  The new facts are checked as evaluate checks
+    the program's, each constant the program lacks included, and the
+    grounding bound counts the program's constants and theirs.  Facts the
+    store holds already derive nothing new, so extend by them alone returns
+    store, which is never written.
     """
 
     __slots__ = ("program", "store", "_table", "_arity", "_constants", "_rules", "_gated", "_joins")
@@ -1065,19 +1136,10 @@ class Saturation:
         for f in program.facts:
             self._arity.setdefault(f.pred, len(f.args))
             self._constants.update(f.args)  # type: ignore[arg-type]
-        # the numbers of the rules that can fire here
-        self._rules: list[int] = []
-        # each rule joining input relations that are empty here, with those
-        self._gated: list[tuple[int, frozenset[str]]] = []
-        for idb, numbers in table.strata:
-            for n in numbers:
-                preds = table.rules[n].positive_preds
-                empty = frozenset(p for p in preds if p not in idb and not store.facts(p))
-                if empty:
-                    self._gated.append((n, empty))
-                else:
-                    self._rules.append(n)
-        self._joins = table.joins(tuple(self._rules))
+        # the numbers of the rules that can fire here, their joins, and each
+        # rule joining input relations that are empty here, with those
+        nonempty = frozenset(p for p in table.inputs if store.facts(p))
+        self._rules, self._joins, self._gated = table.gates(nonempty)
 
     def extend(
         self, facts: tuple[Atom, ...], stop: Callable[[FactStore], bool] | None = None
@@ -1096,13 +1158,15 @@ class Saturation:
                 delta.setdefault(f.pred, set()).add(f.args)  # type: ignore[arg-type]
         if not delta:
             return self.store
-        store = self.store.copy()
-        arity, constants = dict(self._arity), set(self._constants)
-        _load_facts(store, facts, arity, constants)
-        opened = [n for n, empty in self._gated if empty <= delta.keys()]
-        joins = self._table.joins(tuple(self._rules + opened)) if opened else self._joins
-        _seminaive(store, self._table, joins, delta, stop)
-        _check_bound(store, _bound(arity, constants))
+        table = self._table
+        bound = _check_facts(facts, self._arity, self._constants, table.unchecked)
+        store = self.store.copy(table.heads | delta.keys())
+        for f in facts:
+            store.add(f.pred, f.args)  # type: ignore[arg-type]
+        opened = tuple(n for n, empty in self._gated if empty <= delta.keys())
+        joins = table.joins(self._rules + opened) if opened else self._joins
+        _seminaive(store, table, joins, delta, stop)
+        _check_bound(store, bound)
         return store
 
 

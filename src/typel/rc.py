@@ -20,14 +20,18 @@ round that stores what the question asks for:
 - C is exceptional at stage i when stage i extended by typ(C, top) and
   inst(C, C), and by the question's own facts when C is its concept,
   stores a bottom fact.  The KB's ranked concepts are tested once, stage
-  by stage, up to the fixpoint; only those saturations are kept.
+  by stage, up to the fixpoint; only those saturations are kept.  A
+  question's concept is tested the same way, and its rank and the classes
+  its hypothesis reached are kept too, under the concept and the
+  question's facts: a rank belongs to the KB and the concept alone, so a
+  repeat, or another right side on the same left side, needs no test.
 - T(C) <= D is in the closure when C's rank is infinite, or when C's
-  hypothesis at C's rank stage derives inst(C, D).  That is the rank
-  test's own extension, or for a concept the KB ranks and a question
-  adding no facts, a set of classes kept from the KB's test.  A T in D
-  gives the question subTyp facts of its own, in E up to their concept's
-  rank stage, and then an extension of its own; they conclude only the
-  question's fresh names, so they rank no concept.
+  hypothesis at C's rank stage derives inst(C, D).  The classes kept from
+  a question concept's rank test answer that, as do those kept from the
+  KB's test for a concept the KB ranks and a question adding no facts.
+  A T in D gives the question subTyp facts of its own, in E up to their
+  concept's rank stage, and then an extension of its own; they conclude
+  only the question's fresh names, so they rank no concept.
 - The closure is consistent when stage 0 extended by the sameRank and
   leqRank facts the computed ranks give the KB's aux constants stores no
   bottom fact.  The verdict is kept with the closure.
@@ -294,6 +298,15 @@ def _hypothesis_extension(stage: Saturation, concept: str, facts: tuple[Atom, ..
     return stage.extend(facts + _hypothesis(concept), store_inconsistent)
 
 
+def _reached(extension: FactStore, concept: str) -> frozenset[str]:
+    """The classes the extension puts concept in."""
+    return frozenset(d for _, d in extension.index("inst", (0,)).get(concept, ()))
+
+
+# the question concepts whose rank a closure keeps, the oldest dropped first
+QUESTION_RANKS = 64
+
+
 class _Closure:
     """The rational closure of a simple, classically consistent KB.
 
@@ -303,7 +316,10 @@ class _Closure:
     past 0 where none of them gets its rank.  A concept gets its rank past
     0 only at a stage where E shrinks, so with n defaults of the KB the
     fixpoint comes by stage n + 1.  reached holds, per concept of ranks,
-    the classes its hypothesis puts it in at its rank stage.
+    the classes its hypothesis puts it in at its rank stage.  asked holds
+    the same for the question concepts asked so far, under the concept and
+    the question's facts: its rank, or None for infinity, and the classes
+    reached at a finite rank.  It keeps the QUESTION_RANKS latest.
     """
 
     def __init__(self, facts: tuple[Atom, ...], saturation: Saturation):
@@ -314,6 +330,7 @@ class _Closure:
         self.stages: list[frozenset[Atom]] = []
         self.ranks: dict[str, int] = {}
         self.reached: dict[str, frozenset[str]] = {}
+        self.asked: dict[tuple[str, tuple[Atom, ...]], tuple[int | None, frozenset[str] | None]] = {}
         self._consistent: bool | None = None
         # C4: stage i keeps the defaults of E_(i-1) whose left concept was
         # exceptional at i - 1; C7, C8: a concept's rank is the first stage
@@ -337,7 +354,7 @@ class _Closure:
                     still.append(c)
                 else:
                     self.ranks[c] = i
-                    self.reached[c] = frozenset(d for _, d in extension.index("inst", (0,)).get(c, ()))
+                    self.reached[c] = _reached(extension, c)
             if i > 0 and len(still) == len(active):
                 break
             active = still
@@ -363,23 +380,40 @@ class _Closure:
 
     def rank(self, concept: str, facts: tuple[Atom, ...]) -> int | None:
         """concept's rank, None for infinity; a concept the KB does not
-        rank is tested on the question's facts, stage by stage."""
+        rank is tested on the question's facts, stage by stage, once."""
         return self._ranked(concept, facts)[0]
 
-    def _ranked(self, concept: str, facts: tuple[Atom, ...]) -> tuple[int | None, FactStore | None]:
-        """concept's rank and, for a concept the KB does not rank and whose
-        rank is finite, the extension of its last test: the hypothesis at
-        its rank stage, which stores no bottom fact."""
+    def _ranked(
+        self, concept: str, facts: tuple[Atom, ...]
+    ) -> tuple[int | None, frozenset[str] | None]:
+        """concept's rank and, where they answer the question, the classes
+        its hypothesis reaches at its rank stage: for a concept the KB ranks
+        and a question adding no facts, or a question concept of finite
+        rank.  A question concept's are kept under it and the facts."""
         if concept in self.ranks:
-            return self.ranks[concept], None
+            return self.ranks[concept], None if facts else self.reached[concept]
         if concept in self.infinite:
             return None, None
+        key = (concept, facts)
+        kept = self.asked.get(key)
+        if kept is None:
+            kept = self._rank_test(concept, facts)
+            if len(self.asked) >= QUESTION_RANKS:
+                del self.asked[next(iter(self.asked))]
+            self.asked[key] = kept
+        return kept
+
+    def _rank_test(
+        self, concept: str, facts: tuple[Atom, ...]
+    ) -> tuple[int | None, frozenset[str] | None]:
+        """A question concept's rank and the classes reached, tested stage
+        by stage: at its rank stage the hypothesis stores no bottom fact."""
         for i, e_i in enumerate(self.stages):
             # a stage with the same E as the one before answers the same
             if i == 0 or e_i != self.stages[i - 1]:
                 extension = _hypothesis_extension(self._saturation(e_i), concept, facts)
                 if not store_inconsistent(extension):
-                    return i, extension
+                    return i, _reached(extension, concept)
         return None, None
 
     def entails(self, concept: str, cls: str, facts: tuple[Atom, ...]) -> bool:
@@ -388,11 +422,10 @@ class _Closure:
         inst(concept, cls).  facts are the question's; a T on its right
         side gives it subTyp facts of its own, which rank nothing, and C4
         puts each in E at the stages its left concept reaches.  Without
-        those, the rank test's extension, or the classes the KB's ranked
-        concept reached, hold the answer."""
+        those, the classes _ranked gives, if any, hold the answer."""
         defaults = tuple(f for f in facts if f.pred == "subTyp")
         facts = tuple(f for f in facts if f.pred != "subTyp")
-        rank, extension = self._ranked(concept, facts)
+        rank, reached = self._ranked(concept, facts)
         if rank is None:
             return True
         own = ()
@@ -402,13 +435,12 @@ class _Closure:
                 if its_rank is not None and its_rank < rank:
                     continue
             own += (d,)
+        if not own and reached is not None:
+            return cls in reached
         goal = Atom("inst", (concept, cls))
-        if own or extension is None:
-            if not own and not facts:
-                return cls in self.reached[concept]
-            stage = self._saturation(self.stages[rank])
-            stop = functools.partial(_answered, goal)
-            extension = stage.extend(facts + own + _hypothesis(concept), stop)
+        stage = self._saturation(self.stages[rank])
+        stop = functools.partial(_answered, goal)
+        extension = stage.extend(facts + own + _hypothesis(concept), stop)
         return extension.contains(goal.pred, goal.args)
 
     def consistent(self) -> bool:

@@ -377,6 +377,27 @@ def test_check_batch_answers_every_query_in_order(capsys):
     ]
 
 
+def test_rc_check_batch_gives_the_verdicts_of_separate_runs(capsys, monkeypatch):
+    texts = ("T(Student and Italian) <= Young", "T(Student and Italian) <= MathLover")
+    alone = [run(capsys, "rc-check", EX1_AF, text)[:2] for text in texts]
+    assert alone == [(0, "in-closure\n"), (1, "not-in-closure\n")]
+    # a fresh closure: the first question tests its left side's rank, and
+    # the second, with the same left side, reads the rank kept
+    typel.materialize._prepared.cache_clear()
+    run(capsys, "rc-ranks", EX1_AF)
+    extensions = []
+    extend = Saturation.extend
+
+    def counting(self, facts, stop=None):
+        extensions.append(facts)
+        return extend(self, facts, stop)
+
+    monkeypatch.setattr(Saturation, "extend", counting)
+    code, out, _ = run(capsys, "rc-check", EX1_AF, *texts)
+    assert (code, out) == (1, "in-closure\nnot-in-closure\n")
+    assert len(extensions) == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -43,8 +43,8 @@ from typel.datalog import (
     transform_rules,
     validate_program,
 )
-from typel.materialize import BASE_RULES, IR_LABELED, check_instance, query_program
-from typel.parser import parse_kb, parse_query
+from typel.materialize import BASE_RULES, IR_LABELED, check_instance, query_program, store_inconsistent
+from typel.parser import parse_concept, parse_kb, parse_query
 from typel.rc import CLOSURE_RULES, H_RULES, _H_SOURCE, closure_program, rc_entails
 
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -286,6 +286,189 @@ def test_extension_refuses_negation_and_checks_its_facts():
     ):
         sat.extend(extra)
     assert bounds == [grounding_bound(DatalogProgram(program.facts + extra, program.rules))]
+
+
+def _loaded_outcome(sat, facts):
+    """What extend raises or is bounded by when it collects the new facts
+    and then checks every fact, and every constant of it, against copies
+    of the saturation's symbols that take in each fact in turn: an error's
+    type and message, the grounding bound, or None when the store holds
+    every fact already."""
+    try:
+        new = set()
+        for f in facts:
+            if not sat.store.contains(f.pred, f.args):
+                new.add(f.args)
+        if not new:
+            return None
+        arity, constants = dict(sat._arity), set(sat._constants)
+        for f in facts:
+            if arity.setdefault(f.pred, len(f.args)) != len(f.args):
+                raise DatalogError(f"fact {f.pred}: predicate {f.pred!r} used with two arities")
+            for t in f.args:
+                datalog._check_const(t, f"fact {f.pred}")
+            constants.update(f.args)
+    except Exception as e:  # noqa: BLE001  the type is part of the outcome
+        return type(e), str(e)
+    return datalog._bound(arity.values(), len(constants))
+
+
+def _extended_outcome(sat, facts):
+    bounds = []
+    check_bound = datalog._check_bound
+    try:
+        with mock.patch.object(
+            datalog, "_check_bound", lambda store, bound: bounds.append(bound) or check_bound(store, bound)
+        ):
+            sat.extend(facts)
+    except Exception as e:  # noqa: BLE001
+        return type(e), str(e)
+    return bounds[0] if bounds else None
+
+
+_I = Var("I")
+# a decrement program whose table holds the literal 1 in a head and "1a",
+# no constant, in a body; w is a predicate of the facts only
+_PARITY = DatalogProgram(
+    (Atom("n", (0,)), Atom("n", (1,)), Atom("q", ("a", "b")), Atom("w", ("c",))),
+    (
+        Rule(Atom("s", (_I,)), (Atom("n", (_I,)), Atom("n", (Minus(_I, 1),)))),
+        Rule(Atom("p", (X,)), (Atom("q", (X, "1a")),)),
+        Rule(Atom("t", (X, 1)), (Atom("p", (X,)),)),
+    ),
+)
+_ARGS = st.sampled_from(
+    [0, 1, 2, 7, "a", "b", "c", "d", "1a", "", "2", 1.0, 1.5, True, False, None, [1], ("t",)]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("nqwstpz"), st.lists(_ARGS, max_size=3)), max_size=4))
+@example([("n", [1, 2])])
+@example([("q", ["a"])])
+@example([("w", ["c", "d"])])
+@example([("z", ["x"]), ("z", ["x", "y"])])
+@example([("n", [True])])
+@example([("n", [1.0])])
+@example([("q", ["1a", "a"])])
+@example([("n", [1.5]), ("q", ["a"])])
+@example([("n", [7]), ("n", [8]), ("z", ["a", 9])])
+@example([("z", [[1]])])
+def test_extension_checks_its_facts_as_loading_them_would(drawn):
+    """Whatever extend raises for a question's facts, an arity clash with
+    the table, the program's facts or each other, or a non-constant, is
+    what loading them against the saturation's symbols raised, and an
+    extension it accepts is bounded by the same grounding bound."""
+    sat = Saturation(_PARITY, evaluate(_PARITY))
+    facts = tuple(Atom(pred, tuple(args)) for pred, args in drawn)
+    assert _extended_outcome(sat, facts) == _loaded_outcome(sat, facts)
+
+
+def test_an_extension_bound_counts_new_constants_once():
+    sat = Saturation(_PARITY, evaluate(_PARITY))
+    facts = (Atom("n", (2,)), Atom("n", (3,)), Atom("w", (3,)), Atom("z", ("c", 4)))
+    bound = grounding_bound(DatalogProgram(_PARITY.facts + facts, _PARITY.rules))
+    assert _extended_outcome(sat, facts) == _loaded_outcome(sat, facts) == bound
+    assert sat.extend(facts).contains("s", (3,))
+
+
+def _snapshot(store):
+    """Every fact set, and every index's keys and buckets in order."""
+    return (
+        {p: frozenset(facts) for p, facts in store._sets.items()},
+        {
+            p: {pos: [(k, list(b)) for k, b in buckets.items()] for pos, (_, buckets) in per_pred.items()}
+            for p, per_pred in store._indexes.items()
+        },
+    )
+
+
+def _shared_store_questions():
+    """(saturation, facts, stop) questions on saturations prepared afresh:
+    instance and subsumption questions on example1's and example1-af's
+    prepared saturations, with and without a fact that makes them raise,
+    and rank tests on each stage saturation of example1-af's closure."""
+    from typel import rc
+
+    materialize._prepared.cache_clear()
+    out = []
+    for name, texts in (
+        ("example1.kbt", ("MathHater(paul)", "Nerd(paul)", "self(friendOf) and Nerd <= some friendOf.Nerd",
+                          "T(Student) <= MathHater", "self(friendOf) <= Young")),
+        ("example1-af.kbt", ("Italian <= Italian", "self(hasHair) <= Italian", "T(Student) <= Young")),
+    ):
+        kb = load_fixture(name)
+        for text in texts:
+            sat, facts, _ = materialize._query(kb, parse_query(text, kb))
+            out.append((sat, facts, None))
+            out.append((sat, facts + (Atom("inst", ("x",)),), None))
+            out.append((sat, (Atom("cls", (1.5,)),) + facts, None))
+    kb = load_fixture("example1-af.kbt")
+    closure, _, facts, _ = rc._ask(kb, (), (parse_concept("Young and Italian", kb),))
+    for stage in closure._saturations.values():
+        for concept, extra in (("Student", ()), ("Italian", ()), ("Young and Italian", facts)):
+            question = extra + rc._hypothesis(concept)
+            out += [(stage, question, None), (stage, question, store_inconsistent)]
+    return out
+
+
+_LEAST_MODELS = {}
+
+
+def _least_model(i, sat, facts):
+    """The least model of question i's program plus its facts."""
+    if i not in _LEAST_MODELS:
+        _LEAST_MODELS[i] = store_dict(evaluate(DatalogProgram(sat.program.facts + facts, sat.program.rules)))
+    return _LEAST_MODELS[i]
+
+
+def test_the_shared_store_questions_open_gates_build_shared_indexes_and_raise():
+    """The questions the next test interleaves cover each case it guards."""
+    opened = shared_index = raised = 0
+    for sat, facts, stop in _shared_store_questions():
+        preds = {f.pred for f in facts}
+        opened += any(empty <= preds for _, empty in sat._gated)
+        try:
+            ext = sat.extend(facts, stop)
+        except DatalogError:
+            raised += 1
+            continue
+        # a relation the saturation indexes already, and the copy anew
+        shared_index += any(
+            pos not in sat.store._indexes[p]
+            for p, per_pred in ext._indexes.items()
+            if sat.store._indexes.get(p) and ext._sets.get(p) is sat.store._sets.get(p)
+            for pos in per_pred
+        )
+    assert opened and shared_index and raised
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_questions_on_shared_stores_leave_the_saturations_as_they_were(data):
+    """Any interleaving of questions on prepared and stage saturations: each
+    leaves the saturation's fact sets and indexes, bucket order included,
+    as they were, and each extension it completes is the least model of
+    the program plus the question's facts, or a part of it when stopped."""
+    questions = _shared_store_questions()
+    order = data.draw(st.lists(st.integers(0, len(questions) - 1), min_size=1, max_size=10))
+    for i in order:
+        sat, facts, stop = questions[i]
+        before = _snapshot(sat.store)
+        try:
+            ext = sat.extend(facts, stop)
+        except DatalogError:
+            ext = None
+        assert _snapshot(sat.store) == before
+        if ext is None:
+            continue
+        # an index the copy builds goes into a map of its own
+        assert ext is sat.store or all(ext._indexes.get(p) is not m for p, m in sat.store._indexes.items())
+        expected = _least_model(i, sat, facts)
+        if stop is None:
+            assert store_dict(ext) == expected
+        else:
+            assert all(ext.facts(p) <= expected.get(p, frozenset()) for p in ext.preds())
 
 
 # --- stratification -----------------------------------------------------------
@@ -1435,7 +1618,7 @@ def test_relations_bound_empty_stay_invisible(tmp_path):
         for pred, facts in store_dict(store).items():
             plain.add_all(pred, set(facts))
         bound_empty += sum(not store.facts(p) for p in store._sets)
-        for seen in (store, store.copy()):
+        for seen in (store, store.copy(store.preds())):
             assert seen.preds() == plain.preds()
             assert len(seen) == len(plain)
             assert store_text(seen) == store_text(plain)

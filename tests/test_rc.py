@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, example, find, given, settings
 from hypothesis import strategies as st
 
-from typel import datalog, materialize
+from typel import datalog, materialize, rc
 from typel._families import chain_kb
 from typel.datalog import Atom, DatalogProgram, Neg, Rule, evaluate, load_program, stratify
 from typel.kb import (
@@ -897,20 +897,24 @@ def test_prepared_closure_answers_like_the_closure_table_in_any_order(kb_and_que
         assert _outcome(lambda: ENTRY[kind](kb, arg)) == expected[i], questions[i]
 
 
-def _extensions(monkeypatch, kb, text):
-    """The facts of each Saturation.extend a warm rc_entails runs on the
-    question, and its verdict."""
-    query = parse_query(text, kb)
-    rc_entails(kb, query)
+def _extensions(monkeypatch, kb, *texts):
+    """The facts of each Saturation.extend that rc_entails runs on each
+    question in turn, asked of a fresh closure, and the verdicts."""
+    materialize._prepared.cache_clear()
+    compute_ranks(kb)
     calls = []
     extend = datalog.Saturation.extend
 
     def counting(self, facts, stop=None):
-        calls.append(facts)
+        calls[-1].append(facts)
         return extend(self, facts, stop)
 
     monkeypatch.setattr(datalog.Saturation, "extend", counting)
-    return calls, rc_entails(kb, query).in_closure
+    verdicts = []
+    for text in texts:
+        calls.append([])
+        verdicts.append(rc_entails(kb, parse_query(text, kb)).in_closure)
+    return calls, verdicts
 
 
 @pytest.mark.parametrize(
@@ -922,9 +926,19 @@ def _extensions(monkeypatch, kb, text):
 )
 def test_a_question_concept_is_ranked_and_answered_by_one_extension(example1_af, monkeypatch, text, verdict):
     # the rank test at stage 0 stores no bottom fact, and its extension
-    # holds the answer
-    calls, in_closure = _extensions(monkeypatch, example1_af, text)
-    assert (len(calls), in_closure) == (1, verdict)
+    # holds the answer; the closure keeps the rank and the classes reached,
+    # so a repeat needs no extension
+    calls, verdicts = _extensions(monkeypatch, example1_af, text, text)
+    assert ([len(c) for c in calls], verdicts) == ([1, 0], [verdict, verdict])
+
+
+def test_a_second_right_side_on_the_same_left_side_needs_no_extension(example1_af, monkeypatch):
+    # an atomic right side adds no fact, so both questions have one key
+    texts = ("T(Student and Italian) <= Young", "T(Student and Italian) <= MathLover")
+    calls, verdicts = _extensions(monkeypatch, example1_af, *texts)
+    assert ([len(c) for c in calls], verdicts) == ([1, 0], [True, False])
+    (key,) = materialize._prepared_kb(example1_af).closure.asked
+    assert len(key[1]) == 5
 
 
 @pytest.mark.parametrize(
@@ -936,8 +950,16 @@ def test_a_question_concept_is_ranked_and_answered_by_one_extension(example1_af,
     ],
 )
 def test_a_kb_ranked_concept_with_no_question_facts_needs_no_extension(example1_af, monkeypatch, text, verdict):
-    calls, in_closure = _extensions(monkeypatch, example1_af, text)
-    assert (calls, in_closure) == ([], verdict)
+    calls, verdicts = _extensions(monkeypatch, example1_af, text)
+    assert (calls, verdicts) == ([[]], [verdict])
+
+
+def test_a_kb_ranked_concept_with_question_facts_gets_an_extension_each_time(example1_af, monkeypatch):
+    # the classes the KB's rank test reached hold none of the question's
+    # fresh names, so its facts need an extension of their own
+    text = "T(Italian) <= some hasHair.{Black}"
+    calls, verdicts = _extensions(monkeypatch, example1_af, text, text)
+    assert ([len(c) for c in calls], verdicts) == ([1, 1], [True, True])
 
 
 @pytest.mark.parametrize(
@@ -948,8 +970,9 @@ def test_a_kb_ranked_concept_with_no_question_facts_needs_no_extension(example1_
         # last of which answers, and of {a}
         (None, "T(L1 and {a}) <= T({a})", False, [False, False, False]),
         # a in L1 gives {a} rank 1: the default joins E_1, and membership
-        # is an extension of its own
-        (1, "T({a}) <= T({a})", True, [False, False, False, False, True]),
+        # is an extension of its own; the default's left concept is the
+        # question's, whose rank the closure has kept by then
+        (1, "T({a}) <= T({a})", True, [False, False, True]),
         # every default is in E_0, so at rank 0 {a} needs no rank
         (None, "T(L0 and {a}) <= T({a})", True, [False, True]),
         (None, "T(L0) <= T({a})", False, [True]),
@@ -958,10 +981,45 @@ def test_a_kb_ranked_concept_with_no_question_facts_needs_no_extension(example1_
 def test_a_question_default_gets_an_extension_only_when_it_joins_e(
     monkeypatch, member, text, verdict, with_default
 ):
+    # a repeat reads every rank the closure kept and runs only the
+    # extension with the question's own defaults
     kb = parse_kb(_ladder_text(3, None, False, member))
-    calls, in_closure = _extensions(monkeypatch, kb, text)
-    assert in_closure == verdict
-    assert [any(f.pred == "subTyp" for f in facts) for facts in calls] == with_default
+    calls, verdicts = _extensions(monkeypatch, kb, text, text)
+    assert verdicts == [verdict, verdict]
+    assert [[any(f.pred == "subTyp" for f in facts) for facts in c] for c in calls] == [
+        with_default,
+        [True] * with_default.count(True),
+    ]
+
+
+def test_the_kept_question_ranks_stay_within_their_bound(example1_af):
+    """More distinct question concepts than the closure keeps, asked twice
+    in different orders, get the answers of a fresh closure each."""
+    kb = example1_af
+    names = ("Italian", "Student", "Nerd", "Young", "MathLover", "MathHater")
+    texts = [
+        " and ".join(c)
+        for k in range(1, len(names) + 1)
+        for c in itertools.combinations(names, k)
+        if " and ".join(c) not in ("Italian", "Student", "Student and Nerd")
+    ]
+    texts += [f"{t} and some hasHair.{{{i}}}" for t in names for i in ("Black", "Blond")]
+    assert len(texts) > rc.QUESTION_RANKS
+
+    def answers(text):
+        concept = parse_concept(text, kb)
+        query = parse_query(f"T({text}) <= Young", kb)
+        return compute_ranks(kb, (concept,)).rows(), rc_entails(kb, query).in_closure
+
+    expected = {}
+    for text in texts:
+        materialize._prepared.cache_clear()
+        expected[text] = answers(text)
+    materialize._prepared.cache_clear()
+    for text in texts + random.Random(0).sample(texts, len(texts)):
+        assert answers(text) == expected[text], text
+        assert len(materialize._prepared_kb(kb).closure.asked) <= rc.QUESTION_RANKS
+    assert len(materialize._prepared_kb(kb).closure.asked) == rc.QUESTION_RANKS
 
 
 def test_a_question_concept_can_move_the_fixpoint():
