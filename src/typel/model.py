@@ -535,58 +535,89 @@ def _load(
 
 
 def _search(nvars: int, state: _State, budget: list[int]) -> list[int] | None:
-    """The search of _solve from a loaded state, which it changes."""
+    """The search of _solve from a loaded state, which it changes.
+
+    A decision takes the unassigned variable of highest activity, ties to
+    the lowest index, as a heap of every variable keyed (-activity, var)
+    would.  Only bumped variables (activity above 0) enter the heap, each
+    time one is unassigned: a variable is bumped only while assigned, so an
+    unassigned one's newest entry holds its current activity and sorts
+    before its older ones.  The variables never bumped tie at 0, below
+    every bumped one, so when the heap holds no unassigned variable the
+    choice is the lowest-index unassigned one.  A pointer scans upward to
+    it, and a backjump lowers the pointer to any unbumped variable it
+    unassigns.  The rescale can round an activity down to 0; it rebuilds
+    the heap from the unassigned variables still above 0 and resets the
+    pointer, so the others rejoin the scanned ones.
+    """
     value, watches, db, trail = state
     level = [0] * (nvars + 1)
     reason = [-1] * (nvars + 1)  # index in db of the clause that implied a var
     phase = [1] * (nvars + 1)  # a var's last literal; decisions start true
     activity = [0.0] * (nvars + 1)
     seen = [False] * (nvars + 1)
-    heap = [(0.0, v) for v in range(1, nvars + 1)]  # (-activity, var), lazily
+    heap: list[tuple[float, int]] = []  # (-activity, var) of bumped vars, lazily
+    scan = 1  # every var below it is assigned or bumped
     limits: list[int] = []  # trail length at each decision
     inc = 1.0
     head = 0
     while True:
         conflict = -1
-        while head < len(trail) and conflict < 0:
+        current = len(limits)
+        while head < len(trail):
             false_lit = -trail[head]
             head += 1
             ws = watches[false_lit]
-            kept: list[int] = []
-            watches[false_lit] = kept
-            for i, ci in enumerate(ws):
+            if not ws:
+                continue
+            # ws is compacted in place: the clauses still watching false_lit
+            # go to its front, in their order, and the slots of those whose
+            # watch moved are deleted behind them, before any not visited
+            j = moved = 0
+            for ci in ws:
                 c = db[ci]
                 # keep the falsified watch second
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], false_lit
                 first = c[0]
+                if first == false_lit:
+                    first = c[0] = c[1]
+                    c[1] = false_lit
                 if value[first] > 0:
-                    kept.append(ci)
+                    ws[j] = ci
+                    j += 1
                     continue
-                for k in range(2, len(c)):
-                    lit = c[k]
-                    if value[lit] >= 0:
-                        c[1], c[k] = lit, false_lit
-                        watches[lit].append(ci)
-                        break
-                else:
-                    kept.append(ci)
-                    if value[first] < 0:
-                        kept.extend(ws[i + 1 :])
-                        conflict = ci
-                        break
-                    value[first], value[-first] = 1, -1
-                    v = abs(first)
-                    level[v] = len(limits)
-                    reason[v] = ci
-                    trail.append(first)
+                # move the watch to a literal not false; a binary clause
+                # has none
+                if len(c) > 2:
+                    for k in range(2, len(c)):
+                        lit = c[k]
+                        if value[lit] >= 0:
+                            c[1], c[k] = lit, false_lit
+                            watches[lit].append(ci)
+                            break
+                    else:
+                        k = 0  # no literal to move to
+                    if k:
+                        moved += 1
+                        continue
+                ws[j] = ci
+                j += 1
+                if value[first] < 0:
+                    conflict = ci
+                    break
+                value[first], value[-first] = 1, -1
+                v = first if first > 0 else -first
+                level[v] = current
+                reason[v] = ci
+                trail.append(first)
+            del ws[j : j + moved]
+            if conflict >= 0:
+                break
 
         if conflict >= 0:
             if not limits:
                 return None
             # resolve the conflict back to the first unique implication
             # point of the current level
-            current = len(limits)
             learnt = [0]
             pending = 0
             index = len(trail)
@@ -594,33 +625,40 @@ def _search(nvars: int, state: _State, budget: list[int]) -> list[int] | None:
             p = 0
             while True:
                 for lit in c:
-                    v = abs(lit)
+                    v = lit if lit > 0 else -lit
                     if lit != p and not seen[v] and level[v] > 0:
                         seen[v] = True
                         if level[v] == current:
                             pending += 1
                         else:
                             learnt.append(lit)
-                index -= 1
-                while not seen[abs(trail[index])]:
+                while True:
                     index -= 1
-                p = trail[index]
-                seen[abs(p)] = False
+                    p = trail[index]
+                    v = p if p > 0 else -p
+                    if seen[v]:
+                        break
+                seen[v] = False
                 pending -= 1
                 if pending == 0:
                     break
-                c = db[reason[abs(p)]]
+                c = db[reason[v]]
             learnt[0] = -p
             for lit in learnt:
-                v = abs(lit)
+                v = lit if lit > 0 else -lit
                 seen[v] = False
                 activity[v] += inc
             inc *= _DECAY
             if inc > 1e100:
                 activity = [a * 1e-100 for a in activity]
                 inc *= 1e-100
-                heap = [(-activity[v], v) for v in range(1, nvars + 1) if value[v] == 0]
+                heap = [
+                    (-activity[v], v)
+                    for v in range(1, nvars + 1)
+                    if value[v] == 0 and activity[v] > 0
+                ]
                 heapq.heapify(heap)
+                scan = 1
             back = 0
             if len(learnt) > 1:
                 # the literal of the highest remaining level is the second watch
@@ -632,10 +670,13 @@ def _search(nvars: int, state: _State, budget: list[int]) -> list[int] | None:
                 db.append(learnt)
             mark = limits[back]
             for lit in trail[mark:]:
-                v = abs(lit)
+                v = lit if lit > 0 else -lit
                 phase[v] = lit
                 value[lit] = value[-lit] = 0
-                heapq.heappush(heap, (-activity[v], v))
+                if activity[v] > 0:
+                    heapq.heappush(heap, (-activity[v], v))
+                elif v < scan:
+                    scan = v
             del trail[mark:], limits[back:]
             head = mark
             asserted = learnt[0]
@@ -647,12 +688,17 @@ def _search(nvars: int, state: _State, budget: list[int]) -> list[int] | None:
 
         while heap and value[heap[0][1]] != 0:
             heapq.heappop(heap)
-        if not heap:
-            return value[: nvars + 1]
+        if heap:
+            v = heapq.heappop(heap)[1]
+        else:
+            while scan <= nvars and value[scan] != 0:
+                scan += 1
+            if scan > nvars:
+                return value[: nvars + 1]
+            v = scan
         budget[0] -= 1
         if budget[0] < 0:
             raise BoundOverflow("model search decision budget exceeded")
-        v = heapq.heappop(heap)[1]
         lit = v if phase[v] > 0 else -v
         limits.append(len(trail))
         value[lit], value[-lit] = 1, -1

@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_search
 import typel.model
 from typel.kb import (
     BOT,
@@ -35,6 +37,7 @@ from typel.model import (
     BoundOverflow,
     RankedInterpretation,
     _Encoder,
+    _load,
     _solve,
     extension,
     is_model,
@@ -418,21 +421,25 @@ def test_solve_agrees_with_brute_force(cnf):
     assert _solve(nvars, clauses, [10_000]) == sol
 
 
-@st.composite
-def planted_3cnfs(draw):
-    """3-CNFs near the satisfiability threshold that a drawn assignment
-    satisfies: larger than brute force allows, and satisfiable by
-    construction."""
-    nvars = draw(st.integers(10, 40))
-    plant = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
-    rnd = draw(st.randoms(use_true_random=False))
+def planted_3cnf(plant: list[bool], rnd: random.Random) -> list[tuple[int, ...]]:
+    """A 3-CNF near the satisfiability threshold, drawn from rnd, that
+    plant (the value of each variable from 1 on) satisfies: larger than
+    brute force allows, and satisfiable by construction."""
+    nvars = len(plant)
     clauses = []
     for _ in range(int(4.2 * nvars)):
         cl = [rnd.choice((1, -1)) * rnd.randint(1, nvars) for _ in range(3)]
         if not any((lit > 0) == plant[abs(lit) - 1] for lit in cl):
             cl[0] = -cl[0]
         clauses.append(tuple(cl))
-    return nvars, clauses
+    return clauses
+
+
+@st.composite
+def planted_3cnfs(draw):
+    nvars = draw(st.integers(10, 40))
+    plant = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
+    return nvars, planted_3cnf(plant, draw(st.randoms(use_true_random=False)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -454,3 +461,168 @@ def test_solve_counts_decisions_in_the_shared_cell():
     assert cell[0] < 5
     with pytest.raises(BoundOverflow):
         _solve(2, [(1, 2)], [0])
+
+
+# --- the search against its reference -----------------------------------------
+
+
+def _searched(search, nvars, state, budget):
+    """What search leaves: its answer, the budget cell and the whole state,
+    learnt clauses, watch lists and literal order included."""
+    cell = [budget]
+    try:
+        out = search(nvars, state, cell)
+    except BoundOverflow:
+        out = "overflow"
+    return out, cell, state
+
+
+def assert_searches_agree(nvars, load, budget):
+    """load() gives a new loaded state on each call, or None."""
+    expected = load()
+    if expected is None:
+        return
+    expected = _searched(reference_search._search, nvars, expected, budget)
+    assert _searched(typel.model._search, nvars, load(), budget) == expected
+
+
+def _loads(nvars, clauses, split):
+    """The state of clauses loaded at once, and the one of clauses[split:]
+    loaded on a base state of clauses[:split] over only the variables
+    these name, so the rest are added in between."""
+    yield functools.partial(_load, nvars, clauses)
+    head = clauses[:split]
+    base = _load(max((abs(lit) for cl in head for lit in cl), default=0), head)
+    if base is not None:
+        yield functools.partial(_load, nvars, clauses[split:], base)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cnfs(), st.data(), st.sampled_from([3, 10_000]))
+def test_search_matches_the_reference_on_small_cnfs(cnf, data, budget):
+    nvars, clauses = cnf
+    split = data.draw(st.integers(0, len(clauses)))
+    for load in _loads(nvars, clauses, split):
+        assert_searches_agree(nvars, load, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted_3cnfs(), st.data())
+def test_search_matches_the_reference_on_planted_cnfs(cnf, data):
+    nvars, clauses = cnf
+    split = data.draw(st.integers(0, len(clauses)))
+    for load in _loads(nvars, clauses, split):
+        assert_searches_agree(nvars, load, 100_000)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tiny_kbs, tiny_queries, st.sampled_from([(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)]))
+def test_search_matches_the_reference_on_groundings(kb, q, bounds):
+    # a KB's clauses then its question's, loaded at once as a fresh
+    # grounding does, and on the KB's loaded state as refute does
+    assume(not validate(kb) and not validate_query(kb, q))
+    enc = _Encoder(kb, *bounds)
+    enc.encode_kb()
+    question = enc.fork()
+    question.encode_query_negation(q)
+    nvars, clauses = question.nvars, enc.clauses + question.clauses
+    assert_searches_agree(nvars, functools.partial(_load, nvars, clauses), 2_000_000)
+    base = _load(enc.nvars, enc.clauses)
+    if base is not None:
+        load = functools.partial(_load, nvars, question.clauses, base)
+        assert_searches_agree(nvars, load, 2_000_000)
+
+
+class _Tracked(float):
+    """A float whose products and sums are _Tracked too.  As the activity
+    factor it makes the increment one, and so every activity bumped, and
+    it records in FIRED when the rescale's factor 1e-100 multiplies one,
+    and when that rounds a bumped activity down to 0."""
+
+    FIRED: set[str] = set()
+
+    def __mul__(self, other):
+        out = float(self) * other
+        if other == 1e-100:
+            _Tracked.FIRED.add("rescale")
+            if self and not out:
+                _Tracked.FIRED.add("underflow")
+        return _Tracked(out)
+
+    def __rmul__(self, other):
+        return _Tracked(other * float(self))
+
+    def __add__(self, other):
+        return _Tracked(float(self) + other)
+
+    def __radd__(self, other):
+        return _Tracked(other + float(self))
+
+
+@pytest.mark.parametrize("factor", [1e30, 1e60])
+def test_search_matches_the_reference_through_rescales_and_underflow(monkeypatch, factor):
+    # at the factor 1/0.95 the rescale needs about 4,490 conflicts, which
+    # no planted CNF above learns.  At 1e30 it fires every fourth conflict
+    # and an activity left unbumped underflows to 0 after four rescales; at
+    # 1e60 both come twice as fast.  At either factor these CNFs hold a
+    # variable unassigned while its activity underflows, which only the
+    # decision pointer's reset after a rescale finds again
+    decay = _Tracked(factor)
+    monkeypatch.setattr(typel.model, "_DECAY", decay)
+    monkeypatch.setattr(reference_search, "_DECAY", decay)
+    monkeypatch.setattr(_Tracked, "FIRED", set())
+    rnd = random.Random(7)
+    for _ in range(150):
+        nvars = rnd.randint(30, 40)
+        clauses = planted_3cnf([rnd.random() < 0.5 for _ in range(nvars)], rnd)
+        for load in _loads(nvars, clauses, rnd.randint(0, len(clauses))):
+            assert_searches_agree(nvars, load, 100_000)
+    assert _Tracked.FIRED == {"rescale", "underflow"}
+
+
+# --- the catalog's searches, pinned -------------------------------------------
+
+# the perfbench catalog's refute queries: decisions per domain size and
+# the counter-model, as the search gave them when every variable sat in
+# its decision heap; an equal search gives them exactly again
+PINNED_SEARCHES = {
+    ("example1.kbt", "(some hasHair.{Black})(luigi)"): ([0, 4, 44], """\
+elem  rank  individuals        concepts / roles
+e0    0     Black              Italian MathHater Nerd Young friendOf->e0 hasHair->e0 hasHair->e1
+e1    1     luigi,mario,mary,paul Italian MathHater Student Young friendOf->e0 friendOf->e1 friendOf->e2 hasHair->e1 hasHair->e2
+e2    2     Blond,tom          Italian MathLover Nerd Student Young friendOf->e0 friendOf->e2 hasHair->e1 hasHair->e2"""),
+    ("example1.kbt", "T(Young and Italian) <= some hasHair.{Black}"): ([0, 8, 39], """\
+elem  rank  individuals        concepts / roles
+e0    0     Black              Italian MathHater Nerd friendOf->e0 hasHair->e0 hasHair->e1
+e1    1     luigi,mario,mary,paul Italian MathHater Student Young friendOf->e0 friendOf->e1 friendOf->e2 hasHair->e1 hasHair->e2
+e2    2     Blond,tom          Italian MathLover Nerd Student Young friendOf->e0 friendOf->e2 hasHair->e0 hasHair->e1"""),
+    ("example1.kbt", "MathHater(paul)"): ([0, 4, 26], None),
+    ("example1.kbt", "Young(mario)"): ([0, 6, 13], None),
+    ("example4.kbt", "A <= B"): ([0], """\
+elem  rank  individuals        concepts / roles
+e0    0     -                  A"""),
+}
+
+
+@pytest.mark.parametrize("fixture, text", list(PINNED_SEARCHES))
+def test_catalog_searches_are_pinned(monkeypatch, fixture, text):
+    import conftest
+
+    decisions = []
+    real = typel.model._solve
+
+    def counting(nvars, clauses, budget, base=None):
+        before = budget[0]
+        out = real(nvars, clauses, budget, base)
+        decisions.append(before - budget[0])
+        return out
+
+    monkeypatch.setattr(typel.model, "_solve", counting)
+    typel.model._grounded.cache_clear()
+    kb = conftest.load_fixture(fixture)
+    q = parse_query(text, kb)
+    for _ in range(2):
+        # the KB's first question and a later one, on its loaded state
+        decisions.clear()
+        m = refute(kb, q)
+        assert (decisions, m and render_model(m)) == PINNED_SEARCHES[fixture, text]
